@@ -180,7 +180,11 @@ func BenchmarkFig15a_WindowSensitivity(b *testing.B) {
 func BenchmarkFig15b_BfsInputs(b *testing.B) {
 	var rows []sim.Fig15bRow
 	for i := 0; i < b.N; i++ {
-		rows = sim.Fig15b(true)
+		var err error
+		rows, err = sim.Fig15b(true)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		if r.Input == "road" {

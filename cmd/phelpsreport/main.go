@@ -142,7 +142,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fig15a: %v\n", err)
 			os.Exit(1)
 		}
-		bRows := sim.Fig15b(*quick)
+		bRows, err := sim.Fig15b(*quick)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fig15b: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Println(sim.FormatFig15a(aRows))
 		fmt.Println(sim.FormatFig15b(bRows))
 		report.AddFigure("fig15a", fig15aRows(aRows))

@@ -1,9 +1,12 @@
 // Package codec provides the little-endian append/read primitives shared by
-// the binary state serializers (bpred, cache, emu, and the sim checkpoint
-// cache). The writers are thin wrappers over encoding/binary's append forms;
-// the Reader is the important half: it is sticky-error and bounds-checked, so
-// a truncated or corrupted byte stream decodes to an error — never a panic —
-// which the checkpoint cache turns into a plain cache miss.
+// the binary state serializers (bpred, cache, emu, the sim checkpoint cache,
+// the perfmodel model and the phelpsd journal). The writers are thin
+// wrappers over encoding/binary's append forms; the Reader is the important
+// half: it is sticky-error and bounds-checked, so a truncated or corrupted
+// byte stream decodes to an error — never a panic — which the checkpoint
+// cache turns into a plain cache miss. Seal and Unseal add and check the
+// FNV-1a-64 trailer every on-disk format (PSC1, PPM1, PJW1) ends its blobs
+// or records with.
 package codec
 
 import (
@@ -15,6 +18,44 @@ import (
 // ErrShort reports a read past the end of the buffer (truncation) or a
 // trailing-garbage check failure.
 var ErrShort = errors.New("codec: short or malformed buffer")
+
+// ErrChecksum reports a sealed blob whose FNV-1a trailer does not match its
+// body.
+var ErrChecksum = errors.New("codec: checksum mismatch")
+
+// FNV-1a 64-bit parameters, shared by the seal trailer and the simulator's
+// content hashes.
+const (
+	FNVOffset64 uint64 = 14695981039346656037
+	FNVPrime64  uint64 = 1099511628211
+)
+
+// Sum64 returns the FNV-1a-64 hash of b.
+func Sum64(b []byte) uint64 {
+	h := FNVOffset64
+	for _, c := range b {
+		h = (h ^ uint64(c)) * FNVPrime64
+	}
+	return h
+}
+
+// Seal appends the FNV-1a-64 sum of b[start:] to b. The trailer catches bit
+// flips anywhere in the sealed span, which field-level bounds checks alone
+// would miss (e.g. inside page data).
+func Seal(b []byte, start int) []byte { return U64(b, Sum64(b[start:])) }
+
+// Unseal verifies a blob produced by Seal (with start at its first byte) and
+// returns the body without its trailer, aliasing b.
+func Unseal(b []byte) ([]byte, error) {
+	if len(b) < 8 {
+		return nil, ErrShort
+	}
+	body := b[:len(b)-8]
+	if binary.LittleEndian.Uint64(b[len(body):]) != Sum64(body) {
+		return nil, ErrChecksum
+	}
+	return body, nil
+}
 
 // U64 appends v little-endian.
 func U64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }

@@ -20,13 +20,14 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
 )
 
 // File is the writable-file surface the stores need: append/stream writes,
-// durability, and a name for the temp-file + rename idiom.
+// durability, and a name for WriteFileAtomic's temp-file + rename.
 type File interface {
 	io.Writer
 	io.Closer
@@ -48,6 +49,35 @@ type FS interface {
 	Remove(name string) error
 	MkdirAll(path string, perm fs.FileMode) error
 	Stat(name string) (fs.FileInfo, error)
+}
+
+// WriteFileAtomic replaces path with data so that no reader, crash or
+// concurrent writer can ever observe a torn file under path: it writes a
+// unique temp file in path's directory, fsyncs it when sync is set, and
+// renames it into place. The temp file is removed on any failure. It is the
+// one writer behind every persisted store: the results cache and journal
+// compaction pass sync=true (an acknowledged job must survive power loss);
+// the checkpoint cache passes false (its artifacts are checksummed and
+// recomputable).
+func WriteFileAtomic(fs FS, path string, data []byte, sync bool) error {
+	tmp, err := fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		fs.Remove(tmp.Name())
+	}
+	return err
 }
 
 // OS is the real filesystem.

@@ -161,3 +161,40 @@ func TestFaultFSConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestWriteFileAtomic: a write replaces the target whole, and a failure at
+// any step leaves the old target intact and no temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	for _, sync := range []bool{false, true} {
+		if err := WriteFileAtomic(OS, path, []byte("v1"), sync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	temps := func() []string {
+		m, _ := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+		return m
+	}
+
+	// Rename onto a non-empty directory fails after the temp file exists.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(OS, blocked, []byte("v2"), true); err == nil {
+		t.Fatal("rename onto a non-empty directory succeeded")
+	}
+	// A refused temp-file create must not touch the target.
+	ffs := &FaultFS{}
+	ffs.FailWrites(ErrNoSpace)
+	if err := WriteFileAtomic(ffs, path, []byte("v3"), true); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("err = %v, want ENOSPC", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "v1" {
+		t.Fatalf("target = %q after failed writes, want v1", got)
+	}
+	if m := temps(); len(m) != 0 {
+		t.Fatalf("temp files left behind: %v", m)
+	}
+}

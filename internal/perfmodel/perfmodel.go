@@ -24,7 +24,6 @@
 package perfmodel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -38,12 +37,6 @@ const modelSchema = 1
 
 // modelMagic identifies model blobs ("PPM1").
 const modelMagic uint32 = 0x50504d31
-
-// FNV-1a parameters (the same constants the sim checkpoint cache uses).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
 
 // Sample is one training example: a feature vector and the cycle-accurate
 // ground truth it maps to.
@@ -419,27 +412,16 @@ func (m *Model) Append(b []byte) []byte {
 			}
 		}
 	}
-	sum := uint64(fnvOffset)
-	for _, by := range b[start:] {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	return codec.U64(b, sum)
+	return codec.Seal(b, start)
 }
 
 // Decode parses and validates a serialized model: checksum, magic, schema,
 // and structural bounds (feature indices and child links in range). Any
 // failure is an error — never a panic, never a silently wrong model.
 func Decode(b []byte) (*Model, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("perfmodel: model blob: %d bytes", len(b))
-	}
-	body, tail := b[:len(b)-8], b[len(b)-8:]
-	sum := uint64(fnvOffset)
-	for _, by := range body {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	if got := binary.LittleEndian.Uint64(tail); got != sum {
-		return nil, fmt.Errorf("perfmodel: model checksum mismatch")
+	body, err := codec.Unseal(b)
+	if err != nil {
+		return nil, fmt.Errorf("perfmodel: model blob: %w", err)
 	}
 	r := codec.NewReader(body)
 	if m := r.U32(); m != modelMagic {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"phelps/internal/codec"
 )
 
 // synth builds a deterministic synthetic training set: a smooth nonlinear
@@ -232,5 +234,21 @@ func TestAdjacentFloatSplit(t *testing.T) {
 	lo, hi := m.PredictIPC([]float64{v1}), m.PredictIPC([]float64{2.0})
 	if !(lo < hi) {
 		t.Errorf("split lost: predict(v1)=%v, predict(2.0)=%v", lo, hi)
+	}
+}
+
+// TestModelFormatPinned pins the PPM1 model bytes against the length and
+// FNV-1a-64 sum recorded before the model moved onto the shared codec seal:
+// a small deterministic training run must serialize identically.
+func TestModelFormatPinned(t *testing.T) {
+	m, err := Train(synth(60), testFeatures, Config{Rounds: 6, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := m.Append(nil)
+	sum := codec.Sum64(blob)
+	const wantLen, wantSum = 3512, uint64(0x967c751c875fa8b0)
+	if len(blob) != wantLen || sum != wantSum {
+		t.Errorf("model bytes changed: %d bytes sum %#x, want %d bytes sum %#x", len(blob), sum, wantLen, wantSum)
 	}
 }

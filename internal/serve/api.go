@@ -1,7 +1,7 @@
 // Package serve is the phelpsd experiment daemon: a long-running HTTP/JSON
 // service that accepts experiment jobs (workload × configuration × sample-
 // mode matrices), validates them against the sim config and workload
-// registries, and schedules their cells across a work-stealing worker pool.
+// registries, and runs their cells on one FIFO worker pool (sim.Pool).
 //
 // The daemon turns the library pieces — parallel RunMatrixCtx with per-cell
 // ErrPanic/ErrStall containment, ConfigByName/SpecByName, SampledRunCtx, and

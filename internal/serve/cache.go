@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -116,8 +115,8 @@ type cacheEntry struct {
 	Result *sim.Result `json:"result"`
 }
 
-// SaveFile persists the cache as JSON (atomically: unique temp file + rename,
-// so concurrent savers and a crash mid-write can never leave a half-written
+// SaveFile persists the cache as JSON (fsio.WriteFileAtomic with fsync, so
+// concurrent savers and a crash mid-write can never leave a half-written
 // cache under the live name), so a drained daemon's successor starts warm.
 // Failures are counted (SaveErrors) as well as returned.
 func (c *ResultCache) SaveFile(path string) error {
@@ -133,31 +132,7 @@ func (c *ResultCache) SaveFile(path string) error {
 		c.saveErrs.Add(1)
 		return fmt.Errorf("serve: encode cache: %w", err)
 	}
-	err = func() error {
-		tmp, err := c.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-		if err != nil {
-			return err
-		}
-		_, werr := tmp.Write(data)
-		serr := tmp.Sync()
-		cerr := tmp.Close()
-		if werr != nil || serr != nil || cerr != nil {
-			c.fs.Remove(tmp.Name())
-			if werr != nil {
-				return werr
-			}
-			if serr != nil {
-				return serr
-			}
-			return cerr
-		}
-		if err := c.fs.Rename(tmp.Name(), path); err != nil {
-			c.fs.Remove(tmp.Name())
-			return err
-		}
-		return nil
-	}()
-	if err != nil {
+	if err = fsio.WriteFileAtomic(c.fs, path, data, true); err != nil {
 		c.saveErrs.Add(1)
 	}
 	return err

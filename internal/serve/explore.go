@@ -13,11 +13,11 @@ import (
 )
 
 // exploreRun is one model-triaged design-space search in flight or
-// completed. Unlike matrix jobs, an explore is a single opaque task: it
-// spins its own bounded worker pool inside sim.RunExplore, is never
-// journaled (a restart loses it; the client resubmits), and the daemon
-// serves at most one at a time — a full explore saturates the host by
-// itself, so overlapping two just thrashes.
+// completed. Unlike matrix jobs, an explore is a single opaque task: its
+// cells run on a sim.ForEach pool inside sim.RunExplore rather than on the
+// daemon's pool, it is never journaled (a restart loses it; the client
+// resubmits), and the daemon serves at most one at a time — a full explore
+// saturates the host by itself, so overlapping two just thrashes.
 type exploreRun struct {
 	ID      string
 	Created time.Time

@@ -11,10 +11,10 @@ package serve
 // cache or deterministically recomputes the same numbers.
 //
 // Format: one file (journal.wal) holding a header (magic + schema) followed
-// by length-framed records, each a JSON payload with a trailing FNV-1a
-// checksum. A record is written with a single Write call, so a torn write
-// tears inside one record and the checksum catches it: replay stops at the
-// first bad frame and compaction drops the torn tail. Completed jobs are
+// by length-framed records, each a JSON payload sealed with a trailing
+// FNV-1a checksum (codec.Seal). A record is written with a single Write
+// call, so a torn write tears inside one record and the checksum catches it:
+// replay stops at the first bad frame and compaction drops the torn tail. Completed jobs are
 // compacted away — at boot, and inline whenever enough finished jobs
 // accumulate — by atomically rewriting the file with only live-job records.
 //
@@ -24,13 +24,13 @@ package serve
 // operators via /v1/healthz.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 )
 
@@ -175,31 +175,19 @@ func (j *Journal) replay() {
 		}
 		return
 	}
-	if binary.LittleEndian.Uint32(data) != journalMagic {
+	r := codec.NewReader(data)
+	if r.U32() != journalMagic || r.U32() != journalSchema {
 		j.errs.Add(1)
 		return
 	}
-	if binary.LittleEndian.Uint32(data[4:]) != journalSchema {
-		j.errs.Add(1)
-		return
-	}
-	off := 8
-	for off < len(data) {
-		if off+4 > len(data) {
+	for r.Len() > 0 {
+		n := int(r.U32())
+		if r.Err() != nil || n <= 0 || n > maxJournalRecord || n+8 > r.Len() {
 			j.truncated.Add(1)
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n <= 0 || n > maxJournalRecord || off+4+n+8 > len(data) {
-			j.truncated.Add(1)
-			break
-		}
-		payload := data[off+4 : off+4+n]
-		sum := uint64(fnvOffset64)
-		for _, b := range payload {
-			sum = (sum ^ uint64(b)) * fnvPrime64
-		}
-		if binary.LittleEndian.Uint64(data[off+4+n:]) != sum {
+		payload, err := codec.Unseal(r.Bytes(n + 8))
+		if err != nil {
 			j.truncated.Add(1)
 			break
 		}
@@ -210,7 +198,6 @@ func (j *Journal) replay() {
 		}
 		j.apply(&rec)
 		j.replayed.Add(1)
-		off += 4 + n + 8
 	}
 }
 
@@ -281,19 +268,11 @@ func (j *Journal) Resumed() []ResumedJob {
 // append frames and writes one record. Failures are counted and swallowed:
 // the journal degrades, the daemon serves on.
 func (j *Journal) append(rec *journalRecord, sync bool) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	frame := appendFrame(nil, rec)
+	if len(frame) == 0 {
 		j.errs.Add(1)
 		return
 	}
-	frame := make([]byte, 0, 4+len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	sum := uint64(fnvOffset64)
-	for _, b := range payload {
-		sum = (sum ^ uint64(b)) * fnvPrime64
-	}
-	frame = binary.LittleEndian.AppendUint64(frame, sum)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -345,11 +324,11 @@ func (j *Journal) JobDone(jobID string) {
 
 // compactLocked rewrites the journal with only live (incomplete) jobs —
 // their accept plus the latest state of each non-pending cell — atomically
-// (temp + rename), then reopens the append handle. Called with j.mu held.
+// (fsio.WriteFileAtomic with fsync), then reopens the append handle. Called
+// with j.mu held.
 func (j *Journal) compactLocked() {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, journalMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, journalSchema)
+	buf := codec.U32(nil, journalMagic)
+	buf = codec.U32(buf, journalSchema)
 	records := 0
 	keep := j.order[:0]
 	for _, id := range j.order {
@@ -382,24 +361,7 @@ func (j *Journal) compactLocked() {
 		_ = j.f.Close()
 		j.f = nil
 	}
-	ok := func() bool {
-		tmp, err := j.fs.CreateTemp(filepath.Dir(j.path), journalFile+".tmp*")
-		if err != nil {
-			return false
-		}
-		_, werr := tmp.Write(buf)
-		serr := tmp.Sync()
-		cerr := tmp.Close()
-		if werr != nil || serr != nil || cerr != nil {
-			j.fs.Remove(tmp.Name())
-			return false
-		}
-		if err := j.fs.Rename(tmp.Name(), j.path); err != nil {
-			j.fs.Remove(tmp.Name())
-			return false
-		}
-		return true
-	}()
+	ok := fsio.WriteFileAtomic(j.fs, j.path, buf, true) == nil
 	if !ok {
 		j.errs.Add(1)
 	} else {
@@ -421,20 +383,18 @@ func (j *Journal) compactLocked() {
 	}
 }
 
-// appendFrame appends one framed record to buf (marshal errors cannot occur
-// for journalRecord — all fields are marshalable — but are dropped defensively).
+// appendFrame appends one framed record to buf: the payload length, the JSON
+// payload, and its codec.Seal trailer. Marshal errors cannot occur for
+// journalRecord — all fields are marshalable — but leave buf unchanged
+// defensively.
 func appendFrame(buf []byte, rec *journalRecord) []byte {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return buf
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	sum := uint64(fnvOffset64)
-	for _, b := range payload {
-		sum = (sum ^ uint64(b)) * fnvPrime64
-	}
-	return binary.LittleEndian.AppendUint64(buf, sum)
+	buf = codec.U32(buf, uint32(len(payload)))
+	start := len(buf)
+	return codec.Seal(append(buf, payload...), start)
 }
 
 // Close flushes and closes the journal file.
@@ -482,13 +442,6 @@ func (j *Journal) Compactions() uint64  { return j.compactions.Load() }
 func (j *Journal) Errors() uint64       { return j.errs.Load() }
 func (j *Journal) ResumedJobs() uint64  { return j.resumedJobs.Load() }
 func (j *Journal) ResumedCells() uint64 { return j.resumedCells.Load() }
-
-// FNV-1a constants (the serve package's stores checksum with the same hash
-// as the sim ckpt cache).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
 
 // isNotExist matches fs.ErrNotExist through fsio wrappers.
 func isNotExist(err error) bool { return os.IsNotExist(err) }

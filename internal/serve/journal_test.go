@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -257,4 +258,48 @@ func TestResumedJobBitIdentical(t *testing.T) {
 			t.Errorf("%s/%s: resumed run not bit-identical to direct run", c.Workload, c.Config)
 		}
 	}
+}
+
+// TestJournalFormatPinned pins the PJW1 on-disk bytes — header, framing and
+// FNV-1a trailers — against values recorded before the journal moved onto
+// the shared codec seal and atomic writer: a fresh journal holding one
+// accept and one cell transition, and the same journal after a reopen
+// rewrote it through compaction.
+func TestJournalFormatPinned(t *testing.T) {
+	t.Parallel()
+	const want = "" +
+		"31574a5001000000" + // magic "PJW1", schema 1
+		// accept frame: length, JSON payload, FNV-1a trailer
+		"7f0000007b226b696e64223a22616363657074222c226a6f62223a226a2d3030" +
+		"30303432222c22726571223a7b22776f726b6c6f616473223a5b22626673225d" +
+		"2c22636f6e66696773223a5b2262617365222c227068656c7073225d2c227175" +
+		"69636b223a747275652c2273616d706c6564223a747275652c2273656564223a" +
+		"397d7de3f7e353e5a56a77" +
+		// cell frame
+		"470000007b226b696e64223a2263656c6c222c226a6f62223a226a2d30303030" +
+		"3432222c2263656c6c223a312c227374617465223a2272756e6e696e67222c22" +
+		"617474656d7074223a317de0c2dededf5dfa72"
+	dir := t.TempDir()
+	j := OpenJournal(fsio.OS, dir)
+	j.Accept("j-000042", JobRequest{Workloads: []string{"bfs"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true, Seed: 9})
+	j.Cell("j-000042", 1, CellRunning, 1, "", false)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", data); got != want {
+			t.Errorf("%s journal bytes changed:\n  got  %s\n  want %s", stage, got, want)
+		}
+	}
+	check("appended")
+	// Reopening replays the file and rewrites it through compaction.
+	if err := OpenJournal(fsio.OS, dir).Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
 }

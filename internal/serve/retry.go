@@ -10,7 +10,7 @@ import (
 	"phelps/internal/sim"
 )
 
-// RetryPolicy bounds how the scheduler re-executes failing cells. Transient
+// RetryPolicy bounds how the daemon re-executes failing cells. Transient
 // failures (sim.IsTransient: stalls and recovered panics) are retried up to
 // MaxRetries times with exponential backoff; deterministic failures
 // (livelock, verification, oracle divergence, cancellation) fail fast and

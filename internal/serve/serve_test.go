@@ -97,7 +97,7 @@ func jobResult(t *testing.T, ts *httptest.Server, id string) JobResult {
 	return jr
 }
 
-// blockWorkers parks every scheduler worker on a channel, so admitted cells
+// blockWorkers parks every pool worker on a channel, so admitted cells
 // stay pending deterministically. The returned release function unparks them.
 func blockWorkers(s *Server) (release func()) {
 	ch := make(chan struct{})

@@ -20,7 +20,7 @@ import (
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the scheduler pool size (0 = GOMAXPROCS at NewServer time,
+	// Workers is the cell pool size (0 = GOMAXPROCS at NewServer time,
 	// capped by the runtime; one goroutine per core).
 	Workers int
 	// QueueCap bounds the admission queue in cells (0 = 1024). A job with
@@ -87,14 +87,14 @@ type flight struct {
 	done    bool
 }
 
-// Server is the experiment daemon: registry-validated job admission, a
-// work-stealing scheduler over the sim library, an in-flight dedup layer,
-// and the results cache. Create with NewServer, serve s.Handler(), stop with
-// Drain (or Close).
+// Server is the experiment daemon: registry-validated job admission, one
+// daemon-wide sim.Pool running cells in FIFO order, an in-flight dedup
+// layer, and the results cache. Create with NewServer, serve s.Handler(),
+// stop with Drain (or Close).
 type Server struct {
 	cfg     Config
 	fs      fsio.FS
-	sched   *Scheduler
+	sched   *sim.Pool
 	adm     *Admission
 	cache   *ResultCache
 	ckpts   *sim.CkptCache // nil unless Config.CkptDir is set
@@ -145,7 +145,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		fs:       fs,
-		sched:    NewScheduler(cfg.Workers),
+		sched:    sim.NewPool(cfg.Workers),
 		adm:      NewAdmission(cfg.QueueCap, cfg.Workers),
 		cache:    NewResultCacheFS(fs),
 		retry:    cfg.Retry.withDefaults(),
@@ -259,7 +259,6 @@ func (s *Server) registerObs() {
 
 	sched := s.reg.Scope("serve.sched")
 	sched.Counter("executed", s.sched.Executed)
-	sched.Counter("steals", s.sched.Steals)
 	sched.Gauge("workers", func() float64 { return float64(s.sched.Workers()) })
 	sched.Gauge("queued", func() float64 { return float64(s.sched.Queued()) })
 }
@@ -542,7 +541,7 @@ func (s *Server) faultTask(j *Job, c *Cell, spec sim.Spec) func() {
 func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest, fault *cpu.FaultInjection) (sim.Result, error) {
 	opt := sim.MatrixOptions{Checks: req.Checks, Lockstep: req.Lockstep, CrashDir: s.cfg.CrashDir, Faults: fault}
 	if req.Sampled {
-		// Point measurement stays serial per cell — the scheduler already
+		// Point measurement stays serial per cell — the pool already
 		// keeps every core busy across cells — but the checkpoint cache is
 		// shared daemon-wide, so one workload's profile pass feeds every
 		// configuration, job, and (with CkptDir persisted) daemon restart.
@@ -894,7 +893,7 @@ func (s *Server) Healthz() Healthz {
 }
 
 // Drain shuts the daemon down gracefully: new submissions get 503, every
-// already-admitted cell runs to completion (draining the scheduler), and the
+// already-admitted cell runs to completion (draining the pool), and the
 // results cache is persisted. If ctx expires first, the remaining cells'
 // contexts are canceled — they resolve as canceled within milliseconds — and
 // the drain completes anyway. Safe to call once; Close is Drain without a

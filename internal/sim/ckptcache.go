@@ -18,14 +18,13 @@ package sim
 // tests), so cache on or off is bit-identical too.
 //
 // Robustness: files are written atomically (temp + rename) and carry a
-// magic, a schema version, the full key, and a trailing FNV-1a checksum.
+// magic, a schema version, the full key, and a codec.Seal FNV-1a trailer.
 // Truncation, corruption, version skew, or a filename-hash collision all
 // decode to a cache miss (counted in Errors), never a crash and never a
 // wrong artifact.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,7 +89,7 @@ func (k CkptKey) fields() [10]uint64 {
 // also stored inside the file and compared on load, so a filename-hash
 // collision degrades to a miss, not a wrong artifact.
 func (k CkptKey) fileName() string {
-	h := uint64(fnvOffset)
+	h := codec.FNVOffset64
 	for _, v := range k.fields() {
 		h = fnvMix(h, v)
 	}
@@ -199,29 +198,16 @@ func appendArtifact(b []byte, key CkptKey, art *ckptArtifact) []byte {
 		}
 		b = emu.EncodeCheckpoints(b, art.cks)
 	}
-	// Whole-file FNV-1a checksum: catches bit flips anywhere above, which
-	// field-level bounds checks alone would miss (e.g. inside page data).
-	sum := uint64(fnvOffset)
-	for _, by := range b[start:] {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	return codec.U64(b, sum)
+	return codec.Seal(b, start)
 }
 
 // decodeArtifact parses and validates an artifact blob: magic, schema,
 // checksum, embedded key (must equal want), and structural bounds. Any
 // failure is an error — the cache treats it as a miss.
 func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("sim: ckpt artifact: %d bytes", len(b))
-	}
-	body, tail := b[:len(b)-8], b[len(b)-8:]
-	sum := uint64(fnvOffset)
-	for _, by := range body {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	if got := binary.LittleEndian.Uint64(tail); got != sum {
-		return nil, fmt.Errorf("sim: ckpt artifact checksum mismatch")
+	body, err := codec.Unseal(b)
+	if err != nil {
+		return nil, fmt.Errorf("sim: ckpt artifact: %w", err)
 	}
 	r := codec.NewReader(body)
 	if m := r.U32(); m != ckptArtifactMagic {
@@ -286,7 +272,7 @@ const ckptMemEntries = 8
 
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a
 // directory, with a small in-memory layer of decoded artifacts on top. Safe
-// for concurrent use; phelpsd shares one across its scheduler workers, and
+// for concurrent use; phelpsd shares one across its pool workers, and
 // sweeps (RunMatrixOpt with MatrixOptions.Sample) share one across cells.
 type CkptCache struct {
 	dir string
@@ -384,34 +370,23 @@ func (c *CkptCache) Load(ctx context.Context, key CkptKey) (*ckptArtifact, error
 	return art, nil
 }
 
-// Store writes the encoded artifact atomically (temp file + rename, so a
+// Store writes the encoded artifact atomically (fsio.WriteFileAtomic, so a
 // crashed or concurrent writer never leaves a torn file) and remembers the
-// decoded form in memory. Disk failures are counted and swallowed — a run
-// that computed its checkpoints proceeds regardless — but context
-// cancellation is returned.
+// decoded form in memory. The write is not fsynced: an artifact is
+// checksummed and recomputable, so a crash that loses it costs one profile
+// pass, while an fsync per multi-MB artifact would cost every cold cell.
+// Disk failures are counted and swallowed — a run that computed its
+// checkpoints proceeds regardless — but context cancellation is returned.
 func (c *CkptCache) Store(ctx context.Context, key CkptKey, art *ckptArtifact, blob []byte) error {
 	if err := ctx.Err(); err != nil {
 		return context.Cause(ctx)
 	}
 	c.remember(key, art)
-	if err := c.fs.MkdirAll(c.dir, 0o755); err != nil {
-		c.errs.Add(1)
-		return nil
+	err := c.fs.MkdirAll(c.dir, 0o755)
+	if err == nil {
+		err = fsio.WriteFileAtomic(c.fs, filepath.Join(c.dir, key.fileName()), blob, false)
 	}
-	tmp, err := c.fs.CreateTemp(c.dir, key.fileName()+".tmp*")
 	if err != nil {
-		c.errs.Add(1)
-		return nil
-	}
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		c.fs.Remove(tmp.Name())
-		c.errs.Add(1)
-		return nil
-	}
-	if err := c.fs.Rename(tmp.Name(), filepath.Join(c.dir, key.fileName())); err != nil {
-		c.fs.Remove(tmp.Name())
 		c.errs.Add(1)
 		return nil
 	}

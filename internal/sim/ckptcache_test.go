@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"phelps/internal/codec"
+	"phelps/internal/emu"
 	"phelps/internal/prog"
 )
 
@@ -258,5 +260,42 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 	bad.Seed++
 	if _, err := decodeArtifact(blob, bad); err == nil {
 		t.Fatal("decode accepted an artifact under the wrong key")
+	}
+}
+
+// TestCkptArtifactFormatPinned pins the PSC1 artifact bytes — the key,
+// header, point records, checkpoint section and FNV-1a trailer — against
+// the length and FNV-1a-64 sum recorded before the artifact moved onto the
+// shared codec seal, for a fixed hand-built artifact and a full-run marker.
+func TestCkptArtifactFormatPinned(t *testing.T) {
+	w := prog.PredictableLoop(200)
+	e := emu.New(w.Prog, w.Mem)
+	e.FastForward(50, nil)
+	ck, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CkptKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	art := &ckptArtifact{
+		totalInsts: 1000, intervalLen: 100, intervals: 10, halted: true,
+		points: []ckptPoint{{interval: 3, weight: 0.625, warm: 40, pred: []byte("pred-state"), hier: []byte("hier")}},
+		cks:    []*emu.Checkpoint{ck},
+	}
+	for _, tc := range []struct {
+		name string
+		art  *ckptArtifact
+		n    int
+		sum  uint64
+	}{
+		{"points", art, 453, 0x709d95f1efe30c42},
+		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 118, 0x20876ab97fdac900},
+	} {
+		blob := appendArtifact(nil, key, tc.art)
+		if sum := codec.Sum64(blob); len(blob) != tc.n || sum != tc.sum {
+			t.Errorf("%s artifact changed: %d bytes sum %#x, want %d bytes sum %#x", tc.name, len(blob), sum, tc.n, tc.sum)
+		}
+		if _, err := decodeArtifact(blob, key); err != nil {
+			t.Errorf("%s artifact does not decode: %v", tc.name, err)
+		}
 	}
 }

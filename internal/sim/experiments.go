@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
 	"phelps/internal/check"
 	"phelps/internal/core"
@@ -220,14 +219,6 @@ func ConfigByName(name string, epoch uint64) (Config, error) {
 		name, strings.Join(ConfigNames(), ", "))
 }
 
-// runQuiet runs and keeps only the metrics: figure builders tolerate
-// timed-out or unverified cells (the numbers still render; RunMatrix is the
-// error-reporting path).
-func runQuiet(w *prog.Workload, cfg Config) Result {
-	r, _ := Run(w, cfg)
-	return r
-}
-
 // Matrix holds results per workload per configuration.
 type Matrix map[string]map[string]Result
 
@@ -272,8 +263,8 @@ func (o MatrixOptions) crashDir() string {
 // a panic anywhere inside the build or the simulator is recovered into an
 // ErrPanic-wrapped error carrying the panic value and goroutine stack, and a
 // minimized repro (workload, config, program listing) is dumped under the
-// crash directory. The caller — a matrix worker or a phelpsd scheduler
-// worker — is unaffected. opt.Faults, when set, is injected into the cell's
+// crash directory. The caller — a pool worker in a matrix sweep or in
+// phelpsd — is unaffected. opt.Faults, when set, is injected into the cell's
 // core (tests of the containment machinery).
 func RunCellCtx(ctx context.Context, s Spec, cfgName string, opt MatrixOptions) (Result, error) {
 	cfg, cerr := ConfigByName(cfgName, s.Epoch)
@@ -325,11 +316,43 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 	return RunCtx(ctx, w, cfg)
 }
 
+// cellRun is one entry of an ad-hoc cell list: a workload and a
+// materialized configuration outside the name registry, labeled for crash
+// reports and error text. The explore grid and the Fig. 11/15 sweeps are
+// cell lists.
+type cellRun struct {
+	spec  Spec
+	label string
+	cfg   Config
+}
+
+// runCells runs a cell list on GOMAXPROCS pool workers through
+// RunConfigCellCtx, returning results indexed like cells and every cell
+// failure joined. Cells not yet started when ctx ends fail with a wrapped
+// ErrCanceled.
+func runCells(ctx context.Context, cells []cellRun, opt MatrixOptions) ([]Result, error) {
+	results := make([]Result, len(cells))
+	errs := make([]error, len(cells))
+	ForEach(len(cells), runtime.GOMAXPROCS(0), func(i int) {
+		c := &cells[i]
+		if cerr := ctx.Err(); cerr != nil {
+			errs[i] = fmt.Errorf("%s under %s: %w: %v", c.spec.Name, c.label, ErrCanceled, cerr)
+			return
+		}
+		r, err := RunConfigCellCtx(ctx, c.spec, c.label, c.cfg, opt)
+		results[i] = r
+		if err != nil {
+			errs[i] = fmt.Errorf("%s under %s: %w", c.spec.Name, c.label, err)
+		}
+	})
+	return results, errors.Join(errs...)
+}
+
 // RunMatrix runs each workload under each named configuration, spreading
-// workloads across a bounded worker pool (each Spec.Build produces an
-// independent Workload, and Run shares no mutable state between runs, so
-// the results are identical to a serial sweep). Configurations for one
-// workload run serially on its worker.
+// workloads across GOMAXPROCS pool workers (ForEach; each Spec.Build
+// produces an independent Workload, and Run shares no mutable state between
+// runs, so the results are identical to a serial sweep). Configurations for
+// one workload run serially on its worker.
 //
 // Every run verifies the workload's architectural results. Per-cell
 // failures (livelock, stall, panic, verification) are joined into the
@@ -358,44 +381,27 @@ func RunMatrixCtx(ctx context.Context, specs []Spec, configs []string, opt Matri
 	}
 	rows := make([]map[string]Result, len(specs))
 	errs := make([]error, len(specs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				s := specs[i]
-				rs := make(map[string]Result, len(configs))
-				var cellErrs []error
-				for _, c := range configs {
-					if cerr := ctx.Err(); cerr != nil {
-						cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w: %v", s.Name, c, ErrCanceled, cerr))
-						continue
-					}
-					r, err := RunCellCtx(ctx, s, c, opt)
-					rs[c] = r
-					if err != nil {
-						cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w", s.Name, c, err))
-					}
-				}
-				rows[i] = rs
-				errs[i] = errors.Join(cellErrs...)
+	// One task per workload row: its configurations run serially, so a
+	// sampled sweep's later configs hit the checkpoint artifact the first
+	// one stored.
+	ForEach(len(specs), runtime.GOMAXPROCS(0), func(i int) {
+		s := specs[i]
+		rs := make(map[string]Result, len(configs))
+		var cellErrs []error
+		for _, c := range configs {
+			if cerr := ctx.Err(); cerr != nil {
+				cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w: %v", s.Name, c, ErrCanceled, cerr))
+				continue
 			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+			r, err := RunCellCtx(ctx, s, c, opt)
+			rs[c] = r
+			if err != nil {
+				cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w", s.Name, c, err))
+			}
+		}
+		rows[i] = rs
+		errs[i] = errors.Join(cellErrs...)
+	})
 
 	m := make(Matrix, len(specs))
 	for i, s := range specs {
@@ -426,14 +432,16 @@ type Fig11Row struct {
 // Fig11 reproduces the astar comparison: BR-non-spec, BR-spec, full Phelps,
 // and the three ablations (b1->b2->s1 is full Phelps; b1->b2 drops stores;
 // b1 drops guarded branches and stores; b1->s1 keeps stores but not guarded
-// branches). A config-registry lookup failure aborts before any simulation.
+// branches). A config-registry lookup failure aborts before any simulation;
+// a failed cell fails the figure.
 func Fig11(quick bool) ([]Fig11Row, error) {
 	size := 96
 	if quick {
 		size = 56
 	}
-	mk := func() *prog.Workload { return prog.Astar(size, size, 35, 600, 7) }
 	epoch := uint64(30_000)
+	spec := Spec{Name: "astar", Epoch: epoch,
+		Build: func() *prog.Workload { return prog.Astar(size, size, 35, 600, 7) }}
 
 	var cfgErr error
 	get := func(name string) Config {
@@ -453,30 +461,29 @@ func Fig11(quick bool) ([]Fig11Row, error) {
 		return nil, cfgErr
 	}
 
-	base := runQuiet(mk(), DefaultConfig())
-	rows := []Fig11Row{{"baseline (TAGE-SC-L)", 1.0, base.MPKI()}}
-
-	runAs := func(name string, cfg Config) {
-		r := runQuiet(mk(), cfg)
-		rows = append(rows, Fig11Row{name, float64(base.Cycles) / float64(r.Cycles), r.MPKI()})
-	}
-
 	brNon.Runahead.Speculative = false
-	runAs("BR-non-spec", brNon)
-	runAs("BR-spec", brSpec)
-
-	runAs("Phelps:b1->b2->s1 (full)", full)
-
 	b1b2.Phelps.Construction.IncludeStores = false
-	runAs("Phelps:b1->b2", b1b2)
-
 	b1.Phelps.Construction.IncludeStores = false
 	b1.Phelps.Construction.IncludeGuardedBranches = false
-	runAs("Phelps:b1", b1)
-
 	b1s1.Phelps.Construction.IncludeGuardedBranches = false
-	runAs("Phelps:b1->s1", b1s1)
-
+	cells := []cellRun{
+		{spec, "baseline (TAGE-SC-L)", DefaultConfig()},
+		{spec, "BR-non-spec", brNon},
+		{spec, "BR-spec", brSpec},
+		{spec, "Phelps:b1->b2->s1 (full)", full},
+		{spec, "Phelps:b1->b2", b1b2},
+		{spec, "Phelps:b1", b1},
+		{spec, "Phelps:b1->s1", b1s1},
+	}
+	res, err := runCells(context.Background(), cells, MatrixOptions{})
+	if err != nil {
+		return nil, err
+	}
+	base := res[0]
+	rows := make([]Fig11Row, len(cells))
+	for i, r := range res {
+		rows[i] = Fig11Row{cells[i].label, float64(base.Cycles) / float64(r.Cycles), r.MPKI()}
+	}
 	return rows, nil
 }
 
@@ -609,7 +616,8 @@ type Fig15aRow struct {
 }
 
 // Fig15a sweeps window size and pipeline depth for the three headline
-// workloads. A config-registry lookup failure aborts before any simulation.
+// workloads. A config-registry lookup failure aborts before any simulation;
+// a failed cell fails the figure.
 func Fig15a(quick bool) ([]Fig15aRow, error) {
 	specs := []Spec{}
 	for _, s := range GapSpecs(quick) {
@@ -619,22 +627,20 @@ func Fig15a(quick bool) ([]Fig15aRow, error) {
 	}
 	robs := []int{320, 632, 1024}
 	depths := []int{11, 15, 19}
+	// Each row is a (base, phelps) cell pair at one (ROB, depth) point.
 	var rows []Fig15aRow
+	var cells []cellRun
 	for _, s := range specs {
 		point := func(rob, depth int) error {
-			base, err := ConfigByName(CfgBase, s.Epoch)
-			if err != nil {
-				return err
+			for _, name := range []string{CfgBase, CfgPhelps} {
+				cfg, err := ConfigByName(name, s.Epoch)
+				if err != nil {
+					return err
+				}
+				scaleWindow(&cfg, rob, depth)
+				cells = append(cells, cellRun{s, fmt.Sprintf("%s rob=%d depth=%d", name, rob, depth), cfg})
 			}
-			scaleWindow(&base, rob, depth)
-			ph, err := ConfigByName(CfgPhelps, s.Epoch)
-			if err != nil {
-				return err
-			}
-			scaleWindow(&ph, rob, depth)
-			b := runQuiet(s.Build(), base)
-			p := runQuiet(s.Build(), ph)
-			rows = append(rows, Fig15aRow{s.Name, rob, depth, float64(b.Cycles) / float64(p.Cycles)})
+			rows = append(rows, Fig15aRow{Workload: s.Name, ROB: rob, Depth: depth})
 			return nil
 		}
 		// ROB sweep at depth 11 (with commensurate PRF/LQ/SQ/IQ sizing).
@@ -649,6 +655,13 @@ func Fig15a(quick bool) ([]Fig15aRow, error) {
 				return nil, err
 			}
 		}
+	}
+	res, err := runCells(context.Background(), cells, MatrixOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].Speedup = float64(res[2*i].Cycles) / float64(res[2*i+1].Cycles)
 	}
 	return rows, nil
 }
@@ -681,8 +694,9 @@ type Fig15bRow struct {
 	MPKIRed float64
 }
 
-// Fig15b runs bfs on the three input families (road / web / kron).
-func Fig15b(quick bool) []Fig15bRow {
+// Fig15b runs bfs on the three input families (road / web / kron). A
+// failed cell fails the figure.
+func Fig15b(quick bool) ([]Fig15bRow, error) {
 	f := 1
 	if quick {
 		f = 2
@@ -695,18 +709,29 @@ func Fig15b(quick bool) []Fig15bRow {
 		{"web", graph.Web(6000/(f*f), 2, 13)},
 		{"kron", graph.Kron(12-f, 6, 17)},
 	}
-	var rows []Fig15bRow
+	const epoch = 40_000
+	// Each input is a (base, phelps) cell pair; the graph is read-only, so
+	// concurrent builds share it.
+	var cells []cellRun
 	for _, in := range inputs {
-		src := in.g.MainComponentSource()
-		b := runQuiet(prog.BFS(in.g, src), DefaultConfig())
-		p := runQuiet(prog.BFS(in.g, src), PhelpsConfig(40_000))
+		g, src := in.g, in.g.MainComponentSource()
+		s := Spec{Name: "bfs-" + in.name, Epoch: epoch, Build: func() *prog.Workload { return prog.BFS(g, src) }}
+		cells = append(cells, cellRun{s, CfgBase, DefaultConfig()}, cellRun{s, CfgPhelps, PhelpsConfig(epoch)})
+	}
+	res, err := runCells(context.Background(), cells, MatrixOptions{})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig15bRow, len(inputs))
+	for i, in := range inputs {
+		b, p := res[2*i], res[2*i+1]
 		red := 0.0
 		if b.MPKI() > 0 {
 			red = (b.MPKI() - p.MPKI()) / b.MPKI() * 100
 		}
-		rows = append(rows, Fig15bRow{in.name, float64(b.Cycles) / float64(p.Cycles), red})
+		rows[i] = Fig15bRow{in.name, float64(b.Cycles) / float64(p.Cycles), red}
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatFig15b renders the input study.

@@ -29,12 +29,9 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"phelps/internal/emu"
@@ -288,8 +285,6 @@ type ExploreOptions struct {
 	Exhaustive bool
 	// Model overrides the trainer hyperparameters.
 	Model perfmodel.Config
-	// Workers bounds the simulation worker pool (0 = GOMAXPROCS).
-	Workers int
 	// CrashDir receives crash dumps from contained cell panics (see
 	// MatrixOptions.CrashDir).
 	CrashDir string
@@ -372,51 +367,18 @@ type exploreCell struct {
 	wl, pt int
 }
 
-// runExploreCells simulates the given cells on a bounded worker pool,
+// runExploreCells simulates the given cells on the pool (runCells),
 // returning results indexed like cells plus the summed retired-instruction
 // count. Cells fail the whole explore (a failed anchor would silently skew
 // the training set).
 func runExploreCells(ctx context.Context, specs []Spec, points []ExplorePoint, cells []exploreCell, opt ExploreOptions) ([]Result, uint64, error) {
-	results := make([]Result, len(cells))
-	errs := make([]error, len(cells))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	runs := make([]cellRun, len(cells))
+	for i, c := range cells {
+		s, p := specs[c.wl], &points[c.pt]
+		runs[i] = cellRun{s, p.Name, p.Config(s.Epoch)}
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	mopt := MatrixOptions{CrashDir: opt.CrashDir}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				c := cells[i]
-				s, p := specs[c.wl], &points[c.pt]
-				if cerr := ctx.Err(); cerr != nil {
-					errs[i] = fmt.Errorf("%s under %s: %w: %v", s.Name, p.Name, ErrCanceled, cerr)
-					continue
-				}
-				r, err := RunConfigCellCtx(ctx, s, p.Name, p.Config(s.Epoch), mopt)
-				results[i] = r
-				if err != nil {
-					errs[i] = fmt.Errorf("%s under %s: %w", s.Name, p.Name, err)
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	results, err := runCells(ctx, runs, MatrixOptions{CrashDir: opt.CrashDir})
+	if err != nil {
 		return nil, 0, err
 	}
 	var insts uint64

@@ -2,19 +2,15 @@ package sim
 
 import (
 	"phelps/internal/cache"
+	"phelps/internal/codec"
 	"phelps/internal/prog"
 )
 
-// fnv1a primes (content hashes join multiple components under one running
-// FNV-1a state).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
+// fnvMix folds v's eight little-endian bytes into a running FNV-1a-64 state
+// (content hashes join multiple components under one state).
 func fnvMix(h, v uint64) uint64 {
 	for s := 0; s < 64; s += 8 {
-		h = (h ^ (v >> s & 0xff)) * fnvPrime
+		h = (h ^ (v >> s & 0xff)) * codec.FNVPrime64
 	}
 	return h
 }
@@ -29,7 +25,7 @@ func fnvMix(h, v uint64) uint64 {
 // the memory hash ignores pending stores but reflects every architectural
 // write a run has already made.
 func HashWorkload(w *prog.Workload) uint64 {
-	h := uint64(fnvOffset)
+	h := codec.FNVOffset64
 	p := w.Prog
 	h = fnvMix(h, p.Base)
 	h = fnvMix(h, p.Entry)
@@ -55,7 +51,7 @@ func HashWorkload(w *prog.Workload) uint64 {
 // hierarchy state is only valid for the geometry it was trained on, so the
 // checkpoint-cache key includes this.
 func hashCacheConfig(c cache.Config) uint64 {
-	h := uint64(fnvOffset)
+	h := codec.FNVOffset64
 	for _, v := range []int{
 		c.L1ISets, c.L1IWays, c.L1DSets, c.L1DWays,
 		c.L2Sets, c.L2Ways, c.L3Sets, c.L3Ways, c.MSHRs,

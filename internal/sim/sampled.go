@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
@@ -90,7 +89,7 @@ type SampleConfig struct {
 	MaxProfileInsts uint64
 	// Workers bounds how many SimPoints are measured concurrently. <= 1
 	// measures serially (the default; callers that already parallelize
-	// across runs, like the matrix pool and the phelpsd scheduler, should
+	// across runs, like the run matrix and the phelpsd pool, should
 	// keep it). The Result is bit-identical for any worker count.
 	Workers int
 	// CrashDir receives crash reports when a point's measurement panics
@@ -408,61 +407,29 @@ func measurePointSafe(ctx context.Context, s *measSetup, mp *measPoint) (pm poin
 	return measurePoint(ctx, s, mp)
 }
 
-// measureAll measures every point, serially or on a bounded worker pool
-// (s.workers), honoring ctx between dispatches. Results come back indexed by
-// point so the caller's aggregation order never depends on scheduling. On
-// failure the first real error in interval order wins; cancellation errors
-// only surface when nothing else failed.
+// measureAll measures every point on up to s.workers pool workers (ForEach;
+// serially on this goroutine when s.workers <= 1), honoring ctx between
+// points. Results come back indexed by point so the caller's aggregation
+// order never depends on scheduling. One failure cancels the siblings (they
+// stop at their next guard poll) and every point not yet started; on
+// failure the first real error in interval order wins, and cancellation
+// errors only surface when nothing else failed. ForEach returns only after
+// every started point has, so no goroutine outlives this call.
 func measureAll(ctx context.Context, s *measSetup, pts []measPoint) ([]pointMeas, error) {
 	meas := make([]pointMeas, len(pts))
 	errs := make([]error, len(pts))
-	workers := s.workers
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	if workers <= 1 {
-		for i := range pts {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = fmt.Errorf("sim: %s: SimPoint %d dispatch: %w: %v",
-					s.name, pts[i].interval, ErrCanceled, context.Cause(ctx))
-				break
-			}
-			if meas[i], errs[i] = measurePointSafe(ctx, s, &pts[i]); errs[i] != nil {
-				break
-			}
+	mctx, mcancel := context.WithCancelCause(ctx)
+	defer mcancel(nil)
+	ForEach(len(pts), s.workers, func(i int) {
+		if mctx.Err() != nil {
+			errs[i] = fmt.Errorf("sim: %s: SimPoint %d dispatch: %w: %v",
+				s.name, pts[i].interval, ErrCanceled, context.Cause(mctx))
+			return
 		}
-	} else {
-		// One failure cancels the siblings (they stop at their next guard
-		// poll) and stops dispatching; wg.Wait drains every started worker,
-		// so no goroutine outlives this call.
-		mctx, mcancel := context.WithCancelCause(ctx)
-		defer mcancel(nil)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-	dispatch:
-		for i := range pts {
-			select {
-			case sem <- struct{}{}:
-			case <-mctx.Done():
-				for j := i; j < len(pts); j++ {
-					errs[j] = fmt.Errorf("sim: %s: SimPoint %d dispatch: %w: %v",
-						s.name, pts[j].interval, ErrCanceled, context.Cause(mctx))
-				}
-				break dispatch
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				pm, perr := measurePointSafe(mctx, s, &pts[i])
-				meas[i], errs[i] = pm, perr
-				if perr != nil {
-					mcancel(perr)
-				}
-			}(i)
+		if meas[i], errs[i] = measurePointSafe(mctx, s, &pts[i]); errs[i] != nil {
+			mcancel(errs[i])
 		}
-		wg.Wait()
-	}
+	})
 	var firstErr error
 	for _, e := range errs {
 		if e == nil {

@@ -9,6 +9,9 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race -short ./internal/sim ./internal/obs
+# The one cell executor (sim.Pool + ForEach: FIFO start order, Close drains,
+# index-addressed batches) race-clean, repeated to shake out interleavings.
+go test -race -count=10 -run 'TestPool|TestForEach' ./internal/sim
 go test -race -run TestCycleExactnessGolden ./internal/sim
 # Event-queue smoke: the calendar-queue clock is default-on, so the golden
 # line above already exercises it; this pins the stepped-vs-queued A/B on
@@ -30,8 +33,8 @@ go test -count=1 -run 'TestSampledAccuracyVsGolden/astar$' -v ./internal/sim
 go test -race -count=1 \
     -run 'TestSampledParallelBitIdentical/(astar|xz)$|TestCkptCacheColdWarm' \
     ./internal/sim
-# The daemon's concurrency (work-stealing scheduler, flights, admission,
-# cache, live registry snapshots) race-clean — this also covers the journal,
+# The daemon's concurrency (its sim.Pool, flights, admission, cache, live
+# registry snapshots) race-clean — this also covers the journal,
 # retry-policy, and cache-corruption suites; the 116-cell HTTP acceptance
 # sweep is skipped under -short and pinned without -race below.
 go test -race -short ./internal/serve
