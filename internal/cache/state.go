@@ -5,6 +5,14 @@
 // for access, as the one it was saved from. Configuration (set/way geometry,
 // latencies) is not serialized — LoadState runs on a freshly built hierarchy
 // of the same Config and validates every array length against it.
+//
+// Only live state is written. A functionally warmed hierarchy holds few
+// valid lines, so each set is its occupancy followed by just its occupied
+// ways, and the VLDP delta-pattern table is its used slots as (index, d1,
+// d2, next). Ways past a set's occupancy and unused pattern slots are never
+// read and always zero (fill only writes below the occupancy, and the table
+// only ever resets wholesale), so LoadState zeroes them and a loaded
+// hierarchy equals the saved one field for field.
 package cache
 
 import (
@@ -16,40 +24,35 @@ import (
 const stateHierarchy = 'H'
 
 func (l *level) appendState(b []byte) []byte {
-	b = codec.U32(b, uint32(len(l.tags)))
-	for _, t := range l.tags {
-		b = codec.U64(b, t)
-	}
-	for _, p := range l.pref {
-		b = codec.Bool(b, p)
-	}
 	b = codec.U32(b, uint32(len(l.cnt)))
-	for _, c := range l.cnt {
-		b = codec.U16(b, c)
+	for si, n := range l.cnt {
+		b = codec.U16(b, n)
+		for i := si * l.ways; i < si*l.ways+int(n); i++ {
+			b = codec.U64(b, l.tags[i])
+			b = codec.Bool(b, l.pref[i])
+		}
 	}
 	return b
 }
 
 func (l *level) loadState(r *codec.Reader, what string) error {
-	n := int(r.U32())
-	if r.Err() == nil && n != len(l.tags) {
-		return fmt.Errorf("cache: %s has %d lines, state has %d", what, len(l.tags), n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		l.tags[i] = r.U64()
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		l.pref[i] = r.Bool()
-	}
 	ns := int(r.U32())
 	if r.Err() == nil && ns != len(l.cnt) {
 		return fmt.Errorf("cache: %s has %d sets, state has %d", what, len(l.cnt), ns)
 	}
-	for i := 0; i < ns && r.Err() == nil; i++ {
-		l.cnt[i] = r.U16()
-		if r.Err() == nil && int(l.cnt[i]) > l.ways {
-			return fmt.Errorf("cache: %s set %d holds %d lines, ways=%d", what, i, l.cnt[i], l.ways)
+	for si := 0; si < ns && r.Err() == nil; si++ {
+		n := int(r.U16())
+		if n > l.ways {
+			return fmt.Errorf("cache: %s set %d holds %d lines, ways=%d", what, si, n, l.ways)
 		}
+		l.cnt[si] = uint16(n)
+		base := si * l.ways
+		for i := base; i < base+n; i++ {
+			l.tags[i] = r.U64()
+			l.pref[i] = r.Bool()
+		}
+		clear(l.tags[base+n : base+l.ways])
+		clear(l.pref[base+n : base+l.ways])
 	}
 	return r.Err()
 }
@@ -93,18 +96,19 @@ func (h *Hierarchy) AppendState(b []byte) []byte {
 			b = codec.I64(b, e.delta[1])
 			b = codec.U8(b, e.valid)
 		}
-		// The delta-pattern table is serialized raw (all slots, used or not)
-		// so the open-addressing probe layout — and therefore every future
-		// insert and the deterministic at-capacity reset — is preserved
-		// exactly.
-		for i := range h.vldp.dpt {
-			sl := &h.vldp.dpt[i]
-			b = codec.I64(b, sl.d1)
-			b = codec.I64(b, sl.d2)
-			b = codec.I64(b, sl.next)
-			b = codec.Bool(b, sl.used)
-		}
+		// Used delta-pattern slots keep their index, so the open-addressing
+		// probe layout — and therefore every future insert and the
+		// deterministic at-capacity reset — is preserved exactly. nDPT
+		// counts the used slots.
 		b = codec.U32(b, uint32(h.vldp.nDPT))
+		for i := range h.vldp.dpt {
+			if sl := &h.vldp.dpt[i]; sl.used {
+				b = codec.U16(b, uint16(i))
+				b = codec.I64(b, sl.d1)
+				b = codec.I64(b, sl.d2)
+				b = codec.I64(b, sl.next)
+			}
+		}
 	}
 	return b
 }
@@ -171,17 +175,25 @@ func (h *Hierarchy) LoadState(r *codec.Reader) error {
 			e.delta[1] = r.I64()
 			e.valid = r.U8()
 		}
-		for i := range h.vldp.dpt {
-			sl := &h.vldp.dpt[i]
-			sl.d1 = r.I64()
-			sl.d2 = r.I64()
-			sl.next = r.I64()
-			sl.used = r.Bool()
+		n := int(r.U32())
+		if r.Err() == nil && (n < 0 || n > dptMaxKeys) {
+			return fmt.Errorf("cache: state has %d delta patterns, max %d", n, dptMaxKeys)
 		}
-		h.vldp.nDPT = int(r.U32())
-		if r.Err() == nil && (h.vldp.nDPT < 0 || h.vldp.nDPT > dptMaxKeys) {
-			return fmt.Errorf("cache: state nDPT %d out of range", h.vldp.nDPT)
+		clear(h.vldp.dpt[:])
+		prev := -1
+		for k := 0; k < n && r.Err() == nil; k++ {
+			i := int(r.U16())
+			sl := dptSlot{d1: r.I64(), d2: r.I64(), next: r.I64(), used: true}
+			if r.Err() != nil {
+				break
+			}
+			if i <= prev || i >= dptSlots {
+				return fmt.Errorf("cache: delta-pattern slot %d after slot %d (want increasing, below %d)", i, prev, dptSlots)
+			}
+			h.vldp.dpt[i] = sl
+			prev = i
 		}
+		h.vldp.nDPT = n
 	}
 	return r.Err()
 }

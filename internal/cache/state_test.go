@@ -107,4 +107,90 @@ func TestHierarchyStateErrors(t *testing.T) {
 	if err := New(noPref).LoadState(codec.NewReader(blob)); err == nil {
 		t.Fatalf("prefetcher-less hierarchy accepted prefetcher state")
 	}
+
+	// Malformed live-lines-only fields, patched into a fresh hierarchy's
+	// state: it ends with the delta-pattern count (zero), and its first set
+	// occupancy (L1I set 0) follows the kind byte, the stats and the L1I set
+	// count.
+	fresh := New(DefaultConfig()).AppendState(nil)
+	patterns := func(count uint32, slots ...uint16) []byte {
+		b := append([]byte(nil), fresh[:len(fresh)-4]...)
+		b = codec.U32(b, count)
+		for _, i := range slots {
+			b = codec.I64(codec.I64(codec.I64(codec.U16(b, i), 1), 2), 3)
+		}
+		return b
+	}
+	overfull := append([]byte(nil), fresh...)
+	copy(overfull[1+11*8+4:], codec.U16(nil, uint16(DefaultConfig().L1IWays+1)))
+	if err := New(DefaultConfig()).LoadState(codec.NewReader(patterns(2, 5, 9))); err != nil {
+		t.Fatalf("well-formed patched state rejected: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"set occupancy above ways": overfull,
+		"pattern slot index 8192":  patterns(1, dptSlots),
+		"repeated slot index":      patterns(2, 7, 7),
+		"decreasing slot index":    patterns(2, 9, 5),
+		"pattern count above 4096": patterns(dptMaxKeys + 1),
+	} {
+		if err := New(DefaultConfig()).LoadState(codec.NewReader(b)); err == nil {
+			t.Errorf("LoadState accepted %s", name)
+		}
+	}
+}
+
+// TestHierarchyStateFormatPinned pins the live-lines-only state layout: its
+// length follows from the warmed hierarchy's occupancy (each set costs its
+// 2-byte occupancy plus 9 bytes per valid line; each used delta pattern 26
+// bytes), and its FNV-1a-64 sum is recorded. A fresh Table III hierarchy's
+// state — occupancies plus the prefetcher entry tables — stays under 16 KiB.
+func TestHierarchyStateFormatPinned(t *testing.T) {
+	h := New(DefaultConfig())
+	drive(h, 99, 50000)
+	blob := h.AppendState(nil)
+	want := 1 + 11*8 + 4 + 8*len(h.mshr) + 1 + 25*len(h.ipcp.entries) + 1 + 33*len(h.vldp.entries) + 4 + 26*h.vldp.nDPT
+	for _, l := range []*level{h.l1i, h.l1d, h.l2, h.l3} {
+		want += 4 + 2*len(l.cnt)
+		for _, n := range l.cnt {
+			want += 9 * int(n)
+		}
+	}
+	if n, sum := len(blob), codec.Sum64(blob); n != want || sum != 0xe32a1f74308719ab {
+		t.Errorf("warmed hierarchy state changed: %d bytes sum %#x, want %d bytes sum 0xe32a1f74308719ab", n, sum, want)
+	}
+	if n := len(New(DefaultConfig()).AppendState(nil)); n >= 16<<10 {
+		t.Errorf("fresh hierarchy state is %d bytes, want under 16 KiB", n)
+	}
+}
+
+// fuzzConfig is a small geometry without the L1 prefetcher, whose fixed
+// 1.6 KB entry table has no variable-length fields, so fuzz inputs stay
+// near 1 KB and the fuzzer's minimization of each new input stays short.
+// The set, MSHR and delta-pattern paths are the same as at Table III sizes.
+func fuzzConfig() Config {
+	c := DefaultConfig()
+	c.L1ISets, c.L1DSets, c.L2Sets, c.L3Sets = 2, 2, 4, 8
+	c.MSHRs = 4
+	c.L1Prefetch = false
+	return c
+}
+
+// FuzzHierarchyLoadState: arbitrary bytes either fail LoadState (or leave
+// trailing bytes) or load a state that re-encodes to exactly those bytes and
+// then serves accesses without panicking. One hierarchy is reused across
+// inputs, which keeps executions cheap and checks that a successful
+// LoadState replaces every bit of the previous state. The committed corpus
+// holds fresh and warmed fuzzConfig states.
+func FuzzHierarchyLoadState(f *testing.F) {
+	h := New(fuzzConfig())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := codec.NewReader(b)
+		if h.LoadState(r) != nil || r.Expect(0) != nil {
+			return
+		}
+		if re := h.AppendState(nil); !bytes.Equal(re, b) {
+			t.Fatalf("loaded state re-encodes to %d different bytes (input %d)", len(re), len(b))
+		}
+		drive(h, 1, 500)
+	})
 }

@@ -78,7 +78,10 @@ func EncodeCheckpoints(b []byte, cks []*Checkpoint) []byte {
 
 // DecodeCheckpoints decodes a checkpoint set from the reader, reconstructing
 // the page sharing the encoder saw. Truncated or corrupted input returns an
-// error; it never panics.
+// error; it never panics. Only the encoder's canonical form is accepted —
+// page refs in ascending page number, pages numbered in first-reference
+// order, none stored unreferenced — so whatever decodes re-encodes to the
+// same bytes.
 func DecodeCheckpoints(r *codec.Reader) ([]*Checkpoint, error) {
 	if m := r.U32(); m != ckptMagic {
 		if err := r.Err(); err != nil {
@@ -113,6 +116,7 @@ func DecodeCheckpoints(r *codec.Reader) ([]*Checkpoint, error) {
 		return nil, fmt.Errorf("emu: checkpoint claims %d checkpoints, %d bytes remain", nCks, r.Len())
 	}
 	cks := make([]*Checkpoint, nCks)
+	nextIdx := 0 // the index the next first-referenced page must carry
 	for i := range cks {
 		ck := &Checkpoint{}
 		for j := 0; j < isa.NumRegs; j++ {
@@ -129,18 +133,23 @@ func DecodeCheckpoints(r *codec.Reader) ([]*Checkpoint, error) {
 			return nil, fmt.Errorf("emu: checkpoint %d claims %d page refs, %d bytes remain", i, nRefs, r.Len())
 		}
 		img := &MemImage{pages: make(map[uint64]*page, nRefs)}
+		var prevPN uint64
 		for j := 0; j < nRefs; j++ {
 			pn := r.U64()
 			idx := int(r.U32())
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if idx < 0 || idx >= len(pages) {
-				return nil, fmt.Errorf("emu: checkpoint %d references page %d of %d", i, idx, len(pages))
+			if idx < 0 || idx >= len(pages) || idx > nextIdx {
+				return nil, fmt.Errorf("emu: checkpoint %d references page %d of %d (next new page %d)", i, idx, len(pages), nextIdx)
 			}
-			if _, dup := img.pages[pn]; dup {
-				return nil, fmt.Errorf("emu: checkpoint %d references page %#x twice", i, pn)
+			if idx == nextIdx {
+				nextIdx++
 			}
+			if j > 0 && pn <= prevPN {
+				return nil, fmt.Errorf("emu: checkpoint %d page refs out of order at %#x", i, pn)
+			}
+			prevPN = pn
 			img.pages[pn] = pages[idx]
 		}
 		ck.Mem = img
@@ -148,6 +157,9 @@ func DecodeCheckpoints(r *codec.Reader) ([]*Checkpoint, error) {
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	if nextIdx != len(pages) {
+		return nil, fmt.Errorf("emu: checkpoint set stores %d pages, references %d", len(pages), nextIdx)
 	}
 	return cks, nil
 }

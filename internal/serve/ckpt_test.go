@@ -75,3 +75,30 @@ func TestCkptReuseAcrossRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledJobBuildsEachArtifactOnce: on two workers, a sampled job runs
+// each workload's configs as one pool task, so every workload's checkpoint
+// artifact is built once — by its first config — and the second config
+// measures from it instead of re-profiling on the other worker. The results
+// equal the same job on one worker.
+func TestSampledJobBuildsEachArtifactOnce(t *testing.T) {
+	req := JobRequest{Workloads: []string{"bfs", "delinquent", "astar"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true, Seed: 5}
+
+	s2, ts2 := newTestServer(t, Config{Workers: 2, CkptDir: t.TempDir()})
+	got := submitSampledAndWait(t, ts2, req)
+	snap := s2.Registry().Snapshot()
+	if st, h := snap.Counters["serve.ckpt.stores"], snap.Counters["serve.ckpt.hits"]; st != 3 || h != 3 {
+		t.Fatalf("two-worker ckpt counters: stores=%d hits=%d, want 3/3 (one artifact per workload)", st, h)
+	}
+
+	_, ts1 := newTestServer(t, Config{Workers: 1, CkptDir: t.TempDir()})
+	want := submitSampledAndWait(t, ts1, req)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("two-worker results diverged from one worker:\ntwo %+v\none %+v", got, want)
+	}
+	for k, r := range got {
+		if r.Sampled == nil || r.Sampled.FullRun {
+			t.Fatalf("%s: not a sampled result; pick a longer workload", k)
+		}
+	}
+}

@@ -405,20 +405,51 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 	s.jobsSubmitted.Add(1)
 	s.cellsSubmitted.Add(uint64(total))
 
+	s.schedule(job, specs)
+	return job, nil
+}
+
+// schedule queues a new or resumed job's unresolved cells on the pool. A
+// results-cache hit resolves at once, a fault-injected cell runs privately
+// under its job's context, and every other cell joins (or opens) the flight
+// of its key. A sampled job on a daemon with a checkpoint cache queues each
+// workload's cell tasks as one pool task running them in request order —
+// the row rule RunMatrixCtx follows — so the later configs measure from the
+// checkpoint artifact the first one stored instead of rebuilding it on
+// another worker. Flights, retry, deadlines, journal records and admission
+// stay per cell.
+func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
+	rows := job.Req.Sampled && s.ckpts != nil
 	var tasks []func()
-	for _, c := range cells {
+	rowTask := make(map[string]int) // workload -> its task's index in tasks
+	add := func(w string, task func()) {
+		if i, ok := rowTask[w]; ok {
+			prev := tasks[i]
+			tasks[i] = func() { prev(); task() }
+			return
+		}
+		if rows {
+			rowTask[w] = len(tasks)
+		}
+		tasks = append(tasks, task)
+	}
+	for _, c := range job.Cells {
+		c.mu.Lock()
+		resolved := c.resolved
+		c.mu.Unlock()
 		switch {
+		case resolved:
 		case c.fault != nil:
 			// Faulted cells are private to their job: no dedup, no cache.
-			tasks = append(tasks, s.faultTask(job, c, specs[c.Workload]))
+			add(c.Workload, s.faultTask(job, c, specs[c.Workload]))
 		default:
 			if r, ok := s.cache.Get(c.Key); ok {
 				s.cellsFromCache.Add(1)
 				s.finishCell(c, r, nil, true)
 				continue
 			}
-			if task := s.joinFlight(c, specs[c.Workload], req); task != nil {
-				tasks = append(tasks, task)
+			if task := s.joinFlight(c, specs[c.Workload], job.Req); task != nil {
+				add(c.Workload, task)
 			} else {
 				s.cellsDeduped.Add(1)
 			}
@@ -427,11 +458,10 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 	if err := s.sched.Submit(tasks...); err != nil {
 		// Shutdown raced the submission: resolve what was scheduled-to-be as
 		// canceled so the job still terminates.
-		for _, c := range cells {
+		for _, c := range job.Cells {
 			s.finishCell(c, nil, fmt.Errorf("%w: %v", sim.ErrCanceled, err), false)
 		}
 	}
-	return job, nil
 }
 
 // joinFlight attaches a cell to the in-flight execution of its key, creating
@@ -747,35 +777,7 @@ func (s *Server) resumeJob(rj ResumedJob) {
 	default:
 	}
 
-	var tasks []func()
-	for _, c := range job.Cells {
-		c.mu.Lock()
-		resolved := c.resolved
-		c.mu.Unlock()
-		if resolved {
-			continue
-		}
-		switch {
-		case c.fault != nil:
-			tasks = append(tasks, s.faultTask(job, c, specs[c.Workload]))
-		default:
-			if r, ok := s.cache.Get(c.Key); ok {
-				s.cellsFromCache.Add(1)
-				s.finishCell(c, r, nil, true)
-				continue
-			}
-			if task := s.joinFlight(c, specs[c.Workload], req); task != nil {
-				tasks = append(tasks, task)
-			} else {
-				s.cellsDeduped.Add(1)
-			}
-		}
-	}
-	if err := s.sched.Submit(tasks...); err != nil {
-		for _, c := range job.Cells {
-			s.finishCell(c, nil, fmt.Errorf("%w: %v", sim.ErrCanceled, err), false)
-		}
-	}
+	s.schedule(job, specs)
 }
 
 // Report builds the BENCH_report-schema view of every completed cell the

@@ -39,8 +39,13 @@ import (
 )
 
 // ckptSchema versions the artifact file format; bump on any layout change
-// and old files become misses.
-const ckptSchema = 1
+// and old files become misses. Schema 2 carries live-lines-only hierarchy
+// state blobs (see internal/cache/state.go).
+const ckptSchema = 2
+
+// ckptPointBytes is the smallest encoded point record: interval, weight,
+// warm and the two state-blob lengths.
+const ckptPointBytes = 4 + 8 + 8 + 4 + 4
 
 // ckptArtifactMagic identifies artifact files ("PSC1").
 const ckptArtifactMagic uint32 = 0x50534331
@@ -236,8 +241,9 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if n <= 0 || n > art.intervals+1 {
-			return nil, fmt.Errorf("sim: ckpt artifact has %d points for %d intervals", n, art.intervals)
+		// Bound the count by the bytes left before it sizes an allocation.
+		if n <= 0 || n > art.intervals+1 || n > r.Len()/ckptPointBytes {
+			return nil, fmt.Errorf("sim: ckpt artifact has %d points for %d intervals in %d bytes", n, art.intervals, r.Len())
 		}
 		art.points = make([]ckptPoint, n)
 		for i := range art.points {
@@ -266,8 +272,9 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 	return art, nil
 }
 
-// ckptMemEntries bounds the in-memory decoded-artifact layer (an artifact is
-// a few MB: checkpoint pages plus per-point state blobs).
+// ckptMemEntries bounds the in-memory decoded-artifact layer (a quick GAP
+// workload's artifact is 0.7–1.3 MB: per point, a 75 KB predictor blob and
+// 13–80 KB of live-lines-only hierarchy state, plus the checkpoint pages).
 const ckptMemEntries = 8
 
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,6 +124,25 @@ func TestCkptCacheCorruption(t *testing.T) {
 			return b
 		}(),
 		"garbage-tail": append(append([]byte(nil), orig...), 0xde, 0xad),
+		// A schema-1 file (dense hierarchy state) left by an older binary.
+		"schema-1": func() []byte {
+			b := append([]byte(nil), orig[:len(orig)-8]...)
+			copy(b[4:8], codec.U32(nil, 1))
+			return codec.Seal(b, 0)
+		}(),
+		// A validly sealed artifact under the right key whose point count
+		// (2^31, under its claimed 2^32-1 intervals) far exceeds the bytes
+		// present: sizing the point slice from it would kill the process.
+		"huge-point-count": func() []byte {
+			b := append([]byte(nil), orig[:4+4+8*len(CkptKey{}.fields())]...)
+			b = codec.Bool(b, false)
+			b = codec.U64(b, 1)
+			b = codec.U64(b, 1)
+			b = codec.U32(b, math.MaxUint32)
+			b = codec.Bool(b, false)
+			b = codec.U32(b, 1<<31)
+			return codec.Seal(b, 0)
+		}(),
 	}
 	for name, data := range corrupt {
 		t.Run(name, func(t *testing.T) {
@@ -264,9 +285,11 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 }
 
 // TestCkptArtifactFormatPinned pins the PSC1 artifact bytes — the key,
-// header, point records, checkpoint section and FNV-1a trailer — against
-// the length and FNV-1a-64 sum recorded before the artifact moved onto the
-// shared codec seal, for a fixed hand-built artifact and a full-run marker.
+// header, point records, checkpoint section and FNV-1a trailer — by length
+// and FNV-1a-64 sum, for a fixed hand-built artifact and a full-run marker.
+// The sums were recorded at schema 2 (live-lines-only hierarchy state); the
+// lengths are unchanged from schema 1, which differed only in the schema
+// word because the point blobs here are opaque bytes.
 func TestCkptArtifactFormatPinned(t *testing.T) {
 	w := prog.PredictableLoop(200)
 	e := emu.New(w.Prog, w.Mem)
@@ -287,8 +310,8 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 		n    int
 		sum  uint64
 	}{
-		{"points", art, 453, 0x709d95f1efe30c42},
-		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 118, 0x20876ab97fdac900},
+		{"points", art, 453, 0xa3c23f63d4f7f5ca},
+		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 118, 0xc6e9e4a6fad67229},
 	} {
 		blob := appendArtifact(nil, key, tc.art)
 		if sum := codec.Sum64(blob); len(blob) != tc.n || sum != tc.sum {
@@ -298,4 +321,26 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 			t.Errorf("%s artifact does not decode: %v", tc.name, err)
 		}
 	}
+}
+
+// fuzzArtifactKey is the key the FuzzDecodeArtifact corpus is encoded under.
+var fuzzArtifactKey = CkptKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+
+// FuzzDecodeArtifact: the fuzzed bytes are an artifact body, sealed before
+// decoding so inputs get past the checksum to the parser. Any body either
+// fails to decode or decodes to an artifact that re-encodes to exactly the
+// sealed bytes. The committed corpus holds a full-run marker, a one-point
+// artifact without memory pages, and a two-point artifact whose checkpoints
+// share one page and differ in another.
+func FuzzDecodeArtifact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		blob := codec.Seal(append([]byte(nil), body...), 0)
+		art, err := decodeArtifact(blob, fuzzArtifactKey)
+		if err != nil {
+			return
+		}
+		if re := appendArtifact(nil, fuzzArtifactKey, art); !bytes.Equal(re, blob) {
+			t.Fatalf("decoded artifact re-encodes to %d different bytes (input %d)", len(re), len(blob))
+		}
+	})
 }

@@ -135,3 +135,10 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # Differential fuzz smoke: 30 s of random guarded-loop kernels, each run
 # under all three timing mechanisms with the lockstep oracle watching.
 go test -run '^$' -fuzz 'FuzzDifferential' -fuzztime 30s ./internal/sim
+# Checkpoint-artifact reader fuzz smokes: arbitrary hierarchy-state bytes and
+# (sealed) artifact bodies must fail or decode to something that re-encodes
+# to the same bytes. Their seed inputs are KB-sized and the engine's
+# minimization of a new input is quadratic in its length, so it is off for
+# these short runs (a failure is still reported and saved, just unminimized).
+go test -run '^$' -fuzz '^FuzzHierarchyLoadState$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cache
+go test -run '^$' -fuzz '^FuzzDecodeArtifact$' -fuzztime 10s -fuzzminimizetime 0 ./internal/sim
