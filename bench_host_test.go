@@ -214,6 +214,32 @@ func BenchmarkHostEventQueuePhelpsStepped(b *testing.B) {
 	runSimBench(b, eventQueueChase, cfg)
 }
 
+// --- chase_mem cells ---
+//
+// The chase benches run the cells the chase_mem host benchmark times, in
+// process and at Table III settings (DRAM 100 cycles, 32 MSHRs): the
+// full-size chase under base and phelps, and chase_nested under phelps,
+// whose outer and inner helper threads share the issue lanes with the main
+// thread; the phelps cells time the issue stages of both the core and the
+// helper-thread engines.
+
+func runChaseBench(b *testing.B, workload, config string) {
+	b.Helper()
+	spec, err := sim.SpecByName(workload, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := sim.ConfigByName(config, spec.Epoch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runSimBench(b, spec.Build, cfg)
+}
+
+func BenchmarkHostChaseBase(b *testing.B)         { runChaseBench(b, "chase", sim.CfgBase) }
+func BenchmarkHostChasePhelps(b *testing.B)       { runChaseBench(b, "chase", sim.CfgPhelps) }
+func BenchmarkHostChaseNestedPhelps(b *testing.B) { runChaseBench(b, "chase_nested", sim.CfgPhelps) }
+
 func BenchmarkHostCoreLoopVerified(b *testing.B) {
 	// Full verification on: per-cycle invariant checks plus the lockstep
 	// oracle. Compare against BenchmarkHostCoreLoopDelinquent (the same run

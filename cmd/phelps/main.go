@@ -286,7 +286,7 @@ func main() {
 		fmt.Printf("verification   ok\n")
 	}
 
-	if *verbose && *mode == "phelps" {
+	if *verbose && cfg.Mode == sim.ModePhelps {
 		p := res.Phelps
 		fmt.Printf("\nPhelps statistics\n")
 		fmt.Printf("  triggers/terminations  %d / %d\n", p.Triggers, p.Terminations)

@@ -92,7 +92,7 @@ type predVal struct {
 func (p predVal) enables(dir bool) bool { return p.enabled && p.outcome == dir }
 
 // noHTOrd marks an absent producer ordinal (see Engine.window).
-const noHTOrd = ^uint64(0)
+const noHTOrd = cpu.NoOrd
 
 // htEntry is one in-flight helper-thread instruction. Entries live in the
 // engine's pooled window ring and are addressed by fetch ordinal — slot =
@@ -163,14 +163,21 @@ type Engine struct {
 
 	// Pooled window ring: head..tail are the live fetch ordinals; entries are
 	// recycled in place across retire and squash.
-	window                  []htEntry
-	head                    uint64
-	tail                    uint64
-	issueOrd                uint64 // ordinal: everything below is issued (scan start)
-	fetchIdx                int
-	lastWriter              [isa.NumRegs]uint64     // producer ordinals; noHTOrd = none
-	lastPredWriter          [isa.NumPredRegs]uint64 // producer ordinals; noHTOrd = none
-	nDests, nLoads, nStores int
+	window         []htEntry
+	head           uint64
+	tail           uint64
+	fetchIdx       int
+	lastWriter     [isa.NumRegs]uint64     // producer ordinals; noHTOrd = none
+	lastPredWriter [isa.NumPredRegs]uint64 // producer ordinals; noHTOrd = none
+	nDests, nLoads int
+
+	// iq is the wakeup/select index over the window (cpu.IssueQueue, the
+	// main core's issue index).
+	iq cpu.IssueQueue
+	// In-flight store ordinals in program order: a ring, since stores enter
+	// at fetch and leave at retire or by a squash of the youngest entries.
+	stores               []uint64
+	storeHead, storeTail uint64
 
 	fetchBlockedUntil uint64
 	visitActive       bool // inner thread: currently processing a visit
@@ -219,7 +226,10 @@ func (e *Engine) Reinit(prog *HelperProgram, qs DepositSink, spec *SpecCache, vq
 	liveInsMT []uint64, startAt uint64) {
 	if need := windowRingSize(lim.ROB); len(e.window) < need {
 		e.window = make([]htEntry, need)
+		e.stores = make([]uint64, need)
 	}
+	e.iq.Reset(lim.ROB)
+	e.storeHead, e.storeTail = 0, 0
 	e.prog, e.qs, e.spec, e.vq, e.mem, e.hier = prog, qs, spec, vq, mem, hier
 	e.coreCfg, e.lim = coreCfg, lim
 	e.regs = [isa.NumRegs]uint64{}
@@ -228,7 +238,7 @@ func (e *Engine) Reinit(prog *HelperProgram, qs DepositSink, spec *SpecCache, vq
 	}
 	e.preds = [isa.NumPredRegs]predVal{}
 	e.preds[isa.Pred0] = predVal{enabled: true, outcome: true}
-	e.head, e.tail, e.issueOrd = 0, 0, 0
+	e.head, e.tail = 0, 0
 	e.fetchIdx = 0
 	for i := range e.lastWriter {
 		e.lastWriter[i] = noHTOrd
@@ -236,7 +246,7 @@ func (e *Engine) Reinit(prog *HelperProgram, qs DepositSink, spec *SpecCache, vq
 	for i := range e.lastPredWriter {
 		e.lastPredWriter[i] = noHTOrd
 	}
-	e.nDests, e.nLoads, e.nStores = 0, 0, 0
+	e.nDests, e.nLoads = 0, 0
 	e.fetchBlockedUntil = startAt
 	e.visitActive = prog.Kind != Inner // the inner thread waits for its first visit
 	e.pendingVisit = false
@@ -312,7 +322,7 @@ func (e *Engine) retire(now uint64) {
 				e.Stats.Deposits++
 			}
 		case op.IsStore():
-			e.nStores--
+			e.storeHead++
 			if ent.enabled {
 				e.spec.WriteStore(e.mem, ent.addr, ent.memSize, ent.storeVal)
 			}
@@ -389,22 +399,9 @@ func (e *Engine) squashYounger(now uint64) {
 const htcRefill = 3
 
 func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
-	if e.issueOrd < e.head {
-		e.issueOrd = e.head
-	}
-	for e.issueOrd < e.tail && e.entry(e.issueOrd).issued {
-		e.issueOrd++
-	}
-	scanned := 0
-	for ord := e.issueOrd; ord < e.tail && scanned < e.coreCfg.IQScanLimit; ord++ {
+	e.iq.Select(e.head, e.tail, now, e.coreCfg.IQScanLimit)
+	for ord, ok := e.iq.Next(); ok; ord, ok = e.iq.Next() {
 		ent := e.entry(ord)
-		if ent.issued {
-			continue
-		}
-		scanned++
-		if !e.entReady(ent, now) {
-			continue
-		}
 		op := ent.hi.Inst.Op
 		switch {
 		case op.IsLoad():
@@ -416,6 +413,8 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 				e.laneBlocked()
 				continue
 			}
+			// A load violation squashes younger entries here, dropping
+			// them from the rest of this cycle's selection too.
 			e.execStore(ord, ent, now)
 		case op.IsComplex():
 			if !lanes.TakeComplex() {
@@ -437,6 +436,7 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 			ent.doneAt = now + 1
 		}
 		ent.issued = true
+		e.iq.Issue(ord, ent.doneAt)
 		if e.sched != nil {
 			// The issue extends the scan reach next cycle; the completion
 			// is the instruction's own event.
@@ -452,26 +452,6 @@ func (e *Engine) laneBlocked() {
 	if e.sched != nil {
 		e.sched.MarkBusy()
 	}
-}
-
-func (e *Engine) entReady(ent *htEntry, now uint64) bool {
-	for i := 0; i < ent.nsrc; i++ {
-		ord := ent.srcs[i]
-		if ord == noHTOrd || ord < e.head {
-			continue // resolved at dispatch, or a retired producer
-		}
-		p := e.entry(ord)
-		if !p.issued || p.doneAt > now {
-			return false
-		}
-	}
-	if ord := ent.predSrc; ord != noHTOrd && ord >= e.head {
-		p := e.entry(ord)
-		if !p.issued || p.doneAt > now {
-			return false
-		}
-	}
-	return true
 }
 
 func (e *Engine) srcVal(ent *htEntry, i int) uint64 {
@@ -557,13 +537,14 @@ func (e *Engine) squashFrom(ord uint64, progIdx int, now uint64) {
 		if op.IsLoad() {
 			e.nLoads--
 		}
-		if op.IsStore() {
-			e.nStores--
-		}
 		if op.WritesRd() && ent.hi.Inst.Rd != isa.X0 {
 			e.nDests--
 		}
 	}
+	for e.storeTail > e.storeHead && e.stores[(e.storeTail-1)&uint64(len(e.stores)-1)] >= ord {
+		e.storeTail--
+	}
+	e.iq.Squash(e.head, ord, e.tail)
 	e.tail = ord
 	for i := range e.lastWriter {
 		e.lastWriter[i] = noHTOrd
@@ -579,9 +560,6 @@ func (e *Engine) squashFrom(ord uint64, progIdx int, now uint64) {
 		if ent.hi.Inst.Op == isa.PPRODUCE {
 			e.lastPredWriter[ent.hi.Inst.PredDst] = j
 		}
-	}
-	if e.issueOrd > ord {
-		e.issueOrd = ord
 	}
 	e.fetchIdx = progIdx
 	e.fetchBlockedUntil = now + e.coreCfg.FrontendLatency()
@@ -600,11 +578,13 @@ func (e *Engine) tryIssueLoad(ord uint64, ent *htEntry, now uint64, lanes *cpu.L
 	addr := e.srcVal(ent, 0) + uint64(ent.hi.Inst.Imm)
 	size := ent.hi.Inst.Op.MemBytes()
 	var fwd *htEntry
-	for j := ord; j > e.head; j-- {
-		older := e.entry(j - 1)
-		if !older.hi.Inst.Op.IsStore() {
-			continue
+	mask := uint64(len(e.stores) - 1)
+	for i := e.storeTail; i > e.storeHead; i-- {
+		so := e.stores[(i-1)&mask]
+		if so > ord {
+			continue // younger than the load
 		}
+		older := e.entry(so)
 		var oAddr uint64
 		oSize := older.hi.Inst.Op.MemBytes()
 		switch {
@@ -749,7 +729,7 @@ func (e *Engine) fetch(now uint64) {
 		if op.IsLoad() && e.nLoads >= e.lim.LQ {
 			return
 		}
-		if op.IsStore() && e.nStores >= e.lim.SQ {
+		if op.IsStore() && e.storeTail-e.storeHead >= uint64(e.lim.SQ) {
 			return
 		}
 		if op.WritesRd() && e.nDests >= e.lim.PRF-isa.NumRegs {
@@ -757,11 +737,11 @@ func (e *Engine) fetch(now uint64) {
 		}
 		ord := e.tail
 		ent := e.entry(ord)
-		*ent = htEntry{
-			hi: hi, progIdx: e.fetchIdx,
-			srcs:    [2]uint64{noHTOrd, noHTOrd},
-			predSrc: noHTOrd,
-		}
+		// Zeroed in place: a literal with fields would be built in a
+		// temporary and copied.
+		*ent = htEntry{}
+		ent.hi, ent.progIdx = hi, e.fetchIdx
+		ent.srcs, ent.predSrc = [2]uint64{noHTOrd, noHTOrd}, noHTOrd
 		srcs, ns := hi.Inst.SrcRegs()
 		for i := 0; i < ns; i++ {
 			r := srcs[i]
@@ -797,8 +777,10 @@ func (e *Engine) fetch(now uint64) {
 			e.nLoads++
 		}
 		if op.IsStore() {
-			e.nStores++
+			e.stores[e.storeTail&uint64(len(e.stores)-1)] = ord
+			e.storeTail++
 		}
+		e.iq.Insert(ord, [cpu.MaxSrcs]uint64{ent.srcs[0], ent.srcs[1], ent.predSrc})
 		e.tail = ord + 1
 		e.Stats.Fetched++
 		e.fetchIdx++

@@ -59,7 +59,9 @@ func (c *Controller) CheckInvariants() error {
 	return nil
 }
 
-// checkInvariants audits one engine's occupancy against its partition quota.
+// checkInvariants audits one engine's occupancy against its partition quota,
+// recounts its store ring from the window, and audits its issue index
+// (cpu.IssueQueue.Audit).
 func (e *Engine) checkInvariants() error {
 	if e.tail < e.head {
 		return fmt.Errorf("window tail %d behind head %d", e.tail, e.head)
@@ -70,11 +72,28 @@ func (e *Engine) checkInvariants() error {
 	if e.nLoads < 0 || e.nLoads > e.lim.LQ {
 		return fmt.Errorf("nLoads %d outside quota [0,%d]", e.nLoads, e.lim.LQ)
 	}
-	if e.nStores < 0 || e.nStores > e.lim.SQ {
-		return fmt.Errorf("nStores %d outside quota [0,%d]", e.nStores, e.lim.SQ)
+	if n := e.storeTail - e.storeHead; e.storeTail < e.storeHead || n > uint64(e.lim.SQ) {
+		return fmt.Errorf("store ring [%d,%d) outside quota [0,%d]", e.storeHead, e.storeTail, e.lim.SQ)
 	}
 	if e.nDests < 0 || e.nDests > e.lim.PRF-isa.NumRegs {
 		return fmt.Errorf("nDests %d outside quota [0,%d] (PRF %d)", e.nDests, e.lim.PRF-isa.NumRegs, e.lim.PRF)
 	}
-	return nil
+	i, mask := e.storeHead, uint64(len(e.stores)-1)
+	for ord := e.head; ord < e.tail; ord++ {
+		if !e.entry(ord).hi.Inst.Op.IsStore() {
+			continue
+		}
+		if i == e.storeTail || e.stores[i&mask] != ord {
+			return fmt.Errorf("window store at ordinal %d missing from the store ring", ord)
+		}
+		i++
+	}
+	if i != e.storeTail {
+		return fmt.Errorf("store ring holds %d ordinals past the window's stores", e.storeTail-i)
+	}
+	return e.iq.Audit(e.head, e.tail, func(ord uint64) cpu.EntryView {
+		ent := e.entry(ord)
+		return cpu.EntryView{Issued: ent.issued, DoneAt: ent.doneAt,
+			Srcs: [cpu.MaxSrcs]uint64{ent.srcs[0], ent.srcs[1], ent.predSrc}}
+	})
 }

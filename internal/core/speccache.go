@@ -84,10 +84,20 @@ func (sc *SpecCache) install(dw, val uint64, wasHit bool) {
 	sc.data[s][0] = val
 }
 
-// ReadLoad services a helper-thread load: spec-cache data if present for
-// every covered byte, architectural memory otherwise (per byte).
-// Returns the raw little-endian value (before sign extension).
+// ReadLoad services a helper-thread load: each covered doubleword comes from
+// the spec cache if present, architectural memory otherwise. An access inside
+// one doubleword makes one lookup and at most one architectural read; one
+// that straddles two is assembled byte by byte. Returns the raw
+// little-endian value (before sign extension).
 func (sc *SpecCache) ReadLoad(mem *emu.Memory, addr uint64, size int) (val uint64, anyHit bool) {
+	if dw := addr &^ 7; (addr+uint64(size)-1)&^7 == dw {
+		v, hit := sc.lookup(dw)
+		if !hit {
+			return mem.ReadArch(addr, size), false
+		}
+		sc.Hits++
+		return v >> ((addr - dw) * 8) & sizeMask(size), true
+	}
 	for i := 0; i < size; i++ {
 		a := addr + uint64(i)
 		dw := a &^ 7

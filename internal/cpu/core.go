@@ -75,9 +75,6 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Retired) / float64(s.Cycles)
 }
 
-// noOrd marks an absent producer ordinal (see Core.rob).
-const noOrd = ^uint64(0)
-
 // robEntry is one in-flight instruction. Entries live in the Core's pooled
 // ROB ring and are addressed by dispatch *ordinal* — a monotonically
 // increasing counter that serves as stable index + generation fused: slot =
@@ -87,8 +84,7 @@ const noOrd = ^uint64(0)
 // never alias a stale reference.
 type robEntry struct {
 	d      emu.DynInst
-	srcs   [2]uint64 // producer ordinals still in flight at dispatch
-	nsrc   int
+	srcs   [MaxSrcs]uint64 // producer ordinals still in flight at dispatch; NoOrd = none
 	issued bool
 	doneAt uint64
 	misp   bool
@@ -121,10 +117,10 @@ type Core struct {
 	// sched, when attached, is the machine's event scheduler: issue,
 	// dispatch, fetch, and retire post wakeups / mark busy through it (see
 	// clock.go and internal/clock). nil in oracle mode.
-	sched *clock.Scheduler
-	fetchBuf     emu.DynInst // fetch's persistent scratch; hooks get &fetchBuf, so nothing escapes per instruction
-	replay       []emu.DynInst
-	replayAt     int
+	sched    *clock.Scheduler
+	fetchBuf emu.DynInst // fetch's persistent scratch; hooks get &fetchBuf, so nothing escapes per instruction
+	replay   []emu.DynInst
+	replayAt int
 
 	// Frontend buffer: a power-of-two ring indexed by monotonic counters.
 	front     []frontEntry
@@ -137,16 +133,19 @@ type Core struct {
 	robHead uint64
 	robTail uint64
 
-	lastWriter [isa.NumRegs]uint64 // producer ordinals; noOrd = none
+	lastWriter [isa.NumRegs]uint64 // producer ordinals; NoOrd = none
+
+	// iq is the wakeup/select index over the ROB ring (issueq.go); its
+	// capacity tracks the ring's, and its unissued count is the IQ
+	// occupancy.
+	iq IssueQueue
 
 	// In-flight store ordinals in program order (a ring: stores dispatch and
 	// retire in order).
-	storeQ                       []uint64
-	storeHead                    uint64
-	storeTail                    uint64
-	nLoads, nStores, nDests, nIQ int
-
-	issueOrd uint64 // ordinal: everything below is issued (scan start)
+	storeQ                  []uint64
+	storeHead               uint64
+	storeTail               uint64
+	nLoads, nStores, nDests int
 
 	stallSeq      uint64 // seq of mispredicted branch blocking fetch
 	stallActive   bool
@@ -168,8 +167,9 @@ type Core struct {
 
 	// faults, if set, injects timing-model bugs (see faults.go). Testing
 	// instrumentation for the oracle/invariant/watchdog paths; one nil check
-	// per retirement/issue when unset.
-	faults *FaultInjection
+	// per retirement, dispatch and issue cycle when unset.
+	faults    *FaultInjection
+	stickyOrd uint64 // ordinal of the FaultInjection.StickySeq entry once dispatched; NoOrd before
 
 	replayScratch []emu.DynInst // SquashAll's reusable assembly buffer
 
@@ -190,9 +190,11 @@ func NewCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, next func() (em
 		front:         make([]frontEntry, 64),
 		rob:           make([]robEntry, 256),
 		storeQ:        make([]uint64, 64),
+		stickyOrd:     NoOrd,
 	}
+	c.iq.Reset(len(c.rob))
 	for i := range c.lastWriter {
-		c.lastWriter[i] = noOrd
+		c.lastWriter[i] = NoOrd
 	}
 	return c
 }
@@ -260,22 +262,6 @@ func (c *Core) BlockFetchUntil(cycle uint64) {
 }
 
 func (c *Core) entry(ord uint64) *robEntry { return &c.rob[ord&uint64(len(c.rob)-1)] }
-
-// entryReady reports whether every in-flight producer has executed. An
-// ordinal below robHead is a retired producer (always ready to consumers).
-func (c *Core) entryReady(e *robEntry, now uint64) bool {
-	for i := 0; i < e.nsrc; i++ {
-		ord := e.srcs[i]
-		if ord < c.robHead {
-			continue
-		}
-		p := c.entry(ord)
-		if !p.issued || p.doneAt > now {
-			return false
-		}
-	}
-	return true
-}
 
 // nextDynInto fills dst with the next correct-path instruction: replayed
 // (post-squash) instructions first, then fresh emulation. Writing through a
@@ -390,7 +376,7 @@ func (c *Core) retire(now uint64) {
 		// Drop writer mapping if this entry is still the last writer (a
 		// retired producer is always ready to consumers).
 		if op.WritesRd() && c.lastWriter[d.Inst.Rd] == ord {
-			c.lastWriter[d.Inst.Rd] = noOrd
+			c.lastWriter[d.Inst.Rd] = NoOrd
 		}
 		if c.hooks.OnRetire != nil {
 			c.hooks.OnRetire(d, misp)
@@ -422,35 +408,23 @@ func (c *Core) skipRetire(e *robEntry, ord uint64, d *emu.DynInst) {
 	}
 	c.Stats.Retired++
 	if op.WritesRd() && c.lastWriter[d.Inst.Rd] == ord {
-		c.lastWriter[d.Inst.Rd] = noOrd
+		c.lastWriter[d.Inst.Rd] = NoOrd
 	}
 }
 
 func (c *Core) issue(now uint64, lanes *LanePool) {
-	// Advance the scan start past the fully-issued prefix (issued is
-	// monotonic per entry; squash resets the pointer).
-	if c.issueOrd < c.robHead {
-		c.issueOrd = c.robHead
+	sticky := c.faults != nil && c.faults.StickySeq != 0
+	if sticky && c.sched != nil && c.stickyOrd >= c.robHead &&
+		c.stickyOrd < c.iq.reach(c.robHead, c.robTail, c.cfg.IQScanLimit) {
+		// Injected bug: the sticky entry never issues. While it is within
+		// the scheduler's reach, keep stepping so the watchdog sees the
+		// wedge at the same cycle a stepped run would.
+		c.sched.MarkBusy()
 	}
-	for c.issueOrd < c.robTail && c.entry(c.issueOrd).issued {
-		c.issueOrd++
-	}
-	scanned := 0
-	for ord := c.issueOrd; ord < c.robTail && scanned < c.cfg.IQScanLimit; ord++ {
+	c.iq.Select(c.robHead, c.robTail, now, c.cfg.IQScanLimit)
+	for ord, ok := c.iq.Next(); ok; ord, ok = c.iq.Next() {
 		e := c.entry(ord)
-		if e.issued {
-			continue
-		}
-		scanned++
-		if c.faults != nil && c.faults.StickySeq != 0 && e.d.Seq == c.faults.StickySeq {
-			// Injected bug: this entry never issues. Keep stepping so the
-			// watchdog sees the wedge at the same cycle a stepped run would.
-			if c.sched != nil {
-				c.sched.MarkBusy()
-			}
-			continue
-		}
-		if !c.entryReady(e, now) {
+		if sticky && ord == c.stickyOrd {
 			continue
 		}
 		op := e.d.Inst.Op
@@ -485,7 +459,7 @@ func (c *Core) issue(now uint64, lanes *LanePool) {
 			e.issued = true
 			e.doneAt = now + 1
 		}
-		c.nIQ--
+		c.iq.Issue(ord, e.doneAt)
 		if c.sched != nil {
 			// The issue itself frees an IQ slot and extends the scan reach
 			// next cycle; the completion is the instruction's own event.
@@ -565,6 +539,7 @@ func (c *Core) growROB() {
 		next[ord&nextMask] = c.rob[ord&mask]
 	}
 	c.rob = next
+	c.iq.Grow(c.robHead, c.robTail)
 }
 
 func (c *Core) growStoreQ() {
@@ -587,7 +562,7 @@ func (c *Core) dispatch(now uint64) {
 			break
 		}
 		op := fe.d.Inst.Op
-		if c.robTail-c.robHead >= uint64(c.lim.ROB) || c.nIQ >= c.lim.IQ {
+		if c.robTail-c.robHead >= uint64(c.lim.ROB) || c.iq.Len() >= c.lim.IQ {
 			break
 		}
 		if op.IsLoad() && c.nLoads >= c.lim.LQ {
@@ -604,17 +579,26 @@ func (c *Core) dispatch(now uint64) {
 		}
 		ord := c.robTail
 		e := c.entry(ord)
-		*e = robEntry{d: fe.d, misp: fe.misp, fromQ: fe.fromQ}
+		// Field by field: a composite literal would build the entry in a
+		// temporary and copy it twice.
+		e.d = fe.d
+		e.srcs = [MaxSrcs]uint64{NoOrd, NoOrd, NoOrd}
+		e.issued, e.doneAt, e.misp, e.fromQ = false, 0, fe.misp, fe.fromQ
 		d := &e.d
 		srcs, n := d.Inst.SrcRegs()
+		k := 0
 		for i := 0; i < n; i++ {
 			if srcs[i] == isa.X0 {
 				continue
 			}
-			if w := c.lastWriter[srcs[i]]; w != noOrd && w >= c.robHead {
-				e.srcs[e.nsrc] = w
-				e.nsrc++
+			if w := c.lastWriter[srcs[i]]; w != NoOrd && w >= c.robHead {
+				e.srcs[k] = w
+				k++
 			}
+		}
+		c.iq.Insert(ord, e.srcs)
+		if c.faults != nil && d.Seq == c.faults.StickySeq {
+			c.stickyOrd = ord
 		}
 		if op.WritesRd() && d.Inst.Rd != isa.X0 {
 			c.lastWriter[d.Inst.Rd] = ord
@@ -632,7 +616,6 @@ func (c *Core) dispatch(now uint64) {
 			c.storeTail++
 		}
 		c.robTail = ord + 1
-		c.nIQ++
 		if c.sched != nil {
 			// The dispatched entry may be ready to issue next cycle (its
 			// producers may already have retired).
@@ -771,12 +754,12 @@ func (c *Core) SquashAll(now uint64) {
 
 	c.frontHead = c.frontTail
 	c.robHead = c.robTail
-	c.issueOrd = c.robTail
+	c.iq.Clear()
 	c.storeHead = c.storeTail
 	for i := range c.lastWriter {
-		c.lastWriter[i] = noOrd
+		c.lastWriter[i] = NoOrd
 	}
-	c.nLoads, c.nStores, c.nDests, c.nIQ = 0, 0, 0, 0
+	c.nLoads, c.nStores, c.nDests = 0, 0, 0
 	c.stallActive = false
 	c.stallClearSet = false
 	c.lastFetchLine = ^uint64(0)

@@ -45,5 +45,6 @@ type FaultInjection struct {
 }
 
 // InjectFaults attaches (or, with nil, removes) a fault-injection plan. One
-// nil check per retirement and per issue-scan entry when unset.
+// nil check per retirement and per dispatch, and one per issue cycle, when
+// unset.
 func (c *Core) InjectFaults(f *FaultInjection) { c.faults = f }

@@ -37,7 +37,7 @@ type Occupancy struct {
 func (c *Core) Occupancy() Occupancy {
 	o := Occupancy{
 		ROB:          int(c.robTail - c.robHead),
-		IQ:           c.nIQ,
+		IQ:           c.iq.Len(),
 		LQ:           c.nLoads,
 		SQ:           c.nStores,
 		Dests:        c.nDests,
@@ -75,8 +75,8 @@ func (o Occupancy) String() string {
 }
 
 // CheckInvariants audits the O(1)-checkable structural invariants: ring
-// ordering, occupancy counters within the active partition limits, and the
-// issue-scan pointer inside the live ROB window. Returns nil when all hold.
+// ordering and occupancy counters within the active partition limits.
+// Returns nil when all hold.
 func (c *Core) CheckInvariants() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("cpu: invariant violated: %s [%s]", fmt.Sprintf(format, args...), c.Occupancy())
@@ -102,8 +102,8 @@ func (c *Core) CheckInvariants() error {
 	if c.storeTail-c.storeHead != uint64(c.nStores) {
 		return fail("store-queue occupancy %d != nStores %d", c.storeTail-c.storeHead, c.nStores)
 	}
-	if c.nIQ < 0 || c.nIQ > c.lim.IQ {
-		return fail("nIQ %d outside [0,%d]", c.nIQ, c.lim.IQ)
+	if n := c.iq.Len(); n < 0 || n > c.lim.IQ {
+		return fail("IQ occupancy %d outside [0,%d]", n, c.lim.IQ)
 	}
 	if c.nLoads < 0 || c.nLoads > c.lim.LQ {
 		return fail("nLoads %d outside [0,%d]", c.nLoads, c.lim.LQ)
@@ -114,25 +114,23 @@ func (c *Core) CheckInvariants() error {
 	if c.nDests < 0 || c.nDests > c.lim.PRF-isa.NumRegs {
 		return fail("nDests %d outside [0,%d] (PRF %d)", c.nDests, c.lim.PRF-isa.NumRegs, c.lim.PRF)
 	}
-	if c.issueOrd < c.robHead || c.issueOrd > c.robTail {
-		return fail("issue scan ordinal %d outside ROB window [%d,%d]", c.issueOrd, c.robHead, c.robTail)
-	}
 	return nil
 }
 
 // CheckInvariantsDeep walks every in-flight instruction, re-deriving the
-// occupancy counters, the per-register last-writer map, and the store queue
-// from the ROB contents, and cross-checks the memory's pending-store ring
-// against the store instructions held anywhere in the pipeline (ROB,
-// frontend, replay queue, fetch peek). O(in-flight window); run it sampled.
+// occupancy counters, the per-register last-writer map, the store queue and
+// the issue index (IssueQueue.Audit) from the ROB contents, and cross-checks
+// the memory's pending-store ring against the store instructions held
+// anywhere in the pipeline (ROB, frontend, replay queue, fetch peek).
+// O(in-flight window); run it sampled.
 func (c *Core) CheckInvariantsDeep() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("cpu: deep invariant violated: %s [%s]", fmt.Sprintf(format, args...), c.Occupancy())
 	}
-	var loads, stores, dests, unissued int
+	var loads, stores, dests int
 	var youngest [isa.NumRegs]uint64
 	for i := range youngest {
-		youngest[i] = noOrd
+		youngest[i] = NoOrd
 	}
 	havePrev := false
 	var prevSeq uint64
@@ -153,9 +151,6 @@ func (c *Core) CheckInvariantsDeep() error {
 			dests++
 			youngest[e.d.Inst.Rd] = ord
 		}
-		if !e.issued {
-			unissued++
-		}
 	}
 	if loads != c.nLoads {
 		return fail("ROB holds %d loads, nLoads %d", loads, c.nLoads)
@@ -166,8 +161,11 @@ func (c *Core) CheckInvariantsDeep() error {
 	if dests != c.nDests {
 		return fail("ROB holds %d destination writers, nDests %d (PRF leak)", dests, c.nDests)
 	}
-	if unissued != c.nIQ {
-		return fail("ROB holds %d unissued entries, nIQ %d", unissued, c.nIQ)
+	if err := c.iq.Audit(c.robHead, c.robTail, func(ord uint64) EntryView {
+		e := c.entry(ord)
+		return EntryView{Issued: e.issued, DoneAt: e.doneAt, Srcs: e.srcs}
+	}); err != nil {
+		return fail("%v", err)
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		if c.lastWriter[r] != youngest[r] {

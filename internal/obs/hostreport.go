@@ -38,8 +38,8 @@ const HostBenchSchema = 6
 // comparable between CI benches and the recorded artifact. The format is
 // documented in EXPERIMENTS.md.
 type HostBenchReport struct {
-	Schema    int              `json:"schema"`
-	GoVersion string           `json:"go_version"`
+	Schema    int    `json:"schema"`
+	GoVersion string `json:"go_version"`
 	// NumCPU is the logical core count of the host the measurements were
 	// taken on, recorded so later merges on other machines can annotate
 	// entries against the measurement host, not the merging one. Zero in

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gauntlet: build, vet, all tests, the race-sensitive
+# Full verification gauntlet: build, vet, gofmt, all tests, the race-sensitive
 # packages (parallel RunMatrix, the obs collector, and the pooled pipeline
 # structures under the cycle-exactness golden) under -race, then a bench
 # smoke run so the host-performance suite can't rot.
@@ -7,6 +7,8 @@ set -ex
 
 go build ./...
 go vet ./...
+# The tree stays gofmt-clean.
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race -short ./internal/sim ./internal/obs
 # The one cell executor (sim.Pool + ForEach: FIFO start order, Close drains,
