@@ -173,47 +173,6 @@ func BenchmarkHostCoreLoopPhelps(b *testing.B) {
 	runSimBench(b, func() *prog.Workload { return prog.DelinquentLoop(50_000, 50, 1) }, sim.PhelpsConfig(50_000))
 }
 
-// --- calendar event queue A/B ---
-//
-// The event-queue benches run the core loop on a memory-bound pointer chase
-// (1M nodes, a 16 MB table ≈ 5× L3, serially dependent loads) under a
-// harder memory system (DRAM 300 cycles, 4 MSHRs) — the delinquent-load
-// regime the event-driven clock targets. Each bench has a Stepped partner
-// that forces per-cycle execution (Config.ForceStep, no scheduler attached);
-// the ratio of the two sim-inst/s figures is the speedup `phelpsreport
-// -host` records as event_queue.core_loop.{delinquent,phelps}. The
-// compute-bound core-loop benches above retire nearly every cycle, so they
-// have no skippable spans and would A/B only the queue's bookkeeping
-// overhead.
-
-func eventQueueChase() *prog.Workload { return prog.DelinquentChase(1<<20, 150_000, 50, 1) }
-
-func memBoundCfg(cfg sim.Config) sim.Config {
-	cfg.Cache.DRAMLatency = 300
-	cfg.Cache.MSHRs = 4
-	return cfg
-}
-
-func BenchmarkHostEventQueueDelinquent(b *testing.B) {
-	runSimBench(b, eventQueueChase, memBoundCfg(sim.DefaultConfig()))
-}
-
-func BenchmarkHostEventQueueDelinquentStepped(b *testing.B) {
-	cfg := memBoundCfg(sim.DefaultConfig())
-	cfg.ForceStep = true
-	runSimBench(b, eventQueueChase, cfg)
-}
-
-func BenchmarkHostEventQueuePhelps(b *testing.B) {
-	runSimBench(b, eventQueueChase, memBoundCfg(sim.PhelpsConfig(50_000)))
-}
-
-func BenchmarkHostEventQueuePhelpsStepped(b *testing.B) {
-	cfg := memBoundCfg(sim.PhelpsConfig(50_000))
-	cfg.ForceStep = true
-	runSimBench(b, eventQueueChase, cfg)
-}
-
 // --- chase_mem cells ---
 //
 // The chase benches run the cells the chase_mem host benchmark times, in

@@ -62,112 +62,6 @@ func runHostBench(jsonPath string) error {
 		return err
 	}
 
-	// --- calendar event queue A/B: event-driven vs forced per-cycle stepping ---
-	// Speedup is event-driven sim-inst/s over the same run with
-	// Config.ForceStep (identical simulated results — the conservatism test
-	// guarantees it); skip_ratio is skipped cycles over total cycles. The
-	// geomean entry summarizes the ratio across the measured loops.
-	//
-	// The A/B runs the core loop on a memory-bound pointer chase (1M nodes,
-	// a 16 MB table ≈ 5× L3, serially dependent loads) under a harder
-	// memory system (DRAM 300 cycles, 4 MSHRs) — the delinquent-load regime
-	// the event-driven clock targets. The compute-bound core_loop entries
-	// above retire every cycle and skip almost nothing by design, so they
-	// would measure only the queue's bookkeeping overhead, not the jumping.
-	chaseBuild := func() *prog.Workload { return prog.DelinquentChase(1<<20, 150_000, 50, 1) }
-	memBound := func(cfg sim.Config) sim.Config {
-		cfg.Cache.DRAMLatency = 300
-		cfg.Cache.MSHRs = 4
-		return cfg
-	}
-	skipRatios := []float64{}
-	skipEntry := func(name string, build func() *prog.Workload, cfg sim.Config) error {
-		measure := func(forceStep bool) (sim.Result, float64, error) {
-			c := cfg
-			c.ForceStep = forceStep
-			start := time.Now()
-			r, err := sim.Run(build(), c)
-			if err != nil {
-				return r, 0, err
-			}
-			return r, float64(r.Retired) / time.Since(start).Seconds(), nil
-		}
-		stepped, stepRate, err := measure(true)
-		if err != nil {
-			return fmt.Errorf("%s stepped: %w", name, err)
-		}
-		skipped, skipRate, err := measure(false)
-		if err != nil {
-			return fmt.Errorf("%s skipping: %w", name, err)
-		}
-		if stepped.Cycles != skipped.Cycles {
-			return fmt.Errorf("%s: event-driven run diverged (%d vs %d cycles)", name, skipped.Cycles, stepped.Cycles)
-		}
-		ratio := float64(skipped.SkippedCycles) / float64(skipped.Cycles)
-		skipRatios = append(skipRatios, ratio)
-		e := obs.HostBenchEntry{
-			Name:          "event_queue." + name,
-			SimInstPerSec: skipRate,
-			Speedup:       skipRate / stepRate,
-			SkipRatio:     ratio,
-		}
-		report.Add(e)
-		fmt.Printf("  %-28s %12.0f sim-inst/s  %8.2fx vs stepped (%4.1f%% cycles skipped)\n",
-			e.Name, e.SimInstPerSec, e.Speedup, 100*ratio)
-		return nil
-	}
-	if err := skipEntry("core_loop.delinquent", chaseBuild, memBound(sim.DefaultConfig())); err != nil {
-		return err
-	}
-	if err := skipEntry("core_loop.phelps", chaseBuild, memBound(sim.PhelpsConfig(50_000))); err != nil {
-		return err
-	}
-	{
-		logSum := 0.0
-		for _, r := range skipRatios {
-			logSum += math.Log(r)
-		}
-		gm := math.Exp(logSum / float64(len(skipRatios)))
-		report.Add(obs.HostBenchEntry{Name: "event_queue.geomean", SkipRatio: gm})
-		fmt.Printf("  %-28s %40.1f%% cycles skipped (geomean)\n", "event_queue.geomean", 100*gm)
-	}
-
-	// --- event queue on the full quick matrix: end-to-end speedup ---
-	// The same quick Fig. 12a sweep as below, run once with ForceStep (the
-	// per-cycle oracle mode, no scheduler attached) and once event-driven.
-	// This is the honest end-to-end number for the queue: it includes the
-	// compute-bound workloads that barely skip, not just the chase.
-	{
-		configs := []string{sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w}
-		timeMatrix := func(forceStep bool) (sim.Matrix, time.Duration, error) {
-			start := time.Now()
-			m, err := sim.RunMatrixOpt(sim.GapSpecs(true), configs, sim.MatrixOptions{ForceStep: forceStep})
-			return m, time.Since(start), err
-		}
-		_, steppedElapsed, err := timeMatrix(true)
-		if err != nil {
-			return fmt.Errorf("quick matrix stepped: %w", err)
-		}
-		m, queuedElapsed, err := timeMatrix(false)
-		if err != nil {
-			return fmt.Errorf("quick matrix queued: %w", err)
-		}
-		var retired uint64
-		for _, cfgs := range m {
-			for _, r := range cfgs {
-				retired += r.Retired
-			}
-		}
-		e := obs.HostBenchEntry{
-			Name:          "event_queue.quick_matrix",
-			SimInstPerSec: float64(retired) / queuedElapsed.Seconds(),
-			Speedup:       steppedElapsed.Seconds() / queuedElapsed.Seconds(),
-		}
-		report.Add(e)
-		fmt.Printf("  %-28s %12.0f sim-inst/s  %8.2fx vs stepped (end to end)\n",
-			e.Name, e.SimInstPerSec, e.Speedup)
-	}
-
 	// --- quick Fig. 12a matrix end to end ---
 	{
 		configs := []string{sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w}
@@ -393,20 +287,16 @@ func runHostBench(jsonPath string) error {
 // artifact's recorded value, not the annotating machine's — and may be zero
 // for artifacts written before it was recorded.
 func annotateHostEntry(e *obs.HostBenchEntry, numCPU int) {
-	switch {
-	case e.Name == "event_queue.quick_matrix" && e.Speedup > 0 && e.Speedup < 1:
-		e.Note = "below 1x is honest: the quick matrix is dominated by compute-bound cells that " +
-			"retire nearly every cycle, so calendar-queue bookkeeping costs more than the few " +
-			"skipped cycles save; the memory-bound event_queue.core_loop.* entries isolate the win"
-	case strings.HasPrefix(e.Name, "sampled_parallel.") && e.Speedup > 0 && e.Speedup < 1.1:
-		host := "a host without spare cores"
-		if numCPU > 0 {
-			host = fmt.Sprintf("this %d-core host", numCPU)
-		}
-		e.Note = fmt.Sprintf("~1x expected on %s: the 8-worker point-measurement "+
-			"pool serializes without spare cores, so this measures pool overhead, not the pool win",
-			host)
+	if !strings.HasPrefix(e.Name, "sampled_parallel.") || e.Speedup <= 0 || e.Speedup >= 1.1 {
+		return
 	}
+	host := "a host without spare cores"
+	if numCPU > 0 {
+		host = fmt.Sprintf("this %d-core host", numCPU)
+	}
+	e.Note = fmt.Sprintf("~1x expected on %s: the 8-worker point-measurement "+
+		"pool serializes without spare cores, so this measures pool overhead, not the pool win",
+		host)
 }
 
 // longestSpecs returns the two longest quick-profile workloads (xz and tc by

@@ -2,13 +2,6 @@
 // simulator: bimodal, gshare, a TAGE-SC-L-class predictor (the paper's
 // baseline core uses 64KB TAGE-SC-L), and a perfect oracle (for the perfBP
 // configuration of Fig. 12a).
-//
-// Predictors are passive under the event-driven clock (internal/clock):
-// they hold no per-cycle state machine and post no events of their own.
-// Lookups happen at fetch and training at retire — both executed cycles,
-// which the posting cores mark busy — so a skipped span can never contain
-// a prediction or a table update, and the conservatism contract holds with
-// no predictor involvement.
 package bpred
 
 import "phelps/internal/obs"

@@ -5,10 +5,7 @@
 // (values) live in emu.Memory.
 package cache
 
-import (
-	"phelps/internal/clock"
-	"phelps/internal/obs"
-)
+import "phelps/internal/obs"
 
 // LineBytes is the cache line size at every level.
 const LineBytes = 64
@@ -149,20 +146,8 @@ type Hierarchy struct {
 	ipcp *ipcpPrefetcher
 	vldp *vldpPrefetcher
 
-	// sched, when attached, receives a clock.CacheFill wakeup for every
-	// demand access's ready cycle, making the hierarchy a first-class event
-	// source for the event-driven clock (see internal/clock). nil during
-	// functional warming, in oracle mode, and on prototype hierarchies —
-	// Clone deliberately does not carry it.
-	sched *clock.Scheduler
-
 	Stats Stats
 }
-
-// AttachClock wires the hierarchy into a machine's event scheduler. The
-// timing driver attaches per machine; warming and prototype hierarchies
-// stay detached so pseudo-clock accesses never post events.
-func (h *Hierarchy) AttachClock(s *clock.Scheduler) { h.sched = s }
 
 // New returns a hierarchy with the given configuration.
 func New(cfg Config) *Hierarchy {
@@ -333,21 +318,13 @@ func (h *Hierarchy) Load(pc, addr, now uint64) uint64 {
 		if wasPref {
 			h.Stats.PrefUseful++
 		}
-		ready := now + h.cfg.L1Latency
-		if h.sched != nil {
-			h.sched.Post(clock.CacheFill, ready)
-		}
-		return ready
+		return now + h.cfg.L1Latency
 	}
 	h.Stats.L1DMisses++
 	extra := h.beyondL1(line)
 	h.l1d.fill(line, false)
 	start := h.allocMSHR(now, now+h.cfg.L1Latency+extra)
-	ready := start + h.cfg.L1Latency + extra
-	if h.sched != nil {
-		h.sched.Post(clock.CacheFill, ready)
-	}
-	return ready
+	return start + h.cfg.L1Latency + extra
 }
 
 // Store models a committed store's cache access (write-allocate). Stores are
@@ -385,11 +362,7 @@ func (h *Hierarchy) FetchInst(pc, now uint64) uint64 {
 	h.Stats.L1IMisses++
 	extra := h.beyondL1(line)
 	h.l1i.fill(line, false)
-	ready := now + extra
-	if h.sched != nil && ready > now {
-		h.sched.Post(clock.CacheFill, ready)
-	}
-	return ready
+	return now + extra
 }
 
 func (h *Hierarchy) prefetchIntoL1(line uint64) {

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"phelps/internal/cache"
-	"phelps/internal/clock"
 	"phelps/internal/cpu"
 	"phelps/internal/emu"
 	"phelps/internal/isa"
@@ -186,11 +185,6 @@ type Engine struct {
 	visitRegs         []isa.Reg // outer thread: registers snapshotted per visit
 	visitScratch      []uint64  // reusable visit live-in assembly buffer
 
-	// sched, when attached, is the machine's event scheduler (see clock.go
-	// and internal/clock); the controller attaches it at trigger. nil in
-	// oracle mode.
-	sched *clock.Scheduler
-
 	Stats EngineStats
 }
 
@@ -307,11 +301,6 @@ func (e *Engine) retire(now uint64) {
 		// the ring wraps.
 		e.head++
 		e.Stats.Retired++
-		if e.sched != nil {
-			// A retirement frees window/queue resources, publishes visits,
-			// and deposits predictions; anything may act next cycle.
-			e.sched.MarkBusy()
-		}
 
 		op := hi.Inst.Op
 		switch {
@@ -389,9 +378,6 @@ func (e *Engine) squashYounger(now uint64) {
 	// Loop-exit and visit-boundary squashes refill from the short dedicated
 	// HTC fetch path (Section V-E), not the main frontend.
 	e.fetchBlockedUntil = now + htcRefill
-	if e.sched != nil {
-		e.sched.Post(clock.FetchResume, e.fetchBlockedUntil)
-	}
 }
 
 // htcRefill is the helper thread's fetch refill latency: HTC fetch is purely
@@ -410,7 +396,6 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 			}
 		case op.IsStore():
 			if !lanes.TakeMem() {
-				e.laneBlocked()
 				continue
 			}
 			// A load violation squashes younger entries here, dropping
@@ -418,7 +403,6 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 			e.execStore(ord, ent, now)
 		case op.IsComplex():
 			if !lanes.TakeComplex() {
-				e.laneBlocked()
 				continue
 			}
 			e.execALU(ent, now)
@@ -429,7 +413,6 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 			}
 		default:
 			if !lanes.TakeSimple() {
-				e.laneBlocked()
 				continue
 			}
 			e.execALU(ent, now)
@@ -437,20 +420,6 @@ func (e *Engine) issue(now uint64, lanes *cpu.LanePool) {
 		}
 		ent.issued = true
 		e.iq.Issue(ord, ent.doneAt)
-		if e.sched != nil {
-			// The issue extends the scan reach next cycle; the completion
-			// is the instruction's own event.
-			e.sched.MarkBusy()
-			e.sched.Post(clock.Engine, ent.doneAt)
-		}
-	}
-}
-
-// laneBlocked records a ready entry that lost lane arbitration this cycle:
-// it retries next cycle, so the next cycle may not be skipped.
-func (e *Engine) laneBlocked() {
-	if e.sched != nil {
-		e.sched.MarkBusy()
 	}
 }
 
@@ -563,10 +532,6 @@ func (e *Engine) squashFrom(ord uint64, progIdx int, now uint64) {
 	}
 	e.fetchIdx = progIdx
 	e.fetchBlockedUntil = now + e.coreCfg.FrontendLatency()
-	if e.sched != nil {
-		e.sched.MarkBusy()
-		e.sched.Post(clock.FetchResume, e.fetchBlockedUntil)
-	}
 }
 
 // tryIssueLoad resolves helper-thread memory dependences with early store
@@ -612,7 +577,6 @@ func (e *Engine) tryIssueLoad(ord uint64, ent *htEntry, now uint64, lanes *cpu.L
 		break
 	}
 	if !lanes.TakeMem() {
-		e.laneBlocked()
 		return false
 	}
 	ent.addr = addr
@@ -710,10 +674,6 @@ func (e *Engine) fetch(now uint64) {
 		// Move-injection cost for the visit's live-ins (values are read
 		// directly from the Visit Queue entry, Section V-F).
 		e.fetchBlockedUntil = now + 1 + uint64(len(e.prog.LiveInsOT)/maxInt(e.lim.FetchWidth, 1))
-		if e.sched != nil {
-			e.sched.MarkBusy()
-			e.sched.Post(clock.FetchResume, e.fetchBlockedUntil)
-		}
 		return
 	}
 	width := e.lim.FetchWidth
@@ -784,10 +744,6 @@ func (e *Engine) fetch(now uint64) {
 		e.tail = ord + 1
 		e.Stats.Fetched++
 		e.fetchIdx++
-		if e.sched != nil {
-			// The fetched entry may be scan-ready next cycle.
-			e.sched.MarkBusy()
-		}
 		if hi.IsLoopBranch {
 			// Wrap: assume taken, next iteration streams immediately
 			// (sequential HTC fetch, Section V-E).
@@ -812,9 +768,6 @@ func maxInt(a, b int) int {
 func (e *Engine) Stall(now, cycles uint64) {
 	if until := now + cycles; until > e.fetchBlockedUntil {
 		e.fetchBlockedUntil = until
-	}
-	if e.sched != nil {
-		e.sched.Post(clock.FetchResume, e.fetchBlockedUntil)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"phelps/internal/cache"
-	"phelps/internal/clock"
 	"phelps/internal/cpu"
 	"phelps/internal/emu"
 	"phelps/internal/obs"
@@ -176,11 +175,6 @@ type Controller struct {
 	cooldownUntil uint64 // no re-trigger before this cycle (start/stop amortization)
 
 	liveInScratch []uint64 // trigger-time live-in staging (values are copied into the engine)
-
-	// sched, when attached, is the machine's event scheduler: triggered
-	// engines inherit it and activations post clock.Spawn wakeups (see
-	// clock.go). nil in oracle mode.
-	sched *clock.Scheduler
 
 	now uint64
 
@@ -603,10 +597,6 @@ func (c *Controller) trigger(row *HTCRow) {
 			a.engines = append(a.engines, NewEngine(prog, qs, a.spec, a.vq, c.mem, c.hier, c.coreCfg, lim, liveIns, startAt))
 		} else {
 			a.engines[i].Reinit(prog, qs, a.spec, a.vq, c.mem, c.hier, c.coreCfg, lim, liveIns, startAt)
-		}
-		if c.sched != nil {
-			a.engines[i].AttachClock(c.sched)
-			c.sched.Post(clock.Spawn, startAt)
 		}
 	}
 	// Outer thread snapshots the inner thread's OT live-ins per visit.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"phelps/internal/cache"
-	"phelps/internal/clock"
 	"phelps/internal/emu"
 	"phelps/internal/isa"
 	"phelps/internal/obs"
@@ -114,10 +113,6 @@ type Core struct {
 	// empty fetch with no replay pending can never act again.
 	srcExhausted bool
 
-	// sched, when attached, is the machine's event scheduler: issue,
-	// dispatch, fetch, and retire post wakeups / mark busy through it (see
-	// clock.go and internal/clock). nil in oracle mode.
-	sched    *clock.Scheduler
 	fetchBuf emu.DynInst // fetch's persistent scratch; hooks get &fetchBuf, so nothing escapes per instruction
 	replay   []emu.DynInst
 	replayAt int
@@ -256,9 +251,6 @@ func (c *Core) BlockFetchUntil(cycle uint64) {
 	if cycle > c.fetchBlockedUntil {
 		c.fetchBlockedUntil = cycle
 	}
-	if c.sched != nil {
-		c.sched.Post(clock.Spawn, c.fetchBlockedUntil)
-	}
 }
 
 func (c *Core) entry(ord uint64) *robEntry { return &c.rob[ord&uint64(len(c.rob)-1)] }
@@ -316,11 +308,6 @@ func (c *Core) retire(now uint64) {
 		// any ordinal below robHead as ready, and the slot becomes
 		// recyclable once the ring wraps.
 		c.robHead++
-		if c.sched != nil {
-			// A retirement frees resources and readies consumers; anything
-			// may act next cycle.
-			c.sched.MarkBusy()
-		}
 		d := &e.d
 		op := d.Inst.Op
 		misp, fromQ := e.misp, e.fromQ
@@ -414,13 +401,6 @@ func (c *Core) skipRetire(e *robEntry, ord uint64, d *emu.DynInst) {
 
 func (c *Core) issue(now uint64, lanes *LanePool) {
 	sticky := c.faults != nil && c.faults.StickySeq != 0
-	if sticky && c.sched != nil && c.stickyOrd >= c.robHead &&
-		c.stickyOrd < c.iq.reach(c.robHead, c.robTail, c.cfg.IQScanLimit) {
-		// Injected bug: the sticky entry never issues. While it is within
-		// the scheduler's reach, keep stepping so the watchdog sees the
-		// wedge at the same cycle a stepped run would.
-		c.sched.MarkBusy()
-	}
 	c.iq.Select(c.robHead, c.robTail, now, c.cfg.IQScanLimit)
 	for ord, ok := c.iq.Next(); ok; ord, ok = c.iq.Next() {
 		e := c.entry(ord)
@@ -435,14 +415,12 @@ func (c *Core) issue(now uint64, lanes *LanePool) {
 			}
 		case op.IsStore():
 			if !lanes.TakeMem() {
-				c.laneBlocked()
 				continue
 			}
 			e.issued = true
 			e.doneAt = now + 1
 		case op.IsComplex():
 			if !lanes.TakeComplex() {
-				c.laneBlocked()
 				continue
 			}
 			e.issued = true
@@ -453,37 +431,19 @@ func (c *Core) issue(now uint64, lanes *LanePool) {
 			}
 		default:
 			if !lanes.TakeSimple() {
-				c.laneBlocked()
 				continue
 			}
 			e.issued = true
 			e.doneAt = now + 1
 		}
 		c.iq.Issue(ord, e.doneAt)
-		if c.sched != nil {
-			// The issue itself frees an IQ slot and extends the scan reach
-			// next cycle; the completion is the instruction's own event.
-			c.sched.MarkBusy()
-			c.sched.Post(clock.Complete, e.doneAt)
-		}
 		if c.trace != nil {
 			c.trace.Issue(now, e.doneAt, e.d.Seq)
 		}
 		if c.stallActive && e.d.Seq == c.stallSeq {
 			c.stallClearAt = e.doneAt
 			c.stallClearSet = true
-			if c.sched != nil {
-				c.sched.Post(clock.StallClear, e.doneAt)
-			}
 		}
-	}
-}
-
-// laneBlocked records a ready entry that lost lane arbitration this cycle:
-// it will retry next cycle, so the next cycle may not be skipped.
-func (c *Core) laneBlocked() {
-	if c.sched != nil {
-		c.sched.MarkBusy()
 	}
 }
 
@@ -504,14 +464,9 @@ func (c *Core) tryIssueLoad(e *robEntry, now uint64, lanes *LanePool) bool {
 		}
 	}
 	if dep != nil && (!dep.issued || dep.doneAt > now) {
-		// Wait for the producing store. No busy mark needed: an unissued
-		// store is bounded by its own producers' completion events (or marks
-		// busy itself when lane-blocked), and an issued store completes at
-		// now+1, which only holds on its own issue cycle — a busy cycle.
-		return false
+		return false // wait for the producing store
 	}
 	if !lanes.TakeMem() {
-		c.laneBlocked()
 		return false
 	}
 	e.issued = true
@@ -556,9 +511,6 @@ func (c *Core) dispatch(now uint64) {
 	for c.frontTail > c.frontHead {
 		fe := &c.front[c.frontHead&uint64(len(c.front)-1)]
 		if fe.readyAt > now {
-			if c.sched != nil {
-				c.sched.Post(clock.Decode, fe.readyAt)
-			}
 			break
 		}
 		op := fe.d.Inst.Op
@@ -616,11 +568,6 @@ func (c *Core) dispatch(now uint64) {
 			c.storeTail++
 		}
 		c.robTail = ord + 1
-		if c.sched != nil {
-			// The dispatched entry may be ready to issue next cycle (its
-			// producers may already have retired).
-			c.sched.MarkBusy()
-		}
 		if c.trace != nil {
 			c.trace.Dispatch(now, d.Seq)
 		}
@@ -704,11 +651,6 @@ func (c *Core) fetch(now uint64) {
 			endGroup = true // taken-redirect ends the fetch group
 		}
 		c.frontTail++
-		if c.sched != nil {
-			// Dispatch examines (and bounds) the new frontend head next
-			// cycle; fetch itself may also continue.
-			c.sched.MarkBusy()
-		}
 		if c.trace != nil {
 			c.trace.Fetch(now, &fe.d)
 		}
@@ -764,10 +706,4 @@ func (c *Core) SquashAll(now uint64) {
 	c.stallClearSet = false
 	c.lastFetchLine = ^uint64(0)
 	c.fetchBlockedUntil = now + c.cfg.FrontendLatency()
-	if c.sched != nil {
-		// Refetch resumes after the refill penalty; events posted for the
-		// squashed instructions go stale and fire spuriously (harmless).
-		c.sched.MarkBusy()
-		c.sched.Post(clock.FetchResume, c.fetchBlockedUntil)
-	}
 }

@@ -25,6 +25,9 @@ import (
 // NoOrd marks an absent producer ordinal.
 const NoOrd = ^uint64(0)
 
+// InfCycle is a cycle that never comes: the timestamp of "not scheduled".
+const InfCycle = ^uint64(0)
+
 // MaxSrcs is the number of producers an entry can wait on: two register
 // sources and, on a helper thread, a predicate source.
 const MaxSrcs = 3

@@ -13,9 +13,9 @@ import (
 // ready — is kept here as the reference. Both models drive identical random
 // windows (dependence graphs, latencies, lane budgets, scheduler reaches
 // below the window size, entries that wait on older store-like entries,
-// squashes in the middle of select, ring growth, and jumps of the clock over
-// idle spans as the event-driven clock makes) and must issue the same
-// entries in the same order with the same completion cycles.
+// squashes in the middle of select, ring growth, and jumps of the clock such
+// as a helper engine's first Select after its index is reset) and must issue
+// the same entries in the same order with the same completion cycles.
 
 // refEntry is one window entry of the random model.
 type refEntry struct {

@@ -76,16 +76,6 @@ func (c *Collector) MaybeSample(cycles uint64) {
 	}
 }
 
-// NextSampleAt returns the cycle count at which the next interval sample is
-// due, or 0 when sampling is disabled. The event-driven simulation loop
-// clamps cycle skips so MaybeSample still observes every boundary.
-func (c *Collector) NextSampleAt() uint64 {
-	if c.Interval == 0 {
-		return 0
-	}
-	return c.nextAt
-}
-
 // Finish takes a final partial sample if the run progressed past the last
 // boundary. sim.Run calls it when the run ends.
 func (c *Collector) Finish(cycles uint64) {

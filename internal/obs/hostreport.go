@@ -17,9 +17,9 @@ import (
 // warm_speedup), each with a geomean summary row.
 //
 // Schema 5 renamed event_skip.* to event_queue.* when the clock moved from
-// polled NextEvent bounds to the calendar event queue (internal/clock), and
-// added event_queue.quick_matrix: the full quick Fig. 12a matrix end to end,
-// event-driven over forced per-cycle stepping, as speedup.
+// polled NextEvent bounds to a calendar event queue, and added
+// event_queue.quick_matrix. The event_queue.* entries were dropped when the
+// simulator went back to stepping every cycle.
 //
 // Schema 6 added the optional note field (free-text caveat attached to an
 // entry, so honest misses are explained in the artifact itself) and the
@@ -51,14 +51,13 @@ type HostBenchReport struct {
 // HostBenchEntry is one measurement. Pipeline-level entries report
 // sim_inst_per_sec and allocs_per_sim_inst; memory-primitive entries report
 // ns_per_op and allocs_per_op; sampled-vs-full entries additionally report
-// speedup (full wall-clock / sampled wall-clock); event_queue entries report
-// speedup (event-driven sim-inst/s over forced per-cycle stepping) and
-// skip_ratio (skipped cycles / total cycles); sampled_parallel entries report
-// speedup (warm serial wall-clock / warm 8-worker wall-clock); ckpt_cache
-// entries report warm_speedup (cold first-run wall-clock, which pays the
-// profile + checkpoint passes, over the warm cached re-run). Unused fields
-// are omitted. Note carries a free-text caveat when a number needs context
-// to be read honestly (e.g. a below-1× speedup measured on a 1-core host).
+// speedup (full wall-clock / sampled wall-clock); sampled_parallel entries
+// report speedup (warm serial wall-clock / warm 8-worker wall-clock);
+// ckpt_cache entries report warm_speedup (cold first-run wall-clock, which
+// pays the profile + checkpoint passes, over the warm cached re-run); the
+// explore.triage entry reports skip_ratio. Unused fields are omitted. Note
+// carries a free-text caveat when a number needs context to be read honestly
+// (e.g. a below-1× speedup measured on a 1-core host).
 type HostBenchEntry struct {
 	Name             string  `json:"name"`
 	SimInstPerSec    float64 `json:"sim_inst_per_sec,omitempty"`

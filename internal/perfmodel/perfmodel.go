@@ -17,10 +17,10 @@
 // any GOMAXPROCS — serializes to byte-identical bytes, which the
 // determinism tests assert.
 //
-// Serialization follows the checkpoint-cache idiom (sim.CkptCache): a
-// magic, a schema version, the full model body, and a trailing whole-file
-// FNV-1a checksum. Truncation, corruption, or version skew decode to an
-// error, never a panic and never a silently wrong model.
+// Append serializes a model: a magic, a schema version, the full model body,
+// and a trailing FNV-1a checksum. The bytes are what the determinism tests
+// compare and what sim.RunExplore reports as the model's size; no model is
+// written to or read from disk, so there is no decoder.
 package perfmodel
 
 import (
@@ -31,8 +31,7 @@ import (
 	"phelps/internal/codec"
 )
 
-// modelSchema versions the serialized format; bump on any layout change and
-// old blobs decode to an error.
+// modelSchema versions the serialized format; bump on any layout change.
 const modelSchema = 1
 
 // modelMagic identifies model blobs ("PPM1").
@@ -380,8 +379,7 @@ func bestSplit(xs [][]float64, resid []float64, rows []int, minLeaf int) (feat i
 }
 
 // Append serializes the model (magic, schema, config, features, both
-// ensembles, trailing whole-blob FNV-1a checksum), mirroring the checkpoint
-// cache's artifact format.
+// ensembles, trailing whole-blob FNV-1a checksum).
 func (m *Model) Append(b []byte) []byte {
 	start := len(b)
 	b = codec.U32(b, modelMagic)
@@ -413,90 +411,4 @@ func (m *Model) Append(b []byte) []byte {
 		}
 	}
 	return codec.Seal(b, start)
-}
-
-// Decode parses and validates a serialized model: checksum, magic, schema,
-// and structural bounds (feature indices and child links in range). Any
-// failure is an error — never a panic, never a silently wrong model.
-func Decode(b []byte) (*Model, error) {
-	body, err := codec.Unseal(b)
-	if err != nil {
-		return nil, fmt.Errorf("perfmodel: model blob: %w", err)
-	}
-	r := codec.NewReader(body)
-	if m := r.U32(); m != modelMagic {
-		return nil, fmt.Errorf("perfmodel: model magic %#x", m)
-	}
-	if v := r.U32(); v != modelSchema {
-		return nil, fmt.Errorf("perfmodel: model schema %d, want %d", v, modelSchema)
-	}
-	m := &Model{}
-	m.cfg.Rounds = int(r.U32())
-	m.cfg.Depth = int(r.U32())
-	m.cfg.LearnRate = r.F64()
-	m.cfg.MinLeaf = int(r.U32())
-	m.cfg.Subsample = r.F64()
-	m.cfg.Seed = r.U64()
-	nf := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nf <= 0 || nf > 1<<16 {
-		return nil, fmt.Errorf("perfmodel: model declares %d features", nf)
-	}
-	m.Features = make([]string, nf)
-	for i := range m.Features {
-		m.Features[i] = string(r.Bytes(int(r.U32())))
-	}
-	for _, e := range []*ensemble{&m.ipc, &m.mpki} {
-		e.base = r.F64()
-		nt := int(r.U32())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if nt < 0 || nt > 1<<20 {
-			return nil, fmt.Errorf("perfmodel: model declares %d trees", nt)
-		}
-		e.trees = make([]tree, nt)
-		for ti := range e.trees {
-			nn := int(r.U32())
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if nn <= 0 || nn > 1<<20 {
-				return nil, fmt.Errorf("perfmodel: tree %d declares %d nodes", ti, nn)
-			}
-			nodes := make([]node, nn)
-			for i := range nodes {
-				n := &nodes[i]
-				n.feat = int32(r.I64())
-				n.thresh = r.F64()
-				n.left = int32(r.I64())
-				n.right = int32(r.I64())
-				n.value = r.F64()
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				if n.feat >= 0 {
-					if int(n.feat) >= nf {
-						return nil, fmt.Errorf("perfmodel: tree %d node %d splits on feature %d of %d", ti, i, n.feat, nf)
-					}
-					if n.left < 0 || int(n.left) >= nn || n.right < 0 || int(n.right) >= nn {
-						return nil, fmt.Errorf("perfmodel: tree %d node %d child out of range", ti, i)
-					}
-					// build appends parent before either subtree, so both
-					// children of a valid tree point forward; a backward link
-					// would let eval loop forever.
-					if n.left <= int32(i) || n.right <= int32(i) {
-						return nil, fmt.Errorf("perfmodel: tree %d node %d links backward (cycle)", ti, i)
-					}
-				}
-			}
-			e.trees[ti] = tree{nodes: nodes}
-		}
-	}
-	if err := r.Expect(0); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

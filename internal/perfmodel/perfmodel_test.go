@@ -52,22 +52,6 @@ func TestTrainRoundTripAndQuality(t *testing.T) {
 	if mape := errSum / float64(n) * 100; mape > 5 {
 		t.Errorf("holdout IPC MAPE = %.2f%%, want < 5%%", mape)
 	}
-
-	// Round trip: decode(append) predicts identically and re-encodes to the
-	// same bytes.
-	blob := m.Append(nil)
-	m2, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range hold {
-		if m.PredictIPC(s.X) != m2.PredictIPC(s.X) || m.PredictMPKI(s.X) != m2.PredictMPKI(s.X) {
-			t.Fatal("decoded model predicts differently")
-		}
-	}
-	if !bytes.Equal(blob, m2.Append(nil)) {
-		t.Error("re-encoded model differs from original bytes")
-	}
 }
 
 // TestTrainDeterministic is the satellite determinism gate: the same anchor
@@ -139,33 +123,6 @@ func TestTrainDeterministicAcrossMapOrders(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	m, err := Train(synth(40), testFeatures, Config{Rounds: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := m.Append(nil)
-	if _, err := Decode(blob); err != nil {
-		t.Fatalf("clean blob: %v", err)
-	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"tiny":         func(b []byte) []byte { return b[:4] },
-		"bit flip":     func(b []byte) []byte { b[len(b)/3] ^= 0x40; return b },
-		"magic":        func(b []byte) []byte { b[0] ^= 0xFF; return b },
-		"trailing":     func(b []byte) []byte { return append(b, 0) },
-		"checksum":     func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
-		"empty":        func([]byte) []byte { return nil },
-		"schema skew":  func(b []byte) []byte { b[4] ^= 0x02; return b },
-		"node feature": func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b },
-	} {
-		bad := mutate(append([]byte(nil), blob...))
-		if _, err := Decode(bad); err == nil {
-			t.Errorf("%s: corrupted blob decoded without error", name)
-		}
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	if _, err := Train(nil, testFeatures, Config{}); err == nil {
 		t.Error("empty sample set should error")
@@ -227,9 +184,6 @@ func TestAdjacentFloatSplit(t *testing.T) {
 	m, err := Train(samples, []string{"f"}, Config{Rounds: 1, Depth: 1, LearnRate: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Decode(m.Append(nil)); err != nil {
-		t.Fatalf("model with adjacent-float split does not round-trip: %v", err)
 	}
 	lo, hi := m.PredictIPC([]float64{v1}), m.PredictIPC([]float64{2.0})
 	if !(lo < hi) {

@@ -2,7 +2,6 @@ package runahead
 
 import (
 	"phelps/internal/cache"
-	"phelps/internal/clock"
 	"phelps/internal/core"
 	"phelps/internal/cpu"
 	"phelps/internal/emu"
@@ -55,17 +54,8 @@ type Controller struct {
 	epochInsts  uint64
 	now         uint64
 
-	// sched, when attached, is the machine's event scheduler: the chain
-	// engine inherits it at trigger and activations post clock.Spawn
-	// wakeups (see internal/clock). nil in oracle mode.
-	sched *clock.Scheduler
-
 	Stats Stats
 }
-
-// AttachClock stores a machine's event scheduler on the controller (nil
-// keeps the polled-mode silence; every posting site is nil-guarded).
-func (c *Controller) AttachClock(s *clock.Scheduler) { c.sched = s }
 
 // NewController builds a Branch Runahead controller.
 func NewController(cfg Config, coreCfg cpu.Config, mem *emu.Memory, hier *cache.Hierarchy) *Controller {
@@ -343,10 +333,6 @@ func (c *Controller) trigger() {
 	}
 	c.engine = c.enginePool
 	c.queues.engine = c.engine
-	if c.sched != nil {
-		c.engine.AttachClock(c.sched)
-		c.sched.Post(clock.Spawn, startAt)
-	}
 }
 
 func (c *Controller) terminate() {
@@ -363,12 +349,4 @@ func (c *Controller) terminate() {
 	if !c.cfg.StaticPartition {
 		c.mt.SetLimits(c.coreCfg.FullLimits())
 	}
-}
-
-// SkipCycles bulk-accounts an event-free span for the chain engine.
-func (c *Controller) SkipCycles(from, n uint64) {
-	if c.engine == nil || c.engine.Done() {
-		return
-	}
-	c.engine.SkipCycles(from, n)
 }

@@ -21,7 +21,10 @@ package serve
 // Degradation: journal I/O failures (ENOSPC, torn writes, bit-rot) are
 // counted (serve.journal.errors) and never crash or block serving — the
 // daemon degrades to the pre-journal in-memory behavior, visible to
-// operators via /v1/healthz.
+// operators via /v1/healthz. An accept record for a job larger than the
+// server's MaxCellsPerJob (which Submit never admits, so only corruption or
+// a hand-written file produces one) is dropped and counted the same way,
+// before anything is sized by it.
 
 import (
 	"encoding/json"
@@ -123,8 +126,9 @@ type ResumedJob struct {
 // concurrent use; appends are serialized under one mutex (they are small
 // compared to the cells they describe).
 type Journal struct {
-	fs   fsio.FS
-	path string
+	fs       fsio.FS
+	path     string
+	maxCells int // cells per job; a larger replayed accept is dropped
 
 	mu        sync.Mutex
 	f         fsio.File // nil if the file could not be (re)opened — degraded
@@ -141,13 +145,15 @@ type Journal struct {
 
 // OpenJournal opens (or creates) the journal under dir, replays any existing
 // records, and compacts the file down to its live jobs — dropping completed
-// entries and any torn tail. The returned journal is usable even when the
-// directory is unwritable; appends then degrade to counted errors.
-func OpenJournal(fs fsio.FS, dir string) *Journal {
+// entries, any torn tail, and jobs of more than maxCells cells. The returned
+// journal is usable even when the directory is unwritable; appends then
+// degrade to counted errors.
+func OpenJournal(fs fsio.FS, dir string, maxCells int) *Journal {
 	if fs == nil {
 		fs = fsio.OS
 	}
-	j := &Journal{fs: fs, path: filepath.Join(dir, journalFile), live: make(map[string]*jjob)}
+	j := &Journal{fs: fs, path: filepath.Join(dir, journalFile), maxCells: maxCells,
+		live: make(map[string]*jjob)}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		j.errs.Add(1)
 	}
@@ -202,15 +208,22 @@ func (j *Journal) replay() {
 }
 
 // apply folds one replayed record into the live map. Records for unknown
-// jobs (their accept was compacted away or lost) are ignored.
+// jobs (their accept was compacted away, lost, or dropped as oversize) are
+// ignored.
 func (j *Journal) apply(rec *journalRecord) {
 	switch rec.Kind {
 	case recAccept:
 		if rec.Req == nil || rec.Job == "" {
 			return
 		}
-		jb := &jjob{id: rec.Job, req: *rec.Req,
-			cells: make([]jcell, len(rec.Req.Workloads)*len(rec.Req.Configs))}
+		// Both lengths are bounded by the record size, so the product
+		// cannot overflow.
+		n := len(rec.Req.Workloads) * len(rec.Req.Configs)
+		if n > j.maxCells {
+			j.errs.Add(1)
+			return
+		}
+		jb := &jjob{id: rec.Job, req: *rec.Req, cells: make([]jcell, n)}
 		for i := range jb.cells {
 			jb.cells[i].state = CellPending
 		}

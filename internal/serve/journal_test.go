@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -8,9 +10,14 @@ import (
 	"strings"
 	"testing"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 	"phelps/internal/sim"
 )
+
+// testMaxCells is the per-job cell bound the journal tests open with: the
+// daemon's default MaxCellsPerJob.
+const testMaxCells = 1024
 
 func twoCellReq() JobRequest {
 	return JobRequest{Workloads: []string{"guarded", "delinquent"}, Configs: []string{sim.CfgBase}, Quick: true}
@@ -24,7 +31,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	req := twoCellReq()
 
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000007", req)
 	j.Cell("j-000007", 0, CellRunning, 1, "", false)
 	j.Cell("j-000007", 0, CellDone, 1, "", false)
@@ -33,7 +40,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	j2 := OpenJournal(fsio.OS, dir)
+	j2 := OpenJournal(fsio.OS, dir, testMaxCells)
 	resumed := j2.Resumed()
 	if len(resumed) != 1 {
 		t.Fatalf("resumed %d jobs, want 1", len(resumed))
@@ -55,7 +62,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	j3 := OpenJournal(fsio.OS, dir)
+	j3 := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j3.Close()
 	if got := j3.Resumed(); len(got) != 0 {
 		t.Errorf("completed job survived compaction: %+v", got)
@@ -68,7 +75,7 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestJournalTornTail(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
 	j.Cell("j-000001", 0, CellRunning, 1, "", false)
 	if err := j.Close(); err != nil {
@@ -84,7 +91,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	j2 := OpenJournal(fsio.OS, dir)
+	j2 := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j2.Close()
 	if j2.Truncated() == 0 {
 		t.Error("torn tail not counted as truncated")
@@ -94,7 +101,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatalf("records before the tear lost: %+v", resumed)
 	}
 	// Boot compaction rewrote the file; a third open replays cleanly.
-	j3 := OpenJournal(fsio.OS, dir)
+	j3 := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j3.Close()
 	if j3.Truncated() != 0 {
 		t.Errorf("compaction left a torn tail behind (truncated=%d)", j3.Truncated())
@@ -109,7 +116,7 @@ func TestJournalGarbageFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j.Close()
 	if j.Errors() == 0 {
 		t.Error("garbage header not counted as an error")
@@ -121,7 +128,7 @@ func TestJournalGarbageFile(t *testing.T) {
 	if st := j.Stats(); st.Degraded {
 		t.Errorf("journal degraded after garbage file: %+v", st)
 	}
-	j2 := OpenJournal(fsio.OS, dir)
+	j2 := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j2.Close()
 	if got := j2.Resumed(); len(got) != 1 {
 		t.Errorf("accept after garbage recovery not replayed: %d jobs", len(got))
@@ -135,7 +142,7 @@ func TestJournalDiskFaults(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &fsio.FaultFS{}
 	ffs.FailWrites(fsio.ErrNoSpace)
-	j := OpenJournal(ffs, dir)
+	j := OpenJournal(ffs, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
 	j.Cell("j-000001", 0, CellDone, 1, "", false)
 	if j.Errors() == 0 {
@@ -148,7 +155,7 @@ func TestJournalDiskFaults(t *testing.T) {
 	j.Close()
 
 	ffs.FailWrites(nil)
-	j2 := OpenJournal(ffs, dir)
+	j2 := OpenJournal(ffs, dir, testMaxCells)
 	defer j2.Close()
 	if got := j2.Resumed(); len(got) != 0 {
 		t.Errorf("ENOSPC journal resumed phantom jobs: %+v", got)
@@ -169,7 +176,7 @@ func TestServerResumesJournaledJob(t *testing.T) {
 	dir := t.TempDir()
 	req := twoCellReq()
 
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000003", req)
 	j.Cell("j-000003", 0, CellRunning, 1, "", false)
 	j.Cell("j-000003", 1, CellFailed, 1, "sim: verification failed", true)
@@ -214,7 +221,7 @@ func TestServerResumesJournaledJob(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	j2 := OpenJournal(fsio.OS, dir)
+	j2 := OpenJournal(fsio.OS, dir, testMaxCells)
 	defer j2.Close()
 	if got := j2.Resumed(); len(got) != 0 {
 		t.Errorf("terminal jobs survived in journal: %+v", got)
@@ -242,7 +249,7 @@ func TestResumedJobBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000001", JobRequest{Workloads: workloads, Configs: configs, Quick: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -280,7 +287,7 @@ func TestJournalFormatPinned(t *testing.T) {
 		"3432222c2263656c6c223a312c227374617465223a2272756e6e696e67222c22" +
 		"617474656d7074223a317de0c2dededf5dfa72"
 	dir := t.TempDir()
-	j := OpenJournal(fsio.OS, dir)
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000042", JobRequest{Workloads: []string{"bfs"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true, Seed: 9})
 	j.Cell("j-000042", 1, CellRunning, 1, "", false)
 	if err := j.Close(); err != nil {
@@ -298,8 +305,92 @@ func TestJournalFormatPinned(t *testing.T) {
 	}
 	check("appended")
 	// Reopening replays the file and rewrites it through compaction.
-	if err := OpenJournal(fsio.OS, dir).Close(); err != nil {
+	if err := OpenJournal(fsio.OS, dir, testMaxCells).Close(); err != nil {
 		t.Fatal(err)
 	}
 	check("compacted")
+}
+
+// writeJournal writes a journal file holding the header and one sealed frame
+// per payload, framed exactly as the journal appends them.
+func writeJournal(t *testing.T, dir string, payloads ...[]byte) {
+	t.Helper()
+	data := codec.U32(codec.U32(nil, journalMagic), journalSchema)
+	for _, p := range payloads {
+		data = codec.U32(data, uint32(len(p)))
+		start := len(data)
+		data = codec.Seal(append(data, p...), start)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalOversizeAccept boots a daemon over a 320 KB journal holding one
+// correctly sealed accept for 40,000 workloads × 40,000 configs (1.6e9
+// cells). The journal must drop the job before sizing anything by it and
+// count it in serve.journal.errors; the daemon comes up with nothing to
+// resume.
+func TestJournalOversizeAccept(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	names := make([]string, 40_000)
+	for i := range names {
+		names[i] = "a"
+	}
+	accept, err := json.Marshal(journalRecord{Kind: recAccept, Job: "j-000001",
+		Req: &JobRequest{Workloads: names, Configs: names}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir, accept)
+
+	s, _ := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	for name, want := range map[string]uint64{
+		"serve.journal.replayed":     1,
+		"serve.journal.errors":       1,
+		"serve.journal.resumed_jobs": 0,
+	} {
+		if got, _ := s.Registry().CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if st := s.journal.Stats(); st.LiveJobs != 0 {
+		t.Errorf("live jobs = %d, want 0", st.LiveJobs)
+	}
+}
+
+// fuzzMaxCells is the cell bound FuzzJournalReplay opens its journals with,
+// small so that a few bytes of request can exceed it.
+const fuzzMaxCells = 16
+
+// FuzzJournalReplay: each line of the fuzzed input is one record payload,
+// sealed and framed as the journal writes it, so inputs get past the
+// checksum to the record decoder and the replay logic. Any file must open:
+// every frame either replays or stops the replay as a counted truncation,
+// and every resumed job has one cell per (workload, config) pair and no
+// more than the bound. The committed corpus holds a job with cell
+// transitions, a completed job, an accept over the bound, and a record
+// that is not JSON between two good ones.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var payloads [][]byte
+		for _, p := range bytes.Split(in, []byte("\n")) {
+			if len(p) > 0 {
+				payloads = append(payloads, p)
+			}
+		}
+		dir := t.TempDir()
+		writeJournal(t, dir, payloads...)
+		j := OpenJournal(fsio.OS, dir, fuzzMaxCells)
+		defer j.Close()
+		if n := uint64(len(payloads)); j.Replayed() != n && (j.Truncated() != 1 || j.Replayed() >= n) {
+			t.Fatalf("%d frames: %d replayed, %d truncated", n, j.Replayed(), j.Truncated())
+		}
+		for _, rj := range j.Resumed() {
+			if n := len(rj.Req.Workloads) * len(rj.Req.Configs); len(rj.Cells) != n || n > fuzzMaxCells {
+				t.Fatalf("job %s resumed with %d cells for %d, bound %d", rj.ID, len(rj.Cells), n, fuzzMaxCells)
+			}
+		}
+	})
 }

@@ -163,7 +163,7 @@ func NewServer(cfg Config) *Server {
 		s.ckpts = sim.NewCkptCacheFS(cfg.CkptDir, fs)
 	}
 	if cfg.JournalDir != "" {
-		s.journal = OpenJournal(fs, cfg.JournalDir)
+		s.journal = OpenJournal(fs, cfg.JournalDir, cfg.MaxCellsPerJob)
 	}
 	s.registerObs()
 	s.routes()
@@ -731,8 +731,10 @@ func (s *Server) resumeJob(rj ResumedJob) {
 	}
 
 	// Rebuild the cell matrix in the same cross-product order the journal
-	// indexed it with, folding in each cell's journaled state.
-	cells := make([]*Cell, 0, len(req.Workloads)*len(req.Configs))
+	// indexed it with, folding in each cell's journaled state. The journal
+	// sized rj.Cells to the cross product after bounding it by
+	// MaxCellsPerJob.
+	cells := make([]*Cell, 0, len(rj.Cells))
 	cold := 0
 	for _, w := range req.Workloads {
 		for _, cn := range req.Configs {

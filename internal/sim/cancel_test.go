@@ -28,6 +28,20 @@ func TestRunCtxPreCanceled(t *testing.T) {
 // carrying the cause.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	t.Parallel()
+	cancelMidRun(t, DefaultConfig())
+}
+
+// The cancellation poll shares the watchdog's every-1024-cycles slot but not
+// its switch: a run with the watchdog off must still stop when canceled.
+func TestRunCtxCancelWithoutWatchdog(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	cfg.StallCycles = NoStallWatchdog
+	cancelMidRun(t, cfg)
+}
+
+func cancelMidRun(t *testing.T, cfg Config) {
+	t.Helper()
 	cause := errors.New("client hung up")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	type out struct {
@@ -41,7 +55,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	go func() {
 		// The full-size chase workload runs for seconds; cancellation should
 		// cut that to milliseconds.
-		res, err := RunCtx(ctx, w, DefaultConfig())
+		res, err := RunCtx(ctx, w, cfg)
 		done <- out{res, err}
 	}()
 	time.Sleep(30 * time.Millisecond)

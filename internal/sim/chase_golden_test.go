@@ -9,8 +9,7 @@ import (
 // Cycle-exactness pin for the memory-bound chase cells: chase and
 // chase_nested at full size under base and phelps, Table III settings — the
 // cells the chase_mem host benchmark times. The quick-matrix golden does not
-// cover them, and the event-queue tests run a shrunken chase under a harder
-// memory system, so without this pin a host-speed change to the core or the
+// cover them, so without this pin a host-speed change to the core or the
 // helper-thread engines could move these cells unnoticed. Regenerate
 // deliberately with:
 //
@@ -21,14 +20,13 @@ import (
 const chaseGoldenPath = "testdata/golden_chase.json"
 
 type chaseCell struct {
-	Workload      string `json:"workload"`
-	Config        string `json:"config"`
-	Cycles        uint64 `json:"cycles"`
-	Retired       uint64 `json:"retired"`
-	Mispredicts   uint64 `json:"mispredicts"`
-	QueuePreds    uint64 `json:"queue_preds"`
-	HTRetired     uint64 `json:"ht_retired"`
-	SkippedCycles uint64 `json:"skipped_cycles"`
+	Workload    string `json:"workload"`
+	Config      string `json:"config"`
+	Cycles      uint64 `json:"cycles"`
+	Retired     uint64 `json:"retired"`
+	Mispredicts uint64 `json:"mispredicts"`
+	QueuePreds  uint64 `json:"queue_preds"`
+	HTRetired   uint64 `json:"ht_retired"`
 }
 
 type chaseGoldenFile struct {
@@ -65,7 +63,6 @@ func TestChaseMemGolden(t *testing.T) {
 				Workload: s.Name, Config: c,
 				Cycles: r.Cycles, Retired: r.Retired, Mispredicts: r.Mispredicts,
 				QueuePreds: r.QueuePreds, HTRetired: r.Phelps.HTRetired,
-				SkippedCycles: r.SkippedCycles,
 			})
 		}
 	}

@@ -225,13 +225,10 @@ type Matrix map[string]map[string]Result
 // MatrixOptions steers RunMatrixOpt's verification and fault containment.
 // The zero value reproduces plain RunMatrix behavior.
 type MatrixOptions struct {
-	// Checks/Lockstep/ForceStep/StallCycles apply the corresponding Config
-	// knobs to every cell (see Config). ForceStep pins the per-cycle oracle
-	// mode — no event scheduler is attached — which host benchmarks use as
-	// the stepped baseline for the event-queue speedup.
+	// Checks/Lockstep/StallCycles apply the corresponding Config knobs to
+	// every cell (see Config).
 	Checks      bool
 	Lockstep    bool
-	ForceStep   bool
 	StallCycles uint64
 
 	// CrashDir receives minimized crash reports for panicking cells. Empty
@@ -283,7 +280,6 @@ func RunCellCtx(ctx context.Context, s Spec, cfgName string, opt MatrixOptions) 
 func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt MatrixOptions) (res Result, err error) {
 	cfg.Checks = opt.Checks
 	cfg.Lockstep = opt.Lockstep
-	cfg.ForceStep = cfg.ForceStep || opt.ForceStep
 	if opt.StallCycles != 0 {
 		cfg.StallCycles = opt.StallCycles
 	}

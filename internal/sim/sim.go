@@ -18,7 +18,6 @@ import (
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
 	"phelps/internal/check"
-	"phelps/internal/clock"
 	"phelps/internal/core"
 	"phelps/internal/cpu"
 	"phelps/internal/emu"
@@ -137,16 +136,8 @@ type Config struct {
 	// Checks enables the microarchitectural invariant audit: the cheap
 	// structural checks every cycle and the deep occupancy recount (plus the
 	// Phelps partition-quota audit) every 256 cycles. A violation stops the
-	// run with a wrapped ErrCheck. Zero overhead when false. Checks forces
-	// per-cycle stepping (the audit wants to see every cycle), so it also
-	// implies ForceStep.
+	// run with a wrapped ErrCheck. Zero overhead when false.
 	Checks bool
-
-	// ForceStep disables event-driven cycle skipping (DESIGN.md ·
-	// Event-driven clock), executing every cycle even when the machine can
-	// prove a span is event-free. Results are identical either way; this
-	// exists for A/B validation and host-performance comparison.
-	ForceStep bool
 
 	// Lockstep enables the differential retirement oracle: an independent
 	// reference emulator replays the program alongside the timing run and
@@ -200,10 +191,6 @@ type Result struct {
 	// TimedOut reports that the run hit Config.MaxCycles before halting
 	// (the returned error wraps ErrLivelock with the detail).
 	TimedOut bool
-	// SkippedCycles counts cycles the event-driven clock proved event-free
-	// and bulk-accounted instead of executing (0 under ForceStep/Checks).
-	// They are included in Cycles; the ratio is the host-time win.
-	SkippedCycles uint64
 
 	Phelps   core.Stats
 	Runahead runahead.Stats
@@ -313,16 +300,10 @@ type machine struct {
 	lastRetired  uint64
 	lastProgress uint64
 
-	// Event-driven clock state (DESIGN.md · Event-driven clock). sched is
-	// the machine's calendar event queue; nil in oracle mode
-	// (ForceStep/Checks), where every cycle steps.
-	sched   *clock.Scheduler
-	skipped uint64 // cycles bulk-accounted instead of executed
-
 	// done, when non-nil, is the run context's Done channel; the cycle loop
-	// polls it alongside the watchdog so a canceled run stops within ~1k
-	// stepped cycles (runCanceled). nil — context.Background — costs one nil
-	// test per poll.
+	// polls it alongside the watchdog, so a canceled run stops within 1024
+	// cycles (runCanceled). nil — context.Background — costs one nil test
+	// per poll.
 	done <-chan struct{}
 
 	failure error // first stall/check failure diagnosis (runStalled/runCheckFailed)
@@ -399,21 +380,6 @@ func newMachine(cfg Config, mem *emu.Memory, e *emu.Emulator, pred bpred.Predict
 	if cfg.Faults != nil {
 		m.mt.InjectFaults(cfg.Faults)
 	}
-	// Event-driven clock: attach one scheduler to every timing component
-	// unless the run wants the per-cycle oracle mode (Checks implies
-	// ForceStep: the invariant audit sees every cycle). Components post
-	// wakeups through it; the driver loop pops and jumps.
-	if !cfg.ForceStep && !cfg.Checks {
-		m.sched = clock.New()
-		m.mt.AttachClock(m.sched)
-		hier.AttachClock(m.sched)
-		if m.ctrl != nil {
-			m.ctrl.AttachClock(m.sched)
-		}
-		if m.bra != nil {
-			m.bra.AttachClock(m.sched)
-		}
-	}
 	return m
 }
 
@@ -435,83 +401,16 @@ func (m *machine) registerObs(o *obs.Collector) {
 	if o.Trace != nil {
 		m.mt.SetTracer(o.Trace)
 	}
-	s := o.Registry.Scope("sim")
-	s.Counter("skipped_cycles", func() uint64 { return m.skipped })
-	s.Gauge("skip_ratio", func() float64 {
-		if c := m.mt.Stats.Cycles; c > 0 {
-			return float64(m.skipped) / float64(c)
-		}
-		return 0
-	})
-	// Event-queue counters: attempts (quiescent-cycle pops), fired
-	// (successful pops), posted/stale (queue churn), and skipped (cycles
-	// jumped). All zero in oracle mode (no scheduler attached).
-	cs := o.Registry.Scope("clock")
-	sched := func() *clock.Scheduler { return m.sched }
-	cs.Counter("attempts", func() uint64 {
-		if s := sched(); s != nil {
-			return s.Attempts
-		}
-		return 0
-	})
-	cs.Counter("fired", func() uint64 {
-		if s := sched(); s != nil {
-			return s.Fired
-		}
-		return 0
-	})
-	cs.Counter("posted", func() uint64 {
-		if s := sched(); s != nil {
-			return s.Posted
-		}
-		return 0
-	})
-	cs.Counter("stale", func() uint64 {
-		if s := sched(); s != nil {
-			return s.Stale
-		}
-		return 0
-	})
-	cs.Counter("skipped", func() uint64 { return m.skipped })
 }
 
-// skipCycles bulk-accounts n event-free cycles starting at from on every
-// per-cycle counter a stepped loop would have touched.
-func (m *machine) skipCycles(from, n uint64) {
-	m.mt.SkipCycles(n)
-	if m.ctrl != nil {
-		m.ctrl.SkipCycles(from, n)
-	} else if m.bra != nil {
-		m.bra.SkipCycles(from, n)
-	}
-	m.skipped += n
-}
-
-// run advances the cycle loop until the core halts, maxInsts instructions
-// have retired (0 = unbounded), now reaches maxCycles, the forward-progress
-// watchdog fires, or a verification check fails (the latter two leave the
-// diagnosis in m.failure). The clock (m.now) persists across calls, so
-// sampled runs chain warmup and measurement phases on one machine.
+// run advances the cycle loop, executing every cycle, until the core
+// halts, maxInsts instructions have retired (0 = unbounded), now reaches
+// maxCycles, the forward-progress watchdog fires, a verification check
+// fails (the latter two leave the diagnosis in m.failure), or the run
+// context is canceled. The clock (m.now) persists across calls, so sampled
+// runs chain warmup and measurement phases on one machine.
 func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
-	// queued is true when the machine carries an event scheduler (newMachine
-	// attaches one unless ForceStep or Checks pin the per-cycle oracle mode).
-	// Components post their wakeups as first-class events during Cycle; the
-	// tail of each iteration pops the next event and jumps straight to it.
-	queued := m.sched != nil
-	var iters uint64 // loop iterations, for the cancellation poll
 	for ; ; m.now++ {
-		// Cancellation poll, counted in loop iterations rather than cycles so
-		// the latency stays wall-clock-bounded even when the event-driven
-		// clock is jumping thousands of cycles per iteration.
-		if m.done != nil {
-			if iters++; iters&1023 == 0 {
-				select {
-				case <-m.done:
-					return runCanceled
-				default:
-				}
-			}
-		}
 		if m.mt.Halted() {
 			return runDone
 		}
@@ -520,9 +419,6 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 		}
 		if m.now >= maxCycles {
 			return runTimeout
-		}
-		if queued {
-			m.sched.NewCycle(m.now)
 		}
 		m.lanes.Reset(m.cfg.Core)
 		// The IQ and lanes are flexibly shared (Section IV-A). Helper
@@ -543,18 +439,6 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 		}
 		if m.cfg.Obs != nil {
 			m.cfg.Obs.MaybeSample(m.mt.Stats.Cycles)
-			// Schedule the next sample boundary as an event so a jump never
-			// crosses it: Stats.Cycles advances 1:1 with executed+skipped
-			// cycles, so the boundary in sample units maps directly onto the
-			// machine clock. The boundary cycle is then executed, and
-			// MaybeSample fires there exactly as in a stepped run.
-			if queued {
-				if at := m.cfg.Obs.NextSampleAt(); at != 0 {
-					if c := m.mt.Stats.Cycles; at > c {
-						m.sched.Post(clock.ObsSample, m.now+(at-c))
-					}
-				}
-			}
 		}
 		if m.guard != nil {
 			if err := m.guard.tick(m.now); err != nil {
@@ -562,8 +446,19 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 				return runCheckFailed
 			}
 		}
-		// Forward-progress watchdog: retirement must advance between polls.
-		if m.stall != 0 && m.now&1023 == 0 {
+		if m.now&1023 != 0 {
+			continue
+		}
+		// Every 1024 cycles: the cancellation poll and the forward-progress
+		// watchdog (retirement must advance between polls).
+		if m.done != nil {
+			select {
+			case <-m.done:
+				return runCanceled
+			default:
+			}
+		}
+		if m.stall != 0 {
 			if r := m.mt.Stats.Retired; r != m.lastRetired {
 				m.lastRetired, m.lastProgress = r, m.now
 			} else if m.now-m.lastProgress >= m.stall {
@@ -571,57 +466,6 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 					m.now-m.lastProgress, m.now, r, m.mt.Occupancy())
 				return runStalled
 			}
-		}
-		// Event-driven clock: when no component marked the coming cycle busy,
-		// pop the next scheduled event and jump straight to it, bulk-accounting
-		// the provably event-free span (DESIGN.md · Event-driven clock).
-		// Disabled by ForceStep and by Checks (the invariant audit wants to
-		// see every cycle) — those modes run with no scheduler attached.
-		if queued && !m.mt.Halted() && (maxInsts == 0 || m.mt.Stats.Retired < maxInsts) {
-			if m.sched.Busy() {
-				continue
-			}
-			from := m.now + 1
-			if from >= maxCycles {
-				continue
-			}
-			ne, ok := m.sched.NextAfter(from)
-			if !ok || ne > maxCycles {
-				// An idle machine with an empty queue can never act again
-				// (every enabling state change posts an event or marks busy),
-				// so jumping to the cycle limit is exact; the loop head
-				// handles the timeout itself.
-				ne = maxCycles
-			}
-			if ne <= from {
-				continue
-			}
-			// Watchdog emulation in closed form: no instruction retires
-			// inside an event-free span, so the only possible progress update
-			// is at the span's first poll, and the only possible firing is at
-			// the first poll past lastProgress+stall. If that lands inside
-			// the span, stop exactly where stepping would have.
-			if m.stall != 0 {
-				if p0 := (from + 1023) &^ 1023; p0 < ne {
-					r := m.mt.Stats.Retired
-					if r != m.lastRetired {
-						m.lastRetired, m.lastProgress = r, p0
-					}
-					fire := (m.lastProgress + m.stall + 1023) &^ 1023
-					if fire < p0 {
-						fire = p0
-					}
-					if fire < ne {
-						m.skipCycles(from, fire-from+1)
-						m.now = fire
-						m.failure = fmt.Errorf("no instruction retired in %d cycles (cycle %d, %d retired) [%s]",
-							m.now-m.lastProgress, m.now, r, m.mt.Occupancy())
-						return runStalled
-					}
-				}
-			}
-			m.skipCycles(from, ne-from)
-			m.now = ne - 1 // the loop increment lands on the event cycle
 		}
 	}
 }
@@ -638,22 +482,20 @@ func (m *machine) resetStats() {
 	if m.bra != nil {
 		m.bra.ResetStats()
 	}
-	m.skipped = 0
 }
 
 // result assembles a Result from the machine's current counters.
 func (m *machine) result(timedOut bool) Result {
 	res := Result{
-		Cycles:        m.mt.Stats.Cycles,
-		Retired:       m.mt.Stats.Retired,
-		CondBranches:  m.mt.Stats.CondBranches,
-		Mispredicts:   m.mt.Stats.Mispredicts,
-		QueuePreds:    m.mt.Stats.QueuePreds,
-		QueueMisps:    m.mt.Stats.QueueMisps,
-		Halted:        m.mt.Halted(),
-		TimedOut:      timedOut,
-		SkippedCycles: m.skipped,
-		Cache:         m.hier.Stats,
+		Cycles:       m.mt.Stats.Cycles,
+		Retired:      m.mt.Stats.Retired,
+		CondBranches: m.mt.Stats.CondBranches,
+		Mispredicts:  m.mt.Stats.Mispredicts,
+		QueuePreds:   m.mt.Stats.QueuePreds,
+		QueueMisps:   m.mt.Stats.QueueMisps,
+		Halted:       m.mt.Halted(),
+		TimedOut:     timedOut,
+		Cache:        m.hier.Stats,
 	}
 	if m.ctrl != nil {
 		m.ctrl.FinalizeAttribution()
@@ -682,7 +524,7 @@ func Run(w *prog.Workload, cfg Config) (Result, error) {
 }
 
 // RunCtx is Run under a context: when ctx is canceled the cycle loop stops
-// within about a thousand iterations and RunCtx returns the metrics collected
+// within 1024 cycles and RunCtx returns the metrics collected
 // so far with a wrapped ErrCanceled. The daemon's job-cancel path rides on
 // this; context.Background() reproduces Run exactly.
 func RunCtx(ctx context.Context, w *prog.Workload, cfg Config) (Result, error) {

@@ -15,13 +15,6 @@ go test -race -short ./internal/sim ./internal/obs
 # index-addressed batches) race-clean, repeated to shake out interleavings.
 go test -race -count=10 -run 'TestPool|TestForEach' ./internal/sim
 go test -race -run TestCycleExactnessGolden ./internal/sim
-# Event-queue smoke: the calendar-queue clock is default-on, so the golden
-# line above already exercises it; this pins the stepped-vs-queued A/B on
-# the fuzz corpus (forced per-cycle stepping vs event-driven must be
-# bit-identical) race-clean, plus the never-busy-polls counter bound and
-# the internal/clock unit suite.
-go test -race -run 'TestEventQueueConservatism|TestEventQueueNeverBusyPolls' ./internal/sim
-go test -race ./internal/clock
 # Config.Checks race-clean: the lockstep oracle and invariant guards across
 # the parallel verified matrix (skipped under -short, so named explicitly).
 go test -race -run 'TestLockstepQuickMatrix|TestInjectedTimingBugsCaught' ./internal/sim
@@ -144,3 +137,6 @@ go test -run '^$' -fuzz 'FuzzDifferential' -fuzztime 30s ./internal/sim
 # these short runs (a failure is still reported and saved, just unminimized).
 go test -run '^$' -fuzz '^FuzzHierarchyLoadState$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cache
 go test -run '^$' -fuzz '^FuzzDecodeArtifact$' -fuzztime 10s -fuzzminimizetime 0 ./internal/sim
+# Journal replay fuzz smoke: arbitrary (sealed) record payloads must replay or
+# be counted, never panic, and never size a job past the cell bound.
+go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
