@@ -4,7 +4,10 @@
 // configuration of Fig. 12a).
 package bpred
 
-import "phelps/internal/obs"
+import (
+	"phelps/internal/codec"
+	"phelps/internal/obs"
+)
 
 // Stats counts predictor activity for observability. Predictors embed it,
 // which also promotes RegisterObs (so sim can register any stats-carrying
@@ -31,6 +34,11 @@ func (s *Stats) record(taken bool) {
 // Predictor predicts a conditional branch at fetch and trains immediately
 // with the actual outcome (the simulator resolves correct-path outcomes
 // up front; see DESIGN.md). Implementations keep their own global history.
+//
+// Every predictor's trained state can be snapshotted: sampled simulation
+// (sim.SampledRun) warms one predictor functionally over the run prefix and
+// clones it at each SimPoint checkpoint, and the checkpoint cache round-trips
+// it through bytes (state.go).
 type Predictor interface {
 	// PredictAndTrain returns the prediction for the branch at pc, then
 	// updates all internal state (tables and histories) with the actual
@@ -39,15 +47,16 @@ type Predictor interface {
 
 	// Name identifies the predictor in reports.
 	Name() string
-}
 
-// Cloner is implemented by predictors whose trained state can be
-// snapshotted. Sampled simulation (sim.SampledRun) warms one predictor
-// functionally over the whole run prefix and clones it at each SimPoint
-// checkpoint.
-type Cloner interface {
 	// ClonePredictor returns an independent deep copy of the predictor.
 	ClonePredictor() Predictor
+
+	// AppendState appends the predictor's dynamic state to b.
+	AppendState(b []byte) []byte
+	// LoadState replaces the predictor's dynamic state from the reader,
+	// consuming exactly what AppendState wrote. The predictor must have been
+	// constructed with the same configuration as the saved one.
+	LoadState(r *codec.Reader) error
 }
 
 // ctr2 is a 2-bit saturating counter; taken if >= 2.
@@ -112,7 +121,7 @@ func (b *Bimodal) PredictAndTrain(pc uint64, taken bool) bool {
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
 
-// ClonePredictor implements Cloner.
+// ClonePredictor implements Predictor.
 func (b *Bimodal) ClonePredictor() Predictor {
 	cp := *b
 	cp.table = append([]ctr2(nil), b.table...)
@@ -164,7 +173,7 @@ func (g *Gshare) PredictAndTrain(pc uint64, taken bool) bool {
 // Name implements Predictor.
 func (g *Gshare) Name() string { return "gshare" }
 
-// ClonePredictor implements Cloner.
+// ClonePredictor implements Predictor.
 func (g *Gshare) ClonePredictor() Predictor {
 	cp := *g
 	cp.table = append([]ctr2(nil), g.table...)
@@ -182,7 +191,7 @@ func (Perfect) PredictAndTrain(_ uint64, taken bool) bool { return taken }
 // Name implements Predictor.
 func (Perfect) Name() string { return "perfect" }
 
-// ClonePredictor implements Cloner (the oracle is stateless).
+// ClonePredictor implements Predictor (the oracle is stateless).
 func (Perfect) ClonePredictor() Predictor { return Perfect{} }
 
 func b2u(b bool) uint64 {

@@ -18,17 +18,6 @@ import (
 	"phelps/internal/codec"
 )
 
-// StateCodec is implemented by predictors whose trained state can round-trip
-// through bytes. All predictors in this package implement it.
-type StateCodec interface {
-	// AppendState appends the predictor's dynamic state to b.
-	AppendState(b []byte) []byte
-	// LoadState replaces the predictor's dynamic state from the reader,
-	// consuming exactly what AppendState wrote. The predictor must have been
-	// constructed with the same configuration as the saved one.
-	LoadState(r *codec.Reader) error
-}
-
 // Per-predictor kind tags: the first state byte, checked on load so a blob
 // cannot be decoded into the wrong predictor type.
 const (
@@ -83,14 +72,14 @@ func loadCtr2s(r *codec.Reader, t []ctr2, what string) error {
 
 // --- Bimodal ---
 
-// AppendState implements StateCodec.
+// AppendState implements Predictor.
 func (b *Bimodal) AppendState(buf []byte) []byte {
 	buf = codec.U8(buf, stateBimodal)
 	buf = appendStats(buf, &b.Stats)
 	return appendCtr2s(buf, b.table)
 }
 
-// LoadState implements StateCodec.
+// LoadState implements Predictor.
 func (b *Bimodal) LoadState(r *codec.Reader) error {
 	if err := checkKind(r, stateBimodal, "bimodal"); err != nil {
 		return err
@@ -104,7 +93,7 @@ func (b *Bimodal) LoadState(r *codec.Reader) error {
 
 // --- Gshare ---
 
-// AppendState implements StateCodec.
+// AppendState implements Predictor.
 func (g *Gshare) AppendState(buf []byte) []byte {
 	buf = codec.U8(buf, stateGshare)
 	buf = appendStats(buf, &g.Stats)
@@ -112,7 +101,7 @@ func (g *Gshare) AppendState(buf []byte) []byte {
 	return codec.U64(buf, g.hist)
 }
 
-// LoadState implements StateCodec.
+// LoadState implements Predictor.
 func (g *Gshare) LoadState(r *codec.Reader) error {
 	if err := checkKind(r, stateGshare, "gshare"); err != nil {
 		return err
@@ -127,15 +116,15 @@ func (g *Gshare) LoadState(r *codec.Reader) error {
 
 // --- Perfect ---
 
-// AppendState implements StateCodec (the oracle is stateless; one tag byte).
+// AppendState implements Predictor (the oracle is stateless; one tag byte).
 func (Perfect) AppendState(buf []byte) []byte { return codec.U8(buf, statePerfect) }
 
-// LoadState implements StateCodec.
+// LoadState implements Predictor.
 func (Perfect) LoadState(r *codec.Reader) error { return checkKind(r, statePerfect, "perfect") }
 
 // --- TAGE ---
 
-// AppendState implements StateCodec: base and tagged tables, the folded
+// AppendState implements Predictor: base and tagged tables, the folded
 // history registers (only comp is dynamic; the fold geometry is config), the
 // outcome ring, the use-alt and allocation-seed registers, and the loop
 // predictor and statistical corrector tables when configured.
@@ -183,7 +172,7 @@ func (t *TAGE) AppendState(buf []byte) []byte {
 	return buf
 }
 
-// LoadState implements StateCodec.
+// LoadState implements Predictor.
 func (t *TAGE) LoadState(r *codec.Reader) error {
 	if err := checkKind(r, stateTAGE, "tage"); err != nil {
 		return err

@@ -44,18 +44,18 @@ func TestStateRoundTrip(t *testing.T) {
 				pc, taken := g.branch()
 				orig.PredictAndTrain(pc, taken)
 			}
-			blob := orig.(StateCodec).AppendState(nil)
+			blob := orig.AppendState(nil)
 
 			loaded := build()
 			r := codec.NewReader(blob)
-			if err := loaded.(StateCodec).LoadState(r); err != nil {
+			if err := loaded.LoadState(r); err != nil {
 				t.Fatalf("LoadState: %v", err)
 			}
 			if err := r.Expect(0); err != nil {
 				t.Fatalf("trailing bytes after LoadState: %d", r.Len())
 			}
 			// Re-serializing the loaded copy must reproduce the blob exactly.
-			if !bytes.Equal(blob, loaded.(StateCodec).AppendState(nil)) {
+			if !bytes.Equal(blob, loaded.AppendState(nil)) {
 				t.Fatalf("re-serialized state differs from original blob")
 			}
 			for i := 0; i < 20000; i++ {
@@ -64,7 +64,7 @@ func TestStateRoundTrip(t *testing.T) {
 					t.Fatalf("prediction %d diverged after round-trip: orig=%v loaded=%v", i, a, b)
 				}
 			}
-			if !bytes.Equal(orig.(StateCodec).AppendState(nil), loaded.(StateCodec).AppendState(nil)) {
+			if !bytes.Equal(orig.AppendState(nil), loaded.AppendState(nil)) {
 				t.Fatalf("state diverged after post-load stream")
 			}
 		})
@@ -85,10 +85,10 @@ func TestStateErrors(t *testing.T) {
 				pc, taken := g.branch()
 				p.PredictAndTrain(pc, taken)
 			}
-			blob := p.(StateCodec).AppendState(nil)
+			blob := p.AppendState(nil)
 			for _, cut := range []int{0, 1, len(blob) / 2, len(blob) - 1} {
 				fresh := build()
-				if err := fresh.(StateCodec).LoadState(codec.NewReader(blob[:cut])); err == nil {
+				if err := fresh.LoadState(codec.NewReader(blob[:cut])); err == nil {
 					t.Fatalf("LoadState accepted truncation to %d bytes", cut)
 				}
 			}

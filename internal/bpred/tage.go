@@ -328,7 +328,7 @@ func (t *TAGE) pushHistory(taken bool) {
 // Name implements Predictor.
 func (t *TAGE) Name() string { return "tage-sc-l" }
 
-// ClonePredictor implements Cloner: a deep copy of every table and the
+// ClonePredictor implements Predictor: a deep copy of every table and the
 // history state (ghist and the folded registers are arrays/values, so the
 // struct copy already covers them).
 func (t *TAGE) ClonePredictor() Predictor {

@@ -32,26 +32,21 @@ import (
 const API = "/v1"
 
 // Version is the daemon build version reported by GET /v1/version.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 // Every /v1 endpoint replies with a documented status code, and every
 // non-2xx body is an ErrorReply JSON envelope:
 //
 //	POST   /v1/jobs             202 Accepted (Location: /v1/jobs/{id})
-//	                            400 bad_request  (malformed body, unknown
-//	                                workload/config/fault name, oversized job)
+//	                            400 bad_request  (malformed body or bytes
+//	                                after it, unknown workload/config/fault
+//	                                name, oversized job)
 //	                            429 overloaded   (admission queue full;
 //	                                Retry-After header + retry_after_sec)
 //	                            503 unavailable  (daemon draining)
 //	GET    /v1/jobs/{id}        200 · 404 not_found
 //	GET    /v1/jobs/{id}/result 200 · 404 not_found
 //	DELETE /v1/jobs/{id}        200 (idempotent) · 404 not_found
-//	POST   /v1/explore          202 Accepted (Location: /v1/explore/{id})
-//	                            400 bad_request  (malformed body)
-//	                            429 overloaded   (an explore is already
-//	                                running; Retry-After + retry_after_sec)
-//	                            503 unavailable  (daemon draining)
-//	GET    /v1/explore/{id}     200 · 404 not_found
 //	GET    /v1/report           200
 //	GET    /v1/obs              200
 //	GET    /v1/workloads        200
@@ -182,42 +177,6 @@ type CellResult struct {
 	RetryErrors []string    `json:"retry_errors,omitempty"`
 	Error       string      `json:"error,omitempty"`
 	Result      *sim.Result `json:"result,omitempty"`
-}
-
-// ExploreRequest is the POST /v1/explore body: a model-triaged design-space
-// search (sim.RunExplore) over the daemon's explore space. Explores are
-// heavyweight — the daemon runs at most one at a time (429 otherwise) — and
-// are not journaled: a daemon restart loses an in-flight explore, and the
-// client resubmits.
-type ExploreRequest struct {
-	// Anchors is the cycle-simulated training-set size in configurations
-	// (0 = the sim default, ~1/10 of the space).
-	Anchors int `json:"anchors,omitempty"`
-	// MaxFrontier caps the measured predicted-Pareto set (0 = default).
-	MaxFrontier int `json:"max_frontier,omitempty"`
-	// Exhaustive additionally cycle-simulates the whole space for
-	// validation (expensive by design).
-	Exhaustive bool `json:"exhaustive,omitempty"`
-}
-
-// Explore states reported by the API.
-const (
-	ExploreRunning  = "running"
-	ExploreDone     = "done"
-	ExploreFailed   = "failed"
-	ExploreCanceled = "canceled"
-)
-
-// ExploreStatus is the POST /v1/explore and GET /v1/explore/{id} reply; the
-// report appears once the run is done.
-type ExploreStatus struct {
-	ID         string             `json:"id"`
-	State      string             `json:"state"`
-	Created    time.Time          `json:"created"`
-	Anchors    int                `json:"anchors,omitempty"`
-	Exhaustive bool               `json:"exhaustive,omitempty"`
-	Error      string             `json:"error,omitempty"`
-	Report     *sim.ExploreReport `json:"report,omitempty"`
 }
 
 // ErrorReply is the JSON body of every non-2xx response.

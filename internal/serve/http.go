@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -71,8 +72,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/explore", s.handleExploreSubmit)
-	s.mux.HandleFunc("GET /v1/explore/{id}", s.handleExploreStatus)
 	s.mux.HandleFunc("GET /v1/report", s.handleReport)
 	s.mux.HandleFunc("GET /v1/obs", s.handleObs)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -99,6 +98,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, KindBadRequest, fmt.Sprintf("decode request: %v", err))
+		return
+	}
+	// The body is exactly one JSON value: anything but whitespace after it
+	// is malformed, not ignored.
+	var rest json.RawMessage
+	if err := dec.Decode(&rest); err != io.EOF {
+		writeError(w, http.StatusBadRequest, KindBadRequest, "decode request: trailing data after the JSON value")
 		return
 	}
 	job, aerr := s.Submit(req)

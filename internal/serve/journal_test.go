@@ -228,6 +228,48 @@ func TestServerResumesJournaledJob(t *testing.T) {
 	}
 }
 
+// TestResumeInvalidRequest boots a daemon over a journaled job whose request
+// no longer validates (it names a workload the registry lacks) and whose
+// first cell already failed. Nothing runs: the journaled failure keeps its
+// error, every other cell fails with a resume error, and the failed job is
+// retired from the journal.
+func TestResumeInvalidRequest(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	j := OpenJournal(fsio.OS, dir, testMaxCells)
+	j.Accept("j-000005", JobRequest{Workloads: []string{"guarded", "no-such", "delinquent"}, Configs: []string{sim.CfgBase}, Quick: true})
+	j.Cell("j-000005", 0, CellFailed, 1, "sim: verification failed", true)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	fin := waitJob(t, ts, "j-000005")
+	if fin.State != JobFailed || len(fin.Cells) != 3 {
+		t.Fatalf("resumed job = %+v, want 3 cells, failed", fin)
+	}
+	if c := fin.Cells[0]; c.State != CellFailed || c.Error != "sim: verification failed" {
+		t.Errorf("journaled cell: state %s error %q, want its journaled failure", c.State, c.Error)
+	}
+	for _, c := range fin.Cells[1:] {
+		if c.State != CellFailed || !strings.HasPrefix(c.Error, "resume:") {
+			t.Errorf("cell %s: state %s error %q, want a resume failure", c.Workload, c.State, c.Error)
+		}
+	}
+	if got, _ := s.Registry().CounterValue("serve.sched.executed"); got != 0 {
+		t.Errorf("serve.sched.executed = %d, want 0", got)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	j2 := OpenJournal(fsio.OS, dir, testMaxCells)
+	defer j2.Close()
+	if got := j2.Resumed(); len(got) != 0 {
+		t.Errorf("failed job survived in journal: %+v", got)
+	}
+}
+
 // TestResumedJobBitIdentical journals a fully unstarted job, lets a fresh
 // daemon resume it, and requires the recovered results to be bit-identical to
 // a direct library run — resume must be a replay, never a perturbation.

@@ -542,15 +542,19 @@ func TestErrorEnvelope(t *testing.T) {
 		return er
 	}
 
-	// Handler-produced errors.
-	resp, err := http.Post(ts.URL+API+"/jobs", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
+	// Handler-produced errors. A job body is exactly one JSON value: bytes
+	// after a valid request are malformed, never ignored.
+	const valid = `{"workloads":["guarded"],"configs":["base"],"quick":true}`
+	for _, body := range []string{"{}", valid + " trailing", valid + `{"workloads":[]}`, valid + "]"} {
+		resp, err := http.Post(ts.URL+API+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if er := decode(resp); resp.StatusCode != http.StatusBadRequest || er.Kind != KindBadRequest || er.Error == "" {
+			t.Errorf("submit %q: %s kind=%q error=%q", body, resp.Status, er.Kind, er.Error)
+		}
 	}
-	if er := decode(resp); resp.StatusCode != http.StatusBadRequest || er.Kind != KindBadRequest || er.Error == "" {
-		t.Errorf("empty submit: %s kind=%q error=%q", resp.Status, er.Kind, er.Error)
-	}
-	resp, err = http.Get(ts.URL + API + "/jobs/j-999999")
+	resp, err := http.Get(ts.URL + API + "/jobs/j-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,6 +581,48 @@ func TestErrorEnvelope(t *testing.T) {
 	if er := decode(resp); resp.StatusCode != http.StatusMethodNotAllowed || er.Kind != KindBadRequest {
 		t.Errorf("wrong method: %s kind=%q", resp.Status, er.Kind)
 	}
+}
+
+// FuzzSubmitBody: each input is a POST /v1/jobs body, served by one daemon
+// whose pool is closed before the first input, so Submit still validates,
+// plans and admits but no cell simulates. Every reply must be a JSON 202,
+// 400 or 429 and no input may panic; a 202 must come from a body that is
+// exactly one JSON value, with one cell per (workload, config) pair. The
+// daemon's cell bound is small so that a few bytes of request can exceed
+// it. The committed corpus holds a valid request, an unknown workload, an
+// unknown config, a bad fault kind, an oversize cross product, trailing
+// bytes and non-JSON.
+func FuzzSubmitBody(f *testing.F) {
+	s := NewServer(Config{Workers: 1, QueueCap: fuzzMaxCells, CrashDir: f.TempDir()})
+	s.sched.Close()
+	f.Cleanup(func() { _ = s.Close() })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, API+"/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d with a non-JSON reply: %q", rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var req JobRequest
+		if !json.Valid(body) || json.Unmarshal(body, &req) != nil {
+			t.Fatalf("202 for a body that is not exactly one job request: %q", body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("decode 202 reply: %v", err)
+		}
+		if want := len(req.Workloads) * len(req.Configs); st.Total != want {
+			t.Fatalf("202 with %d cells for %d workloads x %d configs", st.Total, len(req.Workloads), len(req.Configs))
+		}
+	})
 }
 
 // TestConcurrentSmallJobs is the load test: many clients submitting

@@ -51,11 +51,6 @@ type Config struct {
 	// cache, and the journal (nil = the real filesystem). Tests inject an
 	// fsio.FaultFS here to prove disk faults degrade to counted misses.
 	FS fsio.FS
-	// ExploreSpace/ExploreWorkloads override the POST /v1/explore search
-	// space and workload set (nil = the committed sim.ExploreSpace and
-	// quick delinquent workloads). Tests inject tiny spaces here.
-	ExploreSpace     []sim.ExplorePoint
-	ExploreWorkloads []sim.Spec
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -112,20 +107,11 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[CellKey]*flight
 
-	// explore runs are stored separately from matrix jobs: single-task,
-	// never journaled, at most one in flight (exploreActive).
-	exploreMu     sync.Mutex
-	explores      map[string]*exploreRun
-	exploreSeq    uint64
-	exploreActive atomic.Bool
-
 	// saveMu serializes results-cache persistence (the per-job background
 	// save vs the final save at drain).
 	saveMu sync.Mutex
 
 	jobsSubmitted, jobsRejected, jobsCanceled    atomic.Uint64
-	exploresSubmitted, exploresDone              atomic.Uint64
-	exploresFailed, exploresCanceled             atomic.Uint64
 	cellsSubmitted, cellsDone, cellsFailed       atomic.Uint64
 	cellsCanceled, cellsFromCache, cellsDeduped  atomic.Uint64
 	retryRetried, retryRecovered, retryExhausted atomic.Uint64
@@ -143,17 +129,16 @@ func NewServer(cfg Config) *Server {
 		fs = fsio.OS
 	}
 	s := &Server{
-		cfg:      cfg,
-		fs:       fs,
-		sched:    sim.NewPool(cfg.Workers),
-		adm:      NewAdmission(cfg.QueueCap, cfg.Workers),
-		cache:    NewResultCacheFS(fs),
-		retry:    cfg.Retry.withDefaults(),
-		store:    NewStore(),
-		res:      newResolver(),
-		reg:      obs.NewRegistry(),
-		flights:  make(map[CellKey]*flight),
-		explores: make(map[string]*exploreRun),
+		cfg:     cfg,
+		fs:      fs,
+		sched:   sim.NewPool(cfg.Workers),
+		adm:     NewAdmission(cfg.QueueCap, cfg.Workers),
+		cache:   NewResultCacheFS(fs),
+		retry:   cfg.Retry.withDefaults(),
+		store:   NewStore(),
+		res:     newResolver(),
+		reg:     obs.NewRegistry(),
+		flights: make(map[CellKey]*flight),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	if cfg.CachePath != "" {
@@ -194,18 +179,6 @@ func (s *Server) registerObs() {
 	jobs.Counter("rejected", s.jobsRejected.Load)
 	jobs.Counter("canceled", s.jobsCanceled.Load)
 	jobs.Gauge("stored", func() float64 { return float64(s.store.Len()) })
-
-	explore := s.reg.Scope("serve.explore")
-	explore.Counter("submitted", s.exploresSubmitted.Load)
-	explore.Counter("done", s.exploresDone.Load)
-	explore.Counter("failed", s.exploresFailed.Load)
-	explore.Counter("canceled", s.exploresCanceled.Load)
-	explore.Gauge("active", func() float64 {
-		if s.exploreActive.Load() {
-			return 1
-		}
-		return 0
-	})
 
 	cells := s.reg.Scope("serve.cells")
 	cells.Counter("submitted", s.cellsSubmitted.Load)
@@ -304,48 +277,51 @@ func parseFault(f CellFault) (*cpu.FaultInjection, error) {
 	return fi, nil
 }
 
-// Submit validates a request against the workload and config registries,
-// admits it against the queue, and schedules its cells. It returns the
-// created job, or an apiError carrying the HTTP status (400 invalid, 429
-// over capacity, 503 draining).
-func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
-	if s.draining.Load() {
-		return nil, &apiError{code: http.StatusServiceUnavailable, kind: KindUnavailable, msg: "daemon is draining"}
-	}
-	if len(req.Workloads) == 0 || len(req.Configs) == 0 {
-		return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: "workloads and configs must both be non-empty"}
-	}
+// plan validates a job request against the workload, config and fault
+// registries and builds its cells in the workloads × configs cross-product
+// order that journal records index by, each with its CellKey and injected
+// fault; specs maps each workload name to its spec. A request naming an
+// unknown workload, config or fault kind still gets its cells, unkeyed,
+// alongside the error, so a resumed job can fail each one in place; an empty
+// or oversized request gets none.
+func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 	total := len(req.Workloads) * len(req.Configs)
+	if total == 0 {
+		return nil, nil, errors.New("workloads and configs must both be non-empty")
+	}
 	if total > s.cfg.MaxCellsPerJob {
-		return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest,
-			msg: fmt.Sprintf("job has %d cells, limit is %d", total, s.cfg.MaxCellsPerJob)}
+		return nil, nil, fmt.Errorf("job has %d cells, limit is %d", total, s.cfg.MaxCellsPerJob)
+	}
+	cells := make([]*Cell, 0, total)
+	for _, w := range req.Workloads {
+		for _, c := range req.Configs {
+			cells = append(cells, &Cell{Workload: w, Config: c, idx: len(cells)})
+		}
 	}
 
-	// Validate every name before any side effect, so a bad request is a
-	// clean 400 with the registry's own message.
 	specs := make(map[string]sim.Spec, len(req.Workloads))
 	hashes := make(map[string]uint64, len(req.Workloads))
 	for _, w := range req.Workloads {
 		spec, err := sim.SpecByName(w, req.Quick)
 		if err != nil {
-			return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: err.Error()}
+			return nil, cells, err
 		}
 		h, err := s.res.hash(w, req.Quick)
 		if err != nil {
-			return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: err.Error()}
+			return nil, cells, err
 		}
 		specs[w], hashes[w] = spec, h
 	}
 	for _, c := range req.Configs {
 		if _, err := sim.ConfigByName(c, 0); err != nil {
-			return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: err.Error()}
+			return nil, cells, err
 		}
 	}
 	faults := make(map[[2]string]faultSpec, len(req.Faults))
 	for _, f := range req.Faults {
 		fi, err := parseFault(f)
 		if err != nil {
-			return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: err.Error()}
+			return nil, cells, err
 		}
 		faults[[2]string{f.Workload, f.Config}] = faultSpec{fi: fi, times: f.Times}
 	}
@@ -361,31 +337,44 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 	if req.Sampled {
 		seed = req.Seed
 	}
+	for _, c := range cells {
+		c.Key = CellKey{WorkloadHash: hashes[c.Workload], Config: c.Config, Seed: seed, Sampled: req.Sampled, Flags: flags}
+		f := faults[[2]string{c.Workload, c.Config}]
+		c.fault, c.faultTimes = f.fi, f.times
+	}
+	return specs, cells, nil
+}
 
-	// Build the cell matrix and count its cold footprint: cells the results
-	// cache cannot already answer. Admission is all-or-nothing on the cold
-	// count, so a warm resubmission of a huge sweep sails through while a
-	// cold one waits its turn.
-	cells := make([]*Cell, 0, total)
-	cold := 0
-	for _, w := range req.Workloads {
-		for _, c := range req.Configs {
-			f := faults[[2]string{w, c}]
-			cell := &Cell{
-				Workload:   w,
-				Config:     c,
-				Key:        CellKey{WorkloadHash: hashes[w], Config: c, Seed: seed, Sampled: req.Sampled, Flags: flags},
-				idx:        len(cells),
-				fault:      f.fi,
-				faultTimes: f.times,
-			}
-			if cell.fault != nil || !s.cache.Peek(cell.Key) {
-				cold++
-				cell.slot = true
-			}
-			cells = append(cells, cell)
+// claimSlots gives an admission slot to each unresolved cell the results
+// cache cannot answer (a faulted cell never can) and returns how many it
+// gave. Admission is all-or-nothing on this cold count, so a warm
+// resubmission of a huge sweep sails through while a cold one waits its turn.
+func (s *Server) claimSlots(cells []*Cell) int {
+	n := 0
+	for _, c := range cells {
+		if !c.resolved && (c.fault != nil || !s.cache.Peek(c.Key)) {
+			c.slot = true
+			n++
 		}
 	}
+	return n
+}
+
+// Submit validates a request against the workload and config registries,
+// admits it against the queue, and schedules its cells. It returns the
+// created job, or an apiError carrying the HTTP status (400 invalid, 429
+// over capacity, 503 draining).
+func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
+	if s.draining.Load() {
+		return nil, &apiError{code: http.StatusServiceUnavailable, kind: KindUnavailable, msg: "daemon is draining"}
+	}
+	// Validate every name before any side effect, so a bad request is a
+	// clean 400 with the registry's own message.
+	specs, cells, err := s.plan(req)
+	if err != nil {
+		return nil, &apiError{code: http.StatusBadRequest, kind: KindBadRequest, msg: err.Error()}
+	}
+	cold := s.claimSlots(cells)
 	if !s.adm.TryAdmit(cold) {
 		s.jobsRejected.Add(1)
 		return nil, &apiError{
@@ -396,14 +385,14 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 		}
 	}
 
-	job := s.store.NewJob(s.baseCtx, req, cells)
+	job := s.store.Register(s.baseCtx, "", req, cells)
 	if s.journal != nil {
 		// Journaled (and synced) before the 202 goes out: once the client
 		// holds an acknowledgment, the job survives a daemon kill.
 		s.journal.Accept(job.ID, req)
 	}
 	s.jobsSubmitted.Add(1)
-	s.cellsSubmitted.Add(uint64(total))
+	s.cellsSubmitted.Add(uint64(len(cells)))
 
 	s.schedule(job, specs)
 	return job, nil
@@ -677,99 +666,36 @@ func (s *Server) Cancel(j *Job) bool {
 }
 
 // resumeJob re-registers one incomplete journaled job at boot under its
-// original ID. Journaled terminal failures and cancellations are sticky;
+// original ID, planning its cells as Submit does and folding in each cell's
+// journaled state. Journaled terminal failures and cancellations are sticky;
 // every other cell is re-enqueued — idempotently, since a re-run either hits
 // the persisted results cache or deterministically recomputes the same
 // numbers. Recovered cells bypass admission capacity (ForceAdmit): their 202
 // was already given, so they outrank new arrivals.
 func (s *Server) resumeJob(rj ResumedJob) {
-	req := rj.Req
-	specs := make(map[string]sim.Spec, len(req.Workloads))
-	hashes := make(map[string]uint64, len(req.Workloads))
-	var verr error
-	for _, w := range req.Workloads {
-		spec, err := sim.SpecByName(w, req.Quick)
-		if err != nil {
-			verr = err
-			break
+	specs, cells, err := s.plan(rj.Req)
+	for i, c := range cells {
+		var rc ResumedCell
+		if i < len(rj.Cells) {
+			rc = rj.Cells[i]
 		}
-		h, err := s.res.hash(w, req.Quick)
-		if err != nil {
-			verr = err
-			break
-		}
-		specs[w], hashes[w] = spec, h
-	}
-	if verr == nil {
-		for _, c := range req.Configs {
-			if _, err := sim.ConfigByName(c, 0); err != nil {
-				verr = err
-				break
+		c.attempts = rc.Attempt
+		switch {
+		case rc.State == CellFailed || rc.State == CellCanceled:
+			// Journaled terminal outcome: sticky across the restart.
+			c.state, c.resolved = rc.State, true
+			if rc.Error != "" {
+				c.err = errors.New(rc.Error)
 			}
+		case err != nil:
+			// The journaled request no longer validates (the registry
+			// changed across the restart): fail the cell, don't re-run.
+			c.state, c.resolved = CellFailed, true
+			c.err = fmt.Errorf("resume: %w", err)
 		}
 	}
-	faults := make(map[[2]string]faultSpec, len(req.Faults))
-	for _, f := range req.Faults {
-		fi, err := parseFault(f)
-		if err != nil {
-			verr = err
-			break
-		}
-		faults[[2]string{f.Workload, f.Config}] = faultSpec{fi: fi, times: f.Times}
-	}
-
-	flags := ""
-	if req.Checks {
-		flags += "checks,"
-	}
-	if req.Lockstep {
-		flags += "lockstep,"
-	}
-	seed := uint64(0)
-	if req.Sampled {
-		seed = req.Seed
-	}
-
-	// Rebuild the cell matrix in the same cross-product order the journal
-	// indexed it with, folding in each cell's journaled state. The journal
-	// sized rj.Cells to the cross product after bounding it by
-	// MaxCellsPerJob.
-	cells := make([]*Cell, 0, len(rj.Cells))
-	cold := 0
-	for _, w := range req.Workloads {
-		for _, cn := range req.Configs {
-			i := len(cells)
-			var rc ResumedCell
-			if i < len(rj.Cells) {
-				rc = rj.Cells[i]
-			}
-			f := faults[[2]string{w, cn}]
-			cell := &Cell{Workload: w, Config: cn, idx: i, fault: f.fi, faultTimes: f.times}
-			cell.attempts = rc.Attempt
-			switch {
-			case rc.State == CellFailed || rc.State == CellCanceled:
-				// Journaled terminal outcome: sticky across the restart.
-				cell.state, cell.resolved = rc.State, true
-				if rc.Error != "" {
-					cell.err = errors.New(rc.Error)
-				}
-			case verr != nil:
-				// The journaled request no longer validates (the registry
-				// changed across the restart): fail the cell, don't re-run.
-				cell.state, cell.resolved = CellFailed, true
-				cell.err = fmt.Errorf("resume: %w", verr)
-			default:
-				cell.Key = CellKey{WorkloadHash: hashes[w], Config: cn, Seed: seed, Sampled: req.Sampled, Flags: flags}
-				if cell.fault != nil || !s.cache.Peek(cell.Key) {
-					cold++
-					cell.slot = true
-				}
-			}
-			cells = append(cells, cell)
-		}
-	}
-	s.adm.ForceAdmit(cold)
-	job := s.store.RestoreJob(s.baseCtx, rj.ID, req, cells)
+	s.adm.ForceAdmit(s.claimSlots(cells))
+	job := s.store.Register(s.baseCtx, rj.ID, rj.Req, cells)
 	select {
 	case <-job.Done():
 		// Every cell was already terminal (or the resume failed validation):

@@ -32,7 +32,7 @@ type Cell struct {
 	faultTimes int
 
 	// job and fl are back-references wired at submission: the owning job
-	// (set by Store.NewJob) and the shared flight this cell subscribed to
+	// (set by Store.Register) and the shared flight this cell subscribed to
 	// (nil for cached and faulted cells). Written before the cell is
 	// reachable by any other goroutine, read-only afterwards.
 	job *Job
@@ -258,17 +258,14 @@ func NewStore() *Store {
 	return &Store{jobs: make(map[string]*Job)}
 }
 
-// NewJob allocates an ID and registers a job with the given cells; the job
-// starts with every cell pending and unresolved.
-func (s *Store) NewJob(parent context.Context, req JobRequest, cells []*Cell) *Job {
-	s.mu.Lock()
-	s.seq++
-	id := fmt.Sprintf("j-%06d", s.seq)
-	s.mu.Unlock()
-
+// Register registers a job over cells that no other goroutine can reach
+// yet. An empty id allocates the next one; a given id (a journaled job
+// resumed after a restart) moves the sequence past it, so new submissions
+// never collide with it. Cells arrive pending, or already resolved with a
+// sticky journaled outcome; only unresolved cells count toward completion.
+func (s *Store) Register(parent context.Context, id string, req JobRequest, cells []*Cell) *Job {
 	ctx, cancel := context.WithCancelCause(parent)
 	j := &Job{
-		ID:      id,
 		Req:     req,
 		Created: time.Now().UTC(),
 		Cells:   cells,
@@ -277,67 +274,30 @@ func (s *Store) NewJob(parent context.Context, req JobRequest, cells []*Cell) *J
 		done:    make(chan struct{}),
 	}
 	for _, c := range cells {
-		c.mu.Lock()
-		c.state = CellPending
-		c.mu.Unlock()
-		c.job = j
-	}
-	j.unresolved = len(cells)
-	if len(cells) == 0 {
-		close(j.done)
-	}
-
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-	return j
-}
-
-// RestoreJob re-registers a journaled job under its original ID after a
-// restart. Cells arrive with their journaled state already applied: sticky
-// terminal cells (failed/canceled) are pre-resolved and excluded from the
-// unresolved count; everything else re-runs. The ID sequence is bumped past
-// the restored ID so new submissions never collide with journaled ones.
-func (s *Store) RestoreJob(parent context.Context, id string, req JobRequest, cells []*Cell) *Job {
-	s.mu.Lock()
-	var n uint64
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n > s.seq {
-		s.seq = n
-	}
-	s.mu.Unlock()
-
-	ctx, cancel := context.WithCancelCause(parent)
-	j := &Job{
-		ID:      id,
-		Req:     req,
-		Created: time.Now().UTC(),
-		Cells:   cells,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	unresolved := 0
-	for _, c := range cells {
-		c.mu.Lock()
 		if c.state == "" {
 			c.state = CellPending
 		}
 		if !c.resolved {
-			unresolved++
+			j.unresolved++
 		}
-		c.mu.Unlock()
 		c.job = j
 	}
-	j.unresolved = unresolved
-	if unresolved == 0 {
+	if j.unresolved == 0 {
 		close(j.done)
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("j-%06d", s.seq)
+	} else if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n > s.seq {
+		s.seq = n
+	}
+	j.ID = id
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.mu.Unlock()
 	return j
 }
 

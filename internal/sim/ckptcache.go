@@ -9,7 +9,7 @@ package sim
 // cached artifact is everything the measurement phase needs: the SimPoint
 // list with weights, one architectural checkpoint per point (emu
 // page-deduped encoding), and the functionally warmed predictor and
-// hierarchy state per point (bpred/cache StateCodec blobs).
+// hierarchy state per point (bpred/cache AppendState blobs).
 //
 // Bit-identicality is by construction: when the cache is enabled, even a
 // cold run measures from the decoded artifact (encode → decode → measure),
@@ -106,14 +106,14 @@ type ckptPoint struct {
 	interval int
 	weight   float64
 	warm     uint64 // cycle-accurate warmup instructions before the interval
-	pred     []byte // bpred.StateCodec blob of the functionally warmed predictor
+	pred     []byte // bpred state blob of the functionally warmed predictor
 	hier     []byte // cache Hierarchy state blob (quiesced, stats zeroed)
 
 	// Decoded prototypes of the two blobs above, built lazily on first use
 	// and reused by every later measurement that hits this artifact in
 	// memory. Prototypes are never mutated; measurements Clone them.
 	protoOnce sync.Once
-	protoPred bpred.Cloner
+	protoPred bpred.Predictor
 	protoHier *cache.Hierarchy
 	protoErr  error
 }
@@ -124,21 +124,11 @@ type ckptPoint struct {
 // which matters because every warm run re-derives private per-point mutable
 // state from the shared immutable artifact. cfg's predictor kind and cache
 // geometry always match the blobs — both are part of CkptKey.
-func (p *ckptPoint) protos(cfg Config) (bpred.Cloner, *cache.Hierarchy, error) {
+func (p *ckptPoint) protos(cfg Config) (bpred.Predictor, *cache.Hierarchy, error) {
 	p.protoOnce.Do(func() {
 		pred := makePredictor(cfg.Predictor)
-		pc, ok := pred.(bpred.StateCodec)
-		if !ok {
-			p.protoErr = fmt.Errorf("predictor kind %d cannot load cached state", cfg.Predictor)
-			return
-		}
-		cl, ok := pred.(bpred.Cloner)
-		if !ok {
-			p.protoErr = fmt.Errorf("predictor kind %d cannot clone cached state", cfg.Predictor)
-			return
-		}
 		r := codec.NewReader(p.pred)
-		if err := pc.LoadState(r); err != nil {
+		if err := pred.LoadState(r); err != nil {
 			p.protoErr = fmt.Errorf("cached predictor state: %v", err)
 			return
 		}
@@ -156,7 +146,7 @@ func (p *ckptPoint) protos(cfg Config) (bpred.Cloner, *cache.Hierarchy, error) {
 			p.protoErr = fmt.Errorf("cached hierarchy state: trailing bytes")
 			return
 		}
-		p.protoPred, p.protoHier = cl, hier
+		p.protoPred, p.protoHier = pred, hier
 	})
 	return p.protoPred, p.protoHier, p.protoErr
 }

@@ -708,13 +708,6 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			Block: func(head, n uint64) { tclk += n },
 		}
 	}
-	clonePred := func(p bpred.Predictor) bpred.Predictor {
-		if c, ok := p.(bpred.Cloner); ok {
-			return c.ClonePredictor()
-		}
-		return makePredictor(cfg.Predictor) // untrained fallback
-	}
-
 	for _, sp := range byStart {
 		start := uint64(sp.Interval) * intervalLen
 		// Checkpoint warmup instructions BEFORE the interval, so the
@@ -743,7 +736,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 				}
 				pos = ckAt
 			}
-			p = prepared{sp: sp, pred: clonePred(warmPred), hier: warmHier.Clone()}
+			p = prepared{sp: sp, pred: warmPred.ClonePredictor(), hier: warmHier.Clone()}
 		} else {
 			// Window mode: plain fast-forward to the warming window, then a
 			// fresh predictor/hierarchy over the last FuncWarmInsts.
@@ -795,15 +788,11 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: e.Halted}
 		for i := range preps {
 			p := &preps[i]
-			pc, ok := p.pred.(bpred.StateCodec)
-			if !ok {
-				return Result{}, fmt.Errorf("sim: %s: predictor kind %d is not serializable for the checkpoint cache", spec.Name, cfg.Predictor)
-			}
 			art.points = append(art.points, ckptPoint{
 				interval: p.sp.Interval,
 				weight:   p.sp.Weight,
 				warm:     p.warm,
-				pred:     pc.AppendState(nil),
+				pred:     p.pred.AppendState(nil),
 				hier:     p.hier.AppendState(nil),
 			})
 			art.cks = append(art.cks, p.ck)

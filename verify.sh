@@ -140,3 +140,6 @@ go test -run '^$' -fuzz '^FuzzDecodeArtifact$' -fuzztime 10s -fuzzminimizetime 0
 # Journal replay fuzz smoke: arbitrary (sealed) record payloads must replay or
 # be counted, never panic, and never size a job past the cell bound.
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+# Job-request fuzz smoke: arbitrary POST /v1/jobs bodies must get a JSON 202,
+# 400 or 429, never a panic, and a 202 only for exactly one JSON value.
+go test -run '^$' -fuzz '^FuzzSubmitBody$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
