@@ -39,12 +39,33 @@ func main() {
 		anchors  = flag.Int("anchors", 0, "with -explore: cycle-simulated training configs (0 = auto)")
 	)
 	flag.Parse()
+	if *quick && *fig == 0 && !*tables {
+		*all = true
+	}
+	// One plan holds every cell of the figures this report prints. It is
+	// built first, so an unknown -fig is a usage error before anything runs.
+	var figs []int
+	if *fig != 0 {
+		figs = append(figs, *fig)
+	}
+	if *all {
+		figs = append(figs, sim.ReportFigures()...)
+	}
+	var plan *sim.ReportPlan
+	if len(figs) > 0 {
+		var err error
+		if plan, err = sim.PlanReport(figs, *quick); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 	if *host {
 		if err := runHostBench(*hostPath); err != nil {
 			fmt.Fprintf(os.Stderr, "host bench: %v\n", err)
 			os.Exit(1)
 		}
-		if !*all && *fig == 0 && !*tables && !*quick && !*explore {
+		if !*all && *fig == 0 && !*tables && !*explore {
 			return
 		}
 	}
@@ -53,104 +74,31 @@ func main() {
 			fmt.Fprintf(os.Stderr, "explore: %v\n", err)
 			os.Exit(1)
 		}
-		if !*all && *fig == 0 && !*tables && !*quick {
+		if !*all && *fig == 0 && !*tables {
 			return
 		}
-	}
-	if *quick && *fig == 0 && !*tables {
-		*all = true
 	}
 	if !*all && *fig == 0 && !*tables {
 		flag.Usage()
 		os.Exit(2)
 	}
+	start := time.Now()
 
 	report := obs.NewBenchReport(*quick)
-	start := time.Now()
 	if *tables || *all {
 		fmt.Println(core.FormatCostTable())
 		fmt.Println(sim.FormatTableIII())
 	}
-	if *all || *fig == 11 {
-		rows, err := sim.Fig11(*quick)
+	if plan != nil {
+		fmt.Printf("running %d report cells...\n", plan.Len())
+		r, err := plan.Run()
+		// A failed Fig. 11 or Fig. 15 cell fails the report, after the
+		// figures that finished are printed.
+		addFigures(report, r, *all, *fig)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig11: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Println(sim.FormatFig11(rows))
-		report.AddFigure("fig11", fig11Rows(rows))
-	}
-	if *all || *fig == 12 || *fig == 13 || *fig == 14 {
-		gap := sim.GapSpecs(*quick)
-		spec := sim.SpecCPUSpecs(*quick)
-		var gapNames, specNames []string
-		for _, s := range gap {
-			gapNames = append(gapNames, s.Name)
-		}
-		for _, s := range spec {
-			specNames = append(specNames, s.Name)
-		}
-		fmt.Println("running the GAP+astar matrix...")
-		gapM, gapErr := sim.RunMatrix(gap, []string{
-			sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgPhelpsNoStore,
-			sim.CfgBR, sim.CfgBR12w, sim.CfgHalf,
-		})
-		fmt.Println("running the SPEC-like matrix...")
-		specM, specErr := sim.RunMatrix(spec, []string{
-			sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf,
-		})
-		// Failed cells are reported but don't abort the report: the matrix
-		// still carries their metrics, and a partial figure beats none.
-		if gapErr != nil {
-			fmt.Printf("MATRIX FAILURES (gap):\n%v\n", gapErr)
-		}
-		if specErr != nil {
-			fmt.Printf("MATRIX FAILURES (spec):\n%v\n", specErr)
-		}
-		if *all || *fig == 12 {
-			fmt.Println(sim.FormatFig12a(gapM, gapNames))
-			fmt.Println(sim.FormatFig12a(specM, specNames))
-			fmt.Println(sim.FormatFig12b(gapM, gapNames))
-			report.AddFigure("fig12a.gap", speedupRows(gapM, gapNames))
-			report.AddFigure("fig12a.spec", speedupRows(specM, specNames))
-			report.AddFigure("fig12b", fig12bRows(gapM, gapNames))
-		}
-		if *all || *fig == 13 {
-			fmt.Println(sim.FormatFig13a(gapM, gapNames))
-			fmt.Println(sim.FormatFig13b(gapM, gapNames))
-			fmt.Println(sim.FormatFig13c(gapM, gapNames))
-			fmt.Println(sim.FormatFig13c(specM, specNames))
-			report.AddFigure("fig13a", fig13aRows(gapM, gapNames))
-			report.AddFigure("fig13b", fig13bRows(gapM, gapNames))
-			report.AddFigure("fig13c.gap", fig13cRows(gapM, gapNames))
-			report.AddFigure("fig13c.spec", fig13cRows(specM, specNames))
-		}
-		if *all || *fig == 14 {
-			fmt.Println(sim.FormatFig14(gapM, gapNames))
-			fmt.Println(sim.FormatFig14(specM, specNames))
-			report.AddFigure("fig14.gap", fig14Rows(gapM, gapNames))
-			report.AddFigure("fig14.spec", fig14Rows(specM, specNames))
-		}
-		addGeomeans(report, "gap", gapM, gapNames,
-			[]string{sim.CfgPerfect, sim.CfgPhelps, sim.CfgPhelpsNoStore, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf})
-		addGeomeans(report, "spec", specM, specNames,
-			[]string{sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf})
-	}
-	if *all || *fig == 15 {
-		aRows, err := sim.Fig15a(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig15a: %v\n", err)
-			os.Exit(1)
-		}
-		bRows, err := sim.Fig15b(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig15b: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(sim.FormatFig15a(aRows))
-		fmt.Println(sim.FormatFig15b(bRows))
-		report.AddFigure("fig15a", fig15aRows(aRows))
-		report.AddFigure("fig15b", fig15bRows(bRows))
 	}
 	if len(report.Figures) > 0 {
 		if err := report.WriteFile(*jsonPath); err != nil {
@@ -162,12 +110,64 @@ func main() {
 	fmt.Printf("report generated in %s\n", time.Since(start).Round(time.Second))
 }
 
-// addGeomeans records geomean speedups over the suite as "<suite>.<config>".
-func addGeomeans(report *obs.BenchReport, suite string, m sim.Matrix, names, configs []string) {
-	for _, c := range configs {
+// addFigures prints the selected figures of a report run and records them
+// in the JSON report.
+func addFigures(report *obs.BenchReport, r *sim.Report, all bool, fig int) {
+	if r.Fig11 != nil {
+		fmt.Println(sim.FormatFig11(r.Fig11))
+		report.AddFigure("fig11", fig11Rows(r.Fig11))
+	}
+	if gap, spec := r.Gap, r.Spec; gap != nil {
+		// Failed cells are reported but don't abort the report: the matrix
+		// still carries their metrics, and a partial figure beats none.
+		if gap.Err != nil {
+			fmt.Printf("MATRIX FAILURES (gap):\n%v\n", gap.Err)
+		}
+		if spec.Err != nil {
+			fmt.Printf("MATRIX FAILURES (spec):\n%v\n", spec.Err)
+		}
+		if all || fig == 12 {
+			fmt.Println(sim.FormatFig12a(gap.M, gap.Names))
+			fmt.Println(sim.FormatFig12a(spec.M, spec.Names))
+			fmt.Println(sim.FormatFig12b(gap.M, gap.Names))
+			report.AddFigure("fig12a.gap", speedupRows(gap.M, gap.Names))
+			report.AddFigure("fig12a.spec", speedupRows(spec.M, spec.Names))
+			report.AddFigure("fig12b", fig12bRows(gap.M, gap.Names))
+		}
+		if all || fig == 13 {
+			fmt.Println(sim.FormatFig13a(gap.M, gap.Names))
+			fmt.Println(sim.FormatFig13b(gap.M, gap.Names))
+			fmt.Println(sim.FormatFig13c(gap.M, gap.Names))
+			fmt.Println(sim.FormatFig13c(spec.M, spec.Names))
+			report.AddFigure("fig13a", fig13aRows(gap.M, gap.Names))
+			report.AddFigure("fig13b", fig13bRows(gap.M, gap.Names))
+			report.AddFigure("fig13c.gap", fig13cRows(gap.M, gap.Names))
+			report.AddFigure("fig13c.spec", fig13cRows(spec.M, spec.Names))
+		}
+		if all || fig == 14 {
+			fmt.Println(sim.FormatFig14(gap.M, gap.Names))
+			fmt.Println(sim.FormatFig14(spec.M, spec.Names))
+			report.AddFigure("fig14.gap", fig14Rows(gap.M, gap.Names))
+			report.AddFigure("fig14.spec", fig14Rows(spec.M, spec.Names))
+		}
+		addGeomeans(report, "gap", gap)
+		addGeomeans(report, "spec", spec)
+	}
+	if r.Fig15a != nil {
+		fmt.Println(sim.FormatFig15a(r.Fig15a))
+		fmt.Println(sim.FormatFig15b(r.Fig15b))
+		report.AddFigure("fig15a", fig15aRows(r.Fig15a))
+		report.AddFigure("fig15b", fig15bRows(r.Fig15b))
+	}
+}
+
+// addGeomeans records the geomean speedup over the suite of every
+// non-baseline configuration as "<suite>.<config>".
+func addGeomeans(report *obs.BenchReport, suite string, sm *sim.SuiteMatrix) {
+	for _, c := range sm.Configs[1:] {
 		var sp []float64
-		for _, w := range names {
-			sp = append(sp, m.Speedup(w, c))
+		for _, w := range sm.Names {
+			sp = append(sp, sm.M.Speedup(w, c))
 		}
 		report.AddGeomean(suite+"."+c, stats.GeoMean(sp))
 	}

@@ -128,15 +128,10 @@ func (b *Bimodal) ClonePredictor() Predictor {
 	return &cp
 }
 
-// Reset restores the freshly-constructed state (all counters weakly
-// not-taken, stats zeroed), letting a pooled predictor be reused without
-// reallocating its table.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
-	b.Stats = Stats{}
-}
+// ResetPC restores pc's counter to its freshly-constructed state (weakly
+// not-taken). A pooled predictor whose user trains a known set of PCs resets
+// just those counters (and its Stats) instead of the whole table.
+func (b *Bimodal) ResetPC(pc uint64) { b.table[b.index(pc)] = 1 }
 
 // --- Gshare ---
 

@@ -45,7 +45,7 @@ func TestEngineDepositsCorrectOutcomes(t *testing.T) {
 	lanes := &cpu.LanePool{}
 	consumed := 0
 	for now := uint64(0); now < 100000 && !eng.Done(); now++ {
-		lanes.Reset(coreCfg)
+		lanes.Reset(&coreCfg)
 		eng.Cycle(now, lanes)
 		// Main-thread-like consumption to keep the queue draining.
 		for qs.Lag() > 2 {

@@ -64,7 +64,7 @@ func TestEnginePredicatedStoreChain(t *testing.T) {
 		[]uint64{aBase, bBase, 0, outBase, 7, uint64(n)}, 0)
 	lanes := &cpu.LanePool{}
 	for now := uint64(0); now < 100000 && !eng.Done(); now++ {
-		lanes.Reset(coreCfg)
+		lanes.Reset(&coreCfg)
 		eng.Cycle(now, lanes)
 		for qs.Lag() > 1 {
 			qs.AdvanceSpecHead()
@@ -119,7 +119,7 @@ func TestEngineLoadViolationReplay(t *testing.T) {
 	lanes := &cpu.LanePool{}
 	outcomes := []bool{}
 	for now := uint64(0); now < 200000 && !eng.Done(); now++ {
-		lanes.Reset(coreCfg)
+		lanes.Reset(&coreCfg)
 		eng.Cycle(now, lanes)
 		for qs.Lag() > 1 {
 			out, ok := qs.Consume(0x0c)

@@ -44,7 +44,7 @@ func TestEngineThroughputUnderMisses(t *testing.T) {
 	var now uint64
 	consumed := 0
 	for ; now < 2_000_000 && !eng.Done(); now++ {
-		lanes.Reset(coreCfg)
+		lanes.Reset(&coreCfg)
 		eng.Cycle(now, lanes)
 		// Consumer drains aggressively (head tracks tail closely).
 		for qs.Lag() > 1 {

@@ -60,8 +60,9 @@ func DefaultConfig() Config {
 }
 
 // FrontendLatency is the fetch-to-dispatch latency implied by the pipeline
-// depth.
-func (c Config) FrontendLatency() uint64 {
+// depth. Fetch asks every cycle, so the receiver is a pointer: a Config value
+// would be copied on each call.
+func (c *Config) FrontendLatency() uint64 {
 	fl := c.PipelineDepth - 3
 	if fl < 1 {
 		fl = 1
@@ -137,8 +138,10 @@ type LanePool struct {
 	Complex int
 }
 
-// Reset refills the pool for a new cycle.
-func (p *LanePool) Reset(cfg Config) {
+// Reset refills the pool for a new cycle. It takes the configuration by
+// pointer: the cycle loop calls it every simulated cycle, and a Config value
+// would be copied each time.
+func (p *LanePool) Reset(cfg *Config) {
 	p.Simple = cfg.SimpleALUs
 	p.Mem = cfg.MemLanes
 	p.Complex = cfg.ComplexALUs

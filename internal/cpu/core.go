@@ -105,7 +105,10 @@ type Core struct {
 	mem   *emu.Memory
 	hier  *cache.Hierarchy
 
-	next    func() (emu.DynInst, bool)
+	// next writes the next correct-path instruction into its argument (the
+	// frontend slot it will occupy) or reports false once the source is
+	// exhausted.
+	next    func(*emu.DynInst) bool
 	peeked  emu.DynInst // valid iff hasPeek (a value, not a pointer: keeps fetch allocation-free)
 	hasPeek bool
 	// srcExhausted latches once next() returns false. The instruction source
@@ -113,7 +116,6 @@ type Core struct {
 	// empty fetch with no replay pending can never act again.
 	srcExhausted bool
 
-	fetchBuf emu.DynInst // fetch's persistent scratch; hooks get &fetchBuf, so nothing escapes per instruction
 	replay   []emu.DynInst
 	replayAt int
 
@@ -171,9 +173,11 @@ type Core struct {
 	Stats Stats
 }
 
-// NewCore builds a core over a dynamic-instruction source. mem receives
-// retired stores; hier provides load/store/I-fetch timing.
-func NewCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, next func() (emu.DynInst, bool), hooks Hooks) *Core {
+// NewCore builds a core over a dynamic-instruction source: next writes the
+// next correct-path instruction into the slot it is given (for example
+// emu.(*Emulator).StepInto) and returns false once the stream ends. mem
+// receives retired stores; hier provides load/store/I-fetch timing.
+func NewCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, next func(*emu.DynInst) bool, hooks Hooks) *Core {
 	c := &Core{
 		cfg:           cfg,
 		lim:           cfg.FullLimits(),
@@ -255,9 +259,9 @@ func (c *Core) BlockFetchUntil(cycle uint64) {
 
 func (c *Core) entry(ord uint64) *robEntry { return &c.rob[ord&uint64(len(c.rob)-1)] }
 
-// nextDynInto fills dst with the next correct-path instruction: replayed
-// (post-squash) instructions first, then fresh emulation. Writing through a
-// caller-owned pointer keeps the instruction from escaping per fetch.
+// nextDynInto fills dst with the next correct-path instruction: the peeked
+// instruction first, then replayed (post-squash) instructions, then fresh
+// emulation written straight into dst.
 func (c *Core) nextDynInto(dst *emu.DynInst) bool {
 	if c.hasPeek {
 		*dst = c.peeked
@@ -273,12 +277,10 @@ func (c *Core) nextDynInto(dst *emu.DynInst) bool {
 		}
 		return true
 	}
-	d, ok := c.next()
-	if !ok {
+	if !c.next(dst) {
 		c.srcExhausted = true
 		return false
 	}
-	*dst = d
 	return true
 }
 
@@ -605,7 +607,13 @@ func (c *Core) fetch(now uint64) {
 		if c.frontTail-c.frontHead >= maxFront {
 			return
 		}
-		d := &c.fetchBuf
+		// The instruction is written straight into the slot at frontTail;
+		// the slot joins the frontend only when frontTail advances below.
+		if c.frontTail-c.frontHead == uint64(len(c.front)) {
+			c.growFront()
+		}
+		fe := &c.front[c.frontTail&uint64(len(c.front)-1)]
+		d := &fe.d
 		if !c.nextDynInto(d) {
 			return
 		}
@@ -624,11 +632,7 @@ func (c *Core) fetch(now uint64) {
 		if c.hooks.OnFetch != nil {
 			c.hooks.OnFetch(d)
 		}
-		if c.frontTail-c.frontHead == uint64(len(c.front)) {
-			c.growFront()
-		}
-		fe := &c.front[c.frontTail&uint64(len(c.front)-1)]
-		*fe = frontEntry{d: *d, readyAt: now + fl}
+		fe.readyAt, fe.misp, fe.fromQ = now+fl, false, false
 		endGroup := false
 		if d.Inst.Op.IsCondBranch() {
 			pred := Prediction{Taken: false}
@@ -652,7 +656,7 @@ func (c *Core) fetch(now uint64) {
 		}
 		c.frontTail++
 		if c.trace != nil {
-			c.trace.Fetch(now, &fe.d)
+			c.trace.Fetch(now, d)
 		}
 		if endGroup {
 			return

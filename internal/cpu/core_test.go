@@ -22,13 +22,13 @@ func run(t *testing.T, cfg Config, prog *isa.Program, mem *emu.Memory, pred bpre
 			return Prediction{Taken: pred.PredictAndTrain(d.PC, d.Taken)}
 		}
 	}
-	core := NewCore(cfg, mem, hier, func() (emu.DynInst, bool) { return e.Step() }, hooks)
+	core := NewCore(cfg, mem, hier, e.StepInto, hooks)
 	lanes := &LanePool{}
 	for now := uint64(0); !core.Halted(); now++ {
 		if now > 200_000_000 {
 			t.Fatal("simulation did not terminate")
 		}
-		lanes.Reset(cfg)
+		lanes.Reset(&cfg)
 		core.Cycle(now, lanes)
 	}
 	return core
@@ -221,7 +221,7 @@ func TestPartitionSlowsMainThread(t *testing.T) {
 	hier := cache.New(cache.DefaultConfig())
 	e := emu.New(p2, m2)
 	pred := bpred.NewTAGE(bpred.DefaultTAGEConfig())
-	core := NewCore(cfg, m2, hier, func() (emu.DynInst, bool) { return e.Step() }, Hooks{
+	core := NewCore(cfg, m2, hier, e.StepInto, Hooks{
 		Predict: func(d *emu.DynInst) Prediction {
 			return Prediction{Taken: pred.PredictAndTrain(d.PC, d.Taken)}
 		},
@@ -229,7 +229,7 @@ func TestPartitionSlowsMainThread(t *testing.T) {
 	core.SetLimits(cfg.FullLimits().Scale(1, 2))
 	lanes := &LanePool{}
 	for now := uint64(0); !core.Halted(); now++ {
-		lanes.Reset(cfg)
+		lanes.Reset(&cfg)
 		core.Cycle(now, lanes)
 	}
 	if core.Stats.Cycles <= full.Stats.Cycles {
@@ -258,14 +258,14 @@ func TestSquashAllReplaysCorrectly(t *testing.T) {
 
 	hier := cache.New(cache.DefaultConfig())
 	e := emu.New(prog, mem)
-	core := NewCore(DefaultConfig(), mem, hier, func() (emu.DynInst, bool) { return e.Step() }, Hooks{})
+	core := NewCore(DefaultConfig(), mem, hier, e.StepInto, Hooks{})
 	lanes := &LanePool{}
 	cfg := DefaultConfig()
 	for now := uint64(0); !core.Halted(); now++ {
 		if now > 10_000_000 {
 			t.Fatal("did not terminate")
 		}
-		lanes.Reset(cfg)
+		lanes.Reset(&cfg)
 		core.Cycle(now, lanes)
 		if now%997 == 0 && now > 0 {
 			core.SquashAll(now)
@@ -308,12 +308,12 @@ func TestBlockFetchUntil(t *testing.T) {
 	hier := cache.New(cache.DefaultConfig())
 	e := emu.New(prog, mem)
 	cfg := DefaultConfig()
-	core := NewCore(cfg, mem, hier, func() (emu.DynInst, bool) { return e.Step() }, Hooks{})
+	core := NewCore(cfg, mem, hier, e.StepInto, Hooks{})
 	core.BlockFetchUntil(500)
 	lanes := &LanePool{}
 	var now uint64
 	for ; !core.Halted(); now++ {
-		lanes.Reset(cfg)
+		lanes.Reset(&cfg)
 		core.Cycle(now, lanes)
 	}
 	if now < 500 {
@@ -353,7 +353,7 @@ func TestLimitsScale(t *testing.T) {
 func TestLanePool(t *testing.T) {
 	cfg := DefaultConfig()
 	var p LanePool
-	p.Reset(cfg)
+	p.Reset(&cfg)
 	for i := 0; i < cfg.SimpleALUs; i++ {
 		if !p.TakeSimple() {
 			t.Fatal("simple slot missing")

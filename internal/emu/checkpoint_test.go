@@ -193,3 +193,40 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		t.Fatal("resumed run diverged from the original continuing")
 	}
 }
+
+// TestReadArchPageCacheFollowsCopyOnWrite: ReadArch caches the last page it
+// read; when the first write after a snapshot clones that page, later reads
+// must come from the clone, and the snapshot keeps the old bytes.
+func TestReadArchPageCacheFollowsCopyOnWrite(t *testing.T) {
+	for _, m := range []*Memory{NewMemory(), nil} {
+		if m == nil {
+			// A materialized memory starts with every page frozen.
+			src := NewMemory()
+			src.SetU64(0x1000, 1)
+			img, err := src.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = img.Materialize()
+		} else {
+			m.SetU64(0x1000, 1)
+		}
+		if got := m.U64(0x1000); got != 1 { // caches the page
+			t.Fatalf("read %d, want 1", got)
+		}
+		img, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetU64(0x1008, 2) // clones the cached page
+		if got := m.U64(0x1008); got != 2 {
+			t.Fatalf("read after copy-on-write = %d, want 2", got)
+		}
+		if got := m.ReadProgram(0x1008, 8); got != 2 {
+			t.Fatalf("program-order read after copy-on-write = %d, want 2", got)
+		}
+		if got := img.Materialize().U64(0x1008); got != 0 {
+			t.Fatalf("snapshot saw a later write: %d", got)
+		}
+	}
+}

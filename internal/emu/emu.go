@@ -58,16 +58,25 @@ func New(prog *isa.Program, mem *Memory) *Emulator {
 // Step executes one instruction and returns its dynamic record. ok=false
 // means the program has halted (or MaxInsts was reached) and d is invalid.
 func (e *Emulator) Step() (d DynInst, ok bool) {
+	ok = e.StepInto(&d)
+	return d, ok
+}
+
+// StepInto executes one instruction and writes its dynamic record into d,
+// field by field, so the record is built where the caller keeps it (the
+// core passes its frontend slot). It returns false, leaving d untouched, once
+// the program has halted or MaxInsts was reached.
+func (e *Emulator) StepInto(d *DynInst) bool {
 	if e.Halted || (e.MaxInsts != 0 && e.Seq >= e.MaxInsts) {
-		return DynInst{}, false
+		return false
 	}
 	inst, found := e.Prog.At(e.PC)
 	if !found {
 		panic(fmt.Sprintf("emu: PC %#x outside program [%#x,%#x)", e.PC, e.Prog.Base, e.Prog.End()))
 	}
-	d = DynInst{Seq: e.Seq, PC: e.PC, Inst: inst, NextPC: e.PC + isa.InstBytes}
-	d.Rs1Val = e.Regs[inst.Rs1]
-	d.Rs2Val = e.Regs[inst.Rs2]
+	d.Seq, d.PC, d.Inst, d.NextPC = e.Seq, e.PC, inst, e.PC+isa.InstBytes
+	d.Rs1Val, d.Rs2Val = e.Regs[inst.Rs1], e.Regs[inst.Rs2]
+	d.RdVal, d.Addr, d.MemSize, d.StoreVal, d.Taken = 0, 0, 0, 0, false
 
 	op := inst.Op
 	switch {
@@ -107,7 +116,7 @@ func (e *Emulator) Step() (d DynInst, ok bool) {
 
 	e.PC = d.NextPC
 	e.Seq++
-	return d, true
+	return true
 }
 
 func (e *Emulator) setReg(r isa.Reg, v uint64) {

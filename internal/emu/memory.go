@@ -99,6 +99,14 @@ type Memory struct {
 	// the common case for memories that were never snapshotted — costs one
 	// nil check on the write path and nothing on reads.
 	frozen map[uint64]bool
+
+	// lastPage caches the page ReadArch found last (page number lastPN), so
+	// reads that stay on one page skip the map. Pages are never removed from
+	// the map, and pageFor's copy-on-write path re-points the cache at the
+	// clone, so a cached page is always the one the map holds. Reads write
+	// these fields: a Memory belongs to one goroutine at a time.
+	lastPN   uint64
+	lastPage *page
 }
 
 // NewMemory returns an empty memory.
@@ -126,6 +134,9 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 		m.pages[pn] = cp
 		delete(m.frozen, pn)
 		p = cp
+		if m.lastPN == pn {
+			m.lastPage = cp
+		}
 	}
 	return p
 }
@@ -151,9 +162,12 @@ func (m *Memory) WriteArchByte(addr uint64, v byte) {
 func (m *Memory) ReadArch(addr uint64, size int) uint64 {
 	off := addr & pageMask
 	if off+uint64(size) <= pageSize {
-		p := m.pages[addr>>pageShift]
-		if p == nil {
-			return 0
+		p := m.lastPage
+		if pn := addr >> pageShift; p == nil || pn != m.lastPN {
+			if p = m.pages[pn]; p == nil {
+				return 0
+			}
+			m.lastPN, m.lastPage = pn, p
 		}
 		switch size {
 		case 8:
@@ -201,10 +215,13 @@ func (m *Memory) WriteArch(addr uint64, size int, v uint64) {
 }
 
 // ReadProgram reads size bytes from the program-order view: pending store
-// data if present, architectural data otherwise. The common case — no
-// pending bytes under the access — is one bitmap probe on top of the
-// architectural fast path.
+// data if present, architectural data otherwise. With no store pending it is
+// the architectural fast path; otherwise the common case — no pending bytes
+// under the access — adds one shadow lookup and bitmap probe.
 func (m *Memory) ReadProgram(addr uint64, size int) uint64 {
+	if m.nPend == 0 {
+		return m.ReadArch(addr, size)
+	}
 	off := addr & pageMask
 	if off+uint64(size) <= pageSize {
 		pn := addr >> pageShift

@@ -160,11 +160,14 @@ func newBRQueues(cfg *Config, stats *Stats, n int, guards []int, guardDir []bool
 }
 
 // reset returns pooled queues to their freshly-built state for a new
-// trigger, keeping every ring and table backing allocation.
+// trigger, keeping every ring and table backing allocation. Deposit trains
+// the bimodal table only at depositPC(qi), so those counters are all there
+// is to reset.
 func (b *brQueues) reset() {
-	b.bim.Reset()
+	b.bim.Stats = bpred.Stats{}
 	b.tailIter = 0
 	for i := range b.entries {
+		b.bim.ResetPC(depositPC(i))
 		b.entries[i].reset()
 		b.actual[i] = false
 		b.hasActual[i] = false

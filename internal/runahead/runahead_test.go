@@ -1,6 +1,7 @@
 package runahead
 
 import (
+	"bytes"
 	"testing"
 
 	"phelps/internal/core"
@@ -131,5 +132,26 @@ func TestDefaultConfigMatchesPaperSetup(t *testing.T) {
 	}
 	if cfg.Construction.MaxHTInsts != core.DefaultConstructionConfig().MaxHTInsts {
 		t.Error("BR shares the chain-size limits with the construction machinery")
+	}
+}
+
+// TestBRQueuesResetRestoresBimodal: a pooled queue set's reset, which
+// clears only the counters Deposit trains, leaves the bimodal table and its
+// stats byte-identical to a freshly built one.
+func TestBRQueuesResetRestoresBimodal(t *testing.T) {
+	q, _, _ := testQueues(true)
+	fresh := q.bim.AppendState(nil)
+	for i := 0; i < 8; i++ {
+		q.Deposit(0, true)
+		q.Deposit(1, false)
+		q.AdvanceTail()
+	}
+	q.bim.PredictAndTrain(depositPC(0), true) // moves the stats too
+	if bytes.Equal(q.bim.AppendState(nil), fresh) {
+		t.Fatal("deposits did not train the bimodal table")
+	}
+	q.reset()
+	if !bytes.Equal(q.bim.AppendState(nil), fresh) {
+		t.Error("reset left bimodal state behind")
 	}
 }

@@ -402,11 +402,10 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 // results-cache hit resolves at once, a fault-injected cell runs privately
 // under its job's context, and every other cell joins (or opens) the flight
 // of its key. A sampled job on a daemon with a checkpoint cache queues each
-// workload's cell tasks as one pool task running them in request order —
-// the row rule RunMatrixCtx follows — so the later configs measure from the
-// checkpoint artifact the first one stored instead of rebuilding it on
-// another worker. Flights, retry, deadlines, journal records and admission
-// stay per cell.
+// workload's cell tasks as one pool task running them in request order, so
+// the later configs measure from the checkpoint artifact the first one
+// stored instead of rebuilding it on another worker. Flights, retry,
+// deadlines, journal records and admission stay per cell.
 func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 	rows := job.Req.Sampled && s.ckpts != nil
 	var tasks []func()

@@ -269,8 +269,8 @@ const ckptMemEntries = 8
 
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a
 // directory, with a small in-memory layer of decoded artifacts on top. Safe
-// for concurrent use; phelpsd shares one across its pool workers, and
-// sweeps (RunMatrixOpt with MatrixOptions.Sample) share one across cells.
+// for concurrent use; phelpsd shares one across its pool workers and the
+// cells of its sampled jobs (MatrixOptions.Sample).
 type CkptCache struct {
 	dir string
 	fs  fsio.FS

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 
@@ -241,8 +241,10 @@ type MatrixOptions struct {
 
 	// Sample, when non-nil, runs every cell sampled (SampledRunCtx) instead
 	// of cycle-accurately end to end. Sample.Ckpts is shared across cells:
-	// all configurations of one workload reuse a single cached checkpoint
-	// artifact (the cache key excludes Mode).
+	// the configurations of one workload reuse its cached checkpoint
+	// artifact once one of them has stored it (the cache key excludes
+	// Mode). phelpsd runs a workload's sampled cells in order on one worker
+	// so that only the first builds it.
 	Sample *SampleConfig
 }
 
@@ -314,8 +316,7 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 
 // cellRun is one entry of an ad-hoc cell list: a workload and a
 // materialized configuration outside the name registry, labeled for crash
-// reports and error text. The explore grid and the Fig. 11/15 sweeps are
-// cell lists.
+// reports. The explore grid and the report plan are cell lists.
 type cellRun struct {
 	spec  Spec
 	label string
@@ -323,32 +324,33 @@ type cellRun struct {
 }
 
 // runCells runs a cell list on GOMAXPROCS pool workers through
-// RunConfigCellCtx, returning results indexed like cells and every cell
-// failure joined. Cells not yet started when ctx ends fail with a wrapped
+// RunConfigCellCtx, starting cells in list order, and returns results and
+// errors indexed like cells. The errors do not name their cell (see
+// cellError). Cells not yet started when ctx ends fail with a wrapped
 // ErrCanceled.
-func runCells(ctx context.Context, cells []cellRun, opt MatrixOptions) ([]Result, error) {
+func runCells(ctx context.Context, cells []cellRun, opt MatrixOptions) ([]Result, []error) {
 	results := make([]Result, len(cells))
 	errs := make([]error, len(cells))
 	ForEach(len(cells), runtime.GOMAXPROCS(0), func(i int) {
 		c := &cells[i]
 		if cerr := ctx.Err(); cerr != nil {
-			errs[i] = fmt.Errorf("%s under %s: %w: %v", c.spec.Name, c.label, ErrCanceled, cerr)
+			errs[i] = fmt.Errorf("%w: %v", ErrCanceled, cerr)
 			return
 		}
-		r, err := RunConfigCellCtx(ctx, c.spec, c.label, c.cfg, opt)
-		results[i] = r
-		if err != nil {
-			errs[i] = fmt.Errorf("%s under %s: %w", c.spec.Name, c.label, err)
-		}
+		results[i], errs[i] = RunConfigCellCtx(ctx, c.spec, c.label, c.cfg, opt)
 	})
-	return results, errors.Join(errs...)
+	return results, errs
 }
 
-// RunMatrix runs each workload under each named configuration, spreading
-// workloads across GOMAXPROCS pool workers (ForEach; each Spec.Build
-// produces an independent Workload, and Run shares no mutable state between
-// runs, so the results are identical to a serial sweep). Configurations for
-// one workload run serially on its worker.
+// cellError names the cell a failure came from.
+func cellError(workload, label string, err error) error {
+	return fmt.Errorf("%s under %s: %w", workload, label, err)
+}
+
+// RunMatrix runs each workload under each named configuration, one pool
+// task per cell on GOMAXPROCS workers (runCells; each Spec.Build produces
+// an independent Workload, and Run shares no mutable state between runs, so
+// the results are identical to a serial sweep).
 //
 // Every run verifies the workload's architectural results. Per-cell
 // failures (livelock, stall, panic, verification) are joined into the
@@ -370,40 +372,14 @@ func RunMatrixOpt(specs []Spec, configs []string, opt MatrixOptions) (Matrix, er
 // error entries also wrap ErrCanceled), so a canceled sweep still returns
 // the cells it finished.
 func RunMatrixCtx(ctx context.Context, specs []Spec, configs []string, opt MatrixOptions) (Matrix, error) {
-	for _, c := range configs {
-		if _, err := ConfigByName(c, 0); err != nil {
-			return nil, err
-		}
+	var p cellPlan
+	mp, err := planMatrix(&p, specs, configs)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]map[string]Result, len(specs))
-	errs := make([]error, len(specs))
-	// One task per workload row: its configurations run serially, so a
-	// sampled sweep's later configs hit the checkpoint artifact the first
-	// one stored.
-	ForEach(len(specs), runtime.GOMAXPROCS(0), func(i int) {
-		s := specs[i]
-		rs := make(map[string]Result, len(configs))
-		var cellErrs []error
-		for _, c := range configs {
-			if cerr := ctx.Err(); cerr != nil {
-				cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w: %v", s.Name, c, ErrCanceled, cerr))
-				continue
-			}
-			r, err := RunCellCtx(ctx, s, c, opt)
-			rs[c] = r
-			if err != nil {
-				cellErrs = append(cellErrs, fmt.Errorf("%s under %s: %w", s.Name, c, err))
-			}
-		}
-		rows[i] = rs
-		errs[i] = errors.Join(cellErrs...)
-	})
-
-	m := make(Matrix, len(specs))
-	for i, s := range specs {
-		m[s.Name] = rows[i]
-	}
-	return m, errors.Join(errs...)
+	p.run(ctx, opt)
+	sm := mp.result(&p)
+	return sm.M, sm.Err
 }
 
 // Speedup returns cycles(base)/cycles(cfg) for a workload.
@@ -431,12 +407,28 @@ type Fig11Row struct {
 // branches). A config-registry lookup failure aborts before any simulation;
 // a failed cell fails the figure.
 func Fig11(quick bool) ([]Fig11Row, error) {
+	var p cellPlan
+	f, err := planFig11(&p, quick)
+	if err != nil {
+		return nil, err
+	}
+	p.run(context.Background(), MatrixOptions{})
+	return f.rows(&p)
+}
+
+// fig11Plan is Fig. 11 in a cellPlan: one cell per bar, labeled with the
+// bar's name, the baseline first.
+type fig11Plan struct {
+	cells []cellRef
+}
+
+func planFig11(p *cellPlan, quick bool) (*fig11Plan, error) {
 	size := 96
 	if quick {
 		size = 56
 	}
 	epoch := uint64(30_000)
-	spec := Spec{Name: "astar", Epoch: epoch,
+	spec := &Spec{Name: "astar", Epoch: epoch,
 		Build: func() *prog.Workload { return prog.Astar(size, size, 35, 600, 7) }}
 
 	var cfgErr error
@@ -462,23 +454,33 @@ func Fig11(quick bool) ([]Fig11Row, error) {
 	b1.Phelps.Construction.IncludeStores = false
 	b1.Phelps.Construction.IncludeGuardedBranches = false
 	b1s1.Phelps.Construction.IncludeGuardedBranches = false
-	cells := []cellRun{
-		{spec, "baseline (TAGE-SC-L)", DefaultConfig()},
-		{spec, "BR-non-spec", brNon},
-		{spec, "BR-spec", brSpec},
-		{spec, "Phelps:b1->b2->s1 (full)", full},
-		{spec, "Phelps:b1->b2", b1b2},
-		{spec, "Phelps:b1", b1},
-		{spec, "Phelps:b1->s1", b1s1},
+	f := &fig11Plan{}
+	for _, bar := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline (TAGE-SC-L)", DefaultConfig()},
+		{"BR-non-spec", brNon},
+		{"BR-spec", brSpec},
+		{"Phelps:b1->b2->s1 (full)", full},
+		{"Phelps:b1->b2", b1b2},
+		{"Phelps:b1", b1},
+		{"Phelps:b1->s1", b1s1},
+	} {
+		f.cells = append(f.cells, p.add(spec, spec.Name, bar.name, bar.cfg))
 	}
-	res, err := runCells(context.Background(), cells, MatrixOptions{})
-	if err != nil {
+	return f, nil
+}
+
+func (f *fig11Plan) rows(p *cellPlan) ([]Fig11Row, error) {
+	if err := p.failures(f.cells...); err != nil {
 		return nil, err
 	}
-	base := res[0]
-	rows := make([]Fig11Row, len(cells))
-	for i, r := range res {
-		rows[i] = Fig11Row{cells[i].label, float64(base.Cycles) / float64(r.Cycles), r.MPKI()}
+	base := p.result(f.cells[0])
+	rows := make([]Fig11Row, len(f.cells))
+	for i, c := range f.cells {
+		r := p.result(c)
+		rows[i] = Fig11Row{c.label, float64(base.Cycles) / float64(r.Cycles), r.MPKI()}
 	}
 	return rows, nil
 }
@@ -615,28 +617,47 @@ type Fig15aRow struct {
 // workloads. A config-registry lookup failure aborts before any simulation;
 // a failed cell fails the figure.
 func Fig15a(quick bool) ([]Fig15aRow, error) {
-	specs := []Spec{}
-	for _, s := range GapSpecs(quick) {
+	var p cellPlan
+	f, err := planFig15a(&p, GapSpecs(quick))
+	if err != nil {
+		return nil, err
+	}
+	p.run(context.Background(), MatrixOptions{})
+	return f.rows(&p)
+}
+
+// fig15aPlan is Fig. 15a in a cellPlan: each row is a (base, phelps) cell pair
+// at one (ROB, depth) point.
+type fig15aPlan struct {
+	points []Fig15aRow // the rows, Speedup unset
+	cells  [][2]cellRef
+}
+
+// planFig15a adds Fig. 15a's cells for the astar, bfs and bc workloads of
+// the GAP suite slice gap.
+func planFig15a(p *cellPlan, gap []Spec) (*fig15aPlan, error) {
+	var specs []*Spec
+	for i, s := range gap {
 		if s.Name == "astar" || s.Name == "bfs" || s.Name == "bc" {
-			specs = append(specs, s)
+			specs = append(specs, &gap[i])
 		}
 	}
 	robs := []int{320, 632, 1024}
 	depths := []int{11, 15, 19}
-	// Each row is a (base, phelps) cell pair at one (ROB, depth) point.
-	var rows []Fig15aRow
-	var cells []cellRun
+	f := &fig15aPlan{}
 	for _, s := range specs {
 		point := func(rob, depth int) error {
-			for _, name := range []string{CfgBase, CfgPhelps} {
+			var pair [2]cellRef
+			for i, name := range []string{CfgBase, CfgPhelps} {
 				cfg, err := ConfigByName(name, s.Epoch)
 				if err != nil {
 					return err
 				}
 				scaleWindow(&cfg, rob, depth)
-				cells = append(cells, cellRun{s, fmt.Sprintf("%s rob=%d depth=%d", name, rob, depth), cfg})
+				pair[i] = p.add(s, s.Name, fmt.Sprintf("%s rob=%d depth=%d", name, rob, depth), cfg)
 			}
-			rows = append(rows, Fig15aRow{Workload: s.Name, ROB: rob, Depth: depth})
+			f.points = append(f.points, Fig15aRow{Workload: s.Name, ROB: rob, Depth: depth})
+			f.cells = append(f.cells, pair)
 			return nil
 		}
 		// ROB sweep at depth 11 (with commensurate PRF/LQ/SQ/IQ sizing).
@@ -652,12 +673,16 @@ func Fig15a(quick bool) ([]Fig15aRow, error) {
 			}
 		}
 	}
-	res, err := runCells(context.Background(), cells, MatrixOptions{})
-	if err != nil {
+	return f, nil
+}
+
+func (f *fig15aPlan) rows(p *cellPlan) ([]Fig15aRow, error) {
+	if err := p.failures(pairCells(f.cells)...); err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		rows[i].Speedup = float64(res[2*i].Cycles) / float64(res[2*i+1].Cycles)
+	rows := append([]Fig15aRow(nil), f.points...)
+	for i, c := range f.cells {
+		rows[i].Speedup = float64(p.result(c[0]).Cycles) / float64(p.result(c[1]).Cycles)
 	}
 	return rows, nil
 }
@@ -693,39 +718,64 @@ type Fig15bRow struct {
 // Fig15b runs bfs on the three input families (road / web / kron). A
 // failed cell fails the figure.
 func Fig15b(quick bool) ([]Fig15bRow, error) {
+	var p cellPlan
+	f := planFig15b(&p, GapSpecs(quick), quick)
+	p.run(context.Background(), MatrixOptions{})
+	return f.rows(&p)
+}
+
+// fig15bPlan is Fig. 15b in a cellPlan: a (base, phelps) cell pair per input.
+type fig15bPlan struct {
+	inputs []string
+	cells  [][2]cellRef
+}
+
+// planFig15b adds Fig. 15b's cells. The road input is the bfs workload of
+// the GAP suite slice gap (same graph, source and epoch), so in the report
+// it shares the run matrix's bfs cells.
+func planFig15b(p *cellPlan, gap []Spec, quick bool) *fig15bPlan {
 	f := 1
 	if quick {
 		f = 2
 	}
+	const epoch = 40_000
+	bfs := func(name string, g *graph.Graph) *Spec {
+		src := g.MainComponentSource()
+		// The graph is read-only, so concurrent builds share it.
+		return &Spec{Name: name, Epoch: epoch, Build: func() *prog.Workload { return prog.BFS(g, src) }}
+	}
 	inputs := []struct {
 		name string
-		g    *graph.Graph
+		spec *Spec
 	}{
-		{"road", graph.Road(96/f, 96/f, 11)},
-		{"web", graph.Web(6000/(f*f), 2, 13)},
-		{"kron", graph.Kron(12-f, 6, 17)},
+		{"road", &gap[slices.IndexFunc(gap, func(s Spec) bool { return s.Name == "bfs" })]},
+		{"web", bfs("bfs-web", graph.Web(6000/(f*f), 2, 13))},
+		{"kron", bfs("bfs-kron", graph.Kron(12-f, 6, 17))},
 	}
-	const epoch = 40_000
-	// Each input is a (base, phelps) cell pair; the graph is read-only, so
-	// concurrent builds share it.
-	var cells []cellRun
+	fp := &fig15bPlan{}
 	for _, in := range inputs {
-		g, src := in.g, in.g.MainComponentSource()
-		s := Spec{Name: "bfs-" + in.name, Epoch: epoch, Build: func() *prog.Workload { return prog.BFS(g, src) }}
-		cells = append(cells, cellRun{s, CfgBase, DefaultConfig()}, cellRun{s, CfgPhelps, PhelpsConfig(epoch)})
+		name := "bfs-" + in.name
+		fp.inputs = append(fp.inputs, in.name)
+		fp.cells = append(fp.cells, [2]cellRef{
+			p.add(in.spec, name, CfgBase, DefaultConfig()),
+			p.add(in.spec, name, CfgPhelps, PhelpsConfig(epoch)),
+		})
 	}
-	res, err := runCells(context.Background(), cells, MatrixOptions{})
-	if err != nil {
+	return fp
+}
+
+func (f *fig15bPlan) rows(p *cellPlan) ([]Fig15bRow, error) {
+	if err := p.failures(pairCells(f.cells)...); err != nil {
 		return nil, err
 	}
-	rows := make([]Fig15bRow, len(inputs))
-	for i, in := range inputs {
-		b, p := res[2*i], res[2*i+1]
+	rows := make([]Fig15bRow, len(f.cells))
+	for i, c := range f.cells {
+		b, ph := p.result(c[0]), p.result(c[1])
 		red := 0.0
 		if b.MPKI() > 0 {
-			red = (b.MPKI() - p.MPKI()) / b.MPKI() * 100
+			red = (b.MPKI() - ph.MPKI()) / b.MPKI() * 100
 		}
-		rows[i] = Fig15bRow{in.name, float64(b.Cycles) / float64(p.Cycles), red}
+		rows[i] = Fig15bRow{f.inputs[i], float64(b.Cycles) / float64(ph.Cycles), red}
 	}
 	return rows, nil
 }

@@ -29,6 +29,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -377,8 +378,14 @@ func runExploreCells(ctx context.Context, specs []Spec, points []ExplorePoint, c
 		s, p := specs[c.wl], &points[c.pt]
 		runs[i] = cellRun{s, p.Name, p.Config(s.Epoch)}
 	}
-	results, err := runCells(ctx, runs, MatrixOptions{CrashDir: opt.CrashDir})
-	if err != nil {
+	results, errs := runCells(ctx, runs, MatrixOptions{CrashDir: opt.CrashDir})
+	var failed []error
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, cellError(runs[i].spec.Name, runs[i].label, err))
+		}
+	}
+	if err := errors.Join(failed...); err != nil {
 		return nil, 0, err
 	}
 	var insts uint64

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// Figure golden: the quick Fig. 11, 15a and 15b rows, pinned exactly (JSON
-// floats round-trip bit for bit). These figures build ad-hoc configurations
-// outside the run matrix, so TestCycleExactnessGolden does not cover them.
+// Figure golden: the quick Fig. 11, 15a and 15b rows of the shared
+// quick-report run, pinned exactly (JSON floats round-trip bit for bit).
+// These figures build ad-hoc configurations outside the run matrix, so
+// TestCycleExactnessGolden does not cover them.
 // Regenerate deliberately with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/sim -run TestFigureGolden
@@ -27,17 +28,8 @@ func TestFigureGolden(t *testing.T) {
 	if testing.Short() && !update {
 		t.Skip("quick figures skipped in -short mode (covered by the default run)")
 	}
-	var got figGolden
-	var err error
-	if got.Fig11, err = Fig11(true); err != nil {
-		t.Fatalf("Fig11: %v", err)
-	}
-	if got.Fig15a, err = Fig15a(true); err != nil {
-		t.Fatalf("Fig15a: %v", err)
-	}
-	if got.Fig15b, err = Fig15b(true); err != nil {
-		t.Fatalf("Fig15b: %v", err)
-	}
+	r := quickReport(t)
+	got := figGolden{Fig11: r.Fig11, Fig15a: r.Fig15a, Fig15b: r.Fig15b}
 
 	if update {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -36,50 +36,34 @@ type goldenFile struct {
 	Cells  []goldenCell `json:"cells"`
 }
 
-// goldenSuites mirrors the cmd/phelpsreport quick matrix: every workload of
-// both suites under every configuration that figure set uses.
-func goldenSuites() []struct {
-	name    string
-	specs   []Spec
-	configs []string
-} {
-	return []struct {
-		name    string
-		specs   []Spec
-		configs []string
-	}{
-		{"gap", GapSpecs(true), []string{
-			CfgBase, CfgPerfect, CfgPhelps, CfgPhelpsNoStore, CfgBR, CfgBR12w, CfgHalf,
-		}},
-		{"spec", SpecCPUSpecs(true), []string{
-			CfgBase, CfgPerfect, CfgPhelps, CfgBR, CfgBR12w, CfgHalf,
-		}},
-	}
-}
-
+// runGoldenCells reads every run-matrix cell of the shared quick-report run
+// (quickReport), so the gate covers the exact path phelpsreport -quick runs.
 func runGoldenCells(t *testing.T) []goldenCell {
 	t.Helper()
+	r := quickReport(t)
 	var cells []goldenCell
-	for _, suite := range goldenSuites() {
-		m, err := RunMatrix(suite.specs, suite.configs)
-		if err != nil {
-			t.Fatalf("%s matrix: %v", suite.name, err)
+	for _, suite := range []struct {
+		name string
+		sm   *SuiteMatrix
+	}{{"gap", r.Gap}, {"spec", r.Spec}} {
+		if suite.sm.Err != nil {
+			t.Fatalf("%s matrix: %v", suite.name, suite.sm.Err)
 		}
-		for _, s := range suite.specs {
-			for _, c := range suite.configs {
-				r, ok := m[s.Name][c]
+		for _, w := range suite.sm.Names {
+			for _, c := range suite.sm.Configs {
+				res, ok := suite.sm.M[w][c]
 				if !ok {
-					t.Fatalf("missing result for %s/%s/%s", suite.name, s.Name, c)
+					t.Fatalf("missing result for %s/%s/%s", suite.name, w, c)
 				}
 				cells = append(cells, goldenCell{
 					Suite:       suite.name,
-					Workload:    s.Name,
+					Workload:    w,
 					Config:      c,
-					Cycles:      r.Cycles,
-					Retired:     r.Retired,
-					Mispredicts: r.Mispredicts,
-					MPKI:        fmt.Sprintf("%.6f", r.MPKI()),
-					IPC:         fmt.Sprintf("%.6f", r.IPC()),
+					Cycles:      res.Cycles,
+					Retired:     res.Retired,
+					Mispredicts: res.Mispredicts,
+					MPKI:        fmt.Sprintf("%.6f", res.MPKI()),
+					IPC:         fmt.Sprintf("%.6f", res.IPC()),
 				})
 			}
 		}
@@ -87,10 +71,9 @@ func runGoldenCells(t *testing.T) []goldenCell {
 	return cells
 }
 
-// TestCycleExactnessGolden runs the full quick matrix and compares every cell
-// against the checked-in golden. With -short it still runs, but on a reduced
-// cell set (first two workloads per suite, three configs) to keep -short
-// loops fast while preserving the cross-config coverage.
+// TestCycleExactnessGolden compares every quick run-matrix cell against the
+// checked-in golden. It is skipped under -short (the shared quick-report run
+// is the cost).
 func TestCycleExactnessGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	if testing.Short() && !update {

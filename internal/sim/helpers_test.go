@@ -25,7 +25,7 @@ func hooksFor(ctrl *core.Controller, pred bpred.Predictor) cpu.Hooks {
 }
 
 func newCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, e *emu.Emulator, hooks cpu.Hooks) *cpu.Core {
-	return cpu.NewCore(cfg.Core, mem, hier, func() (emu.DynInst, bool) { return e.Step() }, hooks)
+	return cpu.NewCore(cfg.Core, mem, hier, e.StepInto, hooks)
 }
 
 func runLoop(cfg Config, mt *cpu.Core, ctrl *core.Controller) {
@@ -34,7 +34,7 @@ func runLoop(cfg Config, mt *cpu.Core, ctrl *core.Controller) {
 		if now > 100_000_000 {
 			panic("runLoop: no progress")
 		}
-		lanes.Reset(cfg.Core)
+		lanes.Reset(&cfg.Core)
 		ctrl.SetNow(now)
 		if now%2 == 0 {
 			mt.Cycle(now, lanes)

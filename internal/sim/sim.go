@@ -348,7 +348,7 @@ func newMachine(cfg Config, mem *emu.Memory, e *emu.Emulator, pred bpred.Predict
 			return cpu.Prediction{Taken: base}
 		}
 		hooks.OnFetch = ctrl.OnFetch
-		hooks.OnRetire = func(d *emu.DynInst, misp bool) { ctrl.OnRetire(d, misp) }
+		hooks.OnRetire = ctrl.OnRetire
 	case ModeRunahead:
 		m.bra = runahead.NewController(cfg.Runahead, cfg.Core, mem, hier)
 		bra := m.bra
@@ -360,14 +360,14 @@ func newMachine(cfg Config, mem *emu.Memory, e *emu.Emulator, pred bpred.Predict
 			return cpu.Prediction{Taken: base}
 		}
 		hooks.OnFetch = bra.OnFetch
-		hooks.OnRetire = func(d *emu.DynInst, misp bool) { bra.OnRetire(d, misp) }
+		hooks.OnRetire = bra.OnRetire
 	default:
 		hooks.Predict = func(d *emu.DynInst) cpu.Prediction {
 			return cpu.Prediction{Taken: pred.PredictAndTrain(d.PC, d.Taken)}
 		}
 	}
 
-	m.mt = cpu.NewCore(cfg.Core, mem, hier, func() (emu.DynInst, bool) { return e.Step() }, hooks)
+	m.mt = cpu.NewCore(cfg.Core, mem, hier, e.StepInto, hooks)
 	if m.ctrl != nil {
 		m.ctrl.AttachCore(m.mt)
 	}
@@ -420,7 +420,7 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 		if m.now >= maxCycles {
 			return runTimeout
 		}
-		m.lanes.Reset(m.cfg.Core)
+		m.lanes.Reset(&m.cfg.Core)
 		// The IQ and lanes are flexibly shared (Section IV-A). Helper
 		// threads issue first: they are latency-critical (their lead is what
 		// produces timely predictions) and naturally self-throttle at the

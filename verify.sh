@@ -14,7 +14,11 @@ go test -race -short ./internal/sim ./internal/obs
 # The one cell executor (sim.Pool + ForEach: FIFO start order, Close drains,
 # index-addressed batches) race-clean, repeated to shake out interleavings.
 go test -race -count=10 -run 'TestPool|TestForEach' ./internal/sim
-go test -race -run TestCycleExactnessGolden ./internal/sim
+# The quick report's one-pass cell plan under -race: both goldens read one
+# shared run of every report cell (the pool runs them concurrently, Fig.
+# 15b's graphs are shared read-only, and each emu.Memory's page cache is
+# written on reads by its one goroutine).
+go test -race -run 'TestCycleExactnessGolden|TestFigureGolden' ./internal/sim
 # Config.Checks race-clean: the lockstep oracle and invariant guards across
 # the parallel verified matrix (skipped under -short, so named explicitly).
 go test -race -run 'TestLockstepQuickMatrix|TestInjectedTimingBugsCaught' ./internal/sim
