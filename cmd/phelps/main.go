@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -244,11 +245,11 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(spec.Name, modeLabel, *predName, ep, &res, runErr, coll)
-		if errors.Is(runErr, sim.ErrVerify) {
+		if err := emitJSON(os.Stdout, spec.Name, modeLabel, *predName, ep, &res, runErr, coll); err != nil {
+			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		return
+		os.Exit(exitCode(runErr))
 	}
 
 	fmt.Printf("workload       %s\n", spec.Name)
@@ -276,14 +277,15 @@ func main() {
 	switch {
 	case errors.Is(runErr, sim.ErrVerify):
 		fmt.Printf("VERIFY FAILED  %v\n", runErr)
-		os.Exit(1)
 	case errors.Is(runErr, sim.ErrLivelock):
 		fmt.Printf("TIMED OUT      %v\n", runErr)
 	case runErr != nil:
 		fmt.Printf("RUN FAILED     %v\n", runErr)
-		os.Exit(1)
 	default:
 		fmt.Printf("verification   ok\n")
+	}
+	if code := exitCode(runErr); code != 0 {
+		os.Exit(code)
 	}
 
 	if *verbose && cfg.Mode == sim.ModePhelps {
@@ -306,6 +308,16 @@ func main() {
 	}
 }
 
+// exitCode is the exit status for a run's error, in text and JSON mode
+// alike: any error fails the command except ErrLivelock, which reports a
+// timed-out run (TIMED OUT, "timed_out") that still exits 0.
+func exitCode(runErr error) int {
+	if runErr != nil && !errors.Is(runErr, sim.ErrLivelock) {
+		return 1
+	}
+	return 0
+}
+
 // runJSON is the -json output schema: the run summary, the full registry
 // snapshot, and (with -interval) the interval time series.
 type runJSON struct {
@@ -323,16 +335,15 @@ type runJSON struct {
 	QueueMisps   uint64             `json:"queue_misps,omitempty"`
 	Halted       bool               `json:"halted"`
 	TimedOut     bool               `json:"timed_out,omitempty"`
-	LivelockErr  string             `json:"livelock_error,omitempty"`
 	Verified     bool               `json:"verified"`
-	VerifyErr    string             `json:"verify_error,omitempty"`
+	Error        string             `json:"error,omitempty"` // any run error
 	Sampled      *sim.SampleReport  `json:"sampled,omitempty"`
 	Counters     map[string]uint64  `json:"counters,omitempty"`
 	Gauges       map[string]float64 `json:"gauges,omitempty"`
 	Samples      []obs.Sample       `json:"samples,omitempty"`
 }
 
-func emitJSON(workload, mode, pred string, epoch uint64, res *sim.Result, runErr error, coll *obs.Collector) {
+func emitJSON(w io.Writer, workload, mode, pred string, epoch uint64, res *sim.Result, runErr error, coll *obs.Collector) error {
 	out := runJSON{
 		Workload:     workload,
 		Mode:         mode,
@@ -357,16 +368,10 @@ func emitJSON(workload, mode, pred string, epoch uint64, res *sim.Result, runErr
 		out.Gauges = snap.Gauges
 		out.Samples = coll.Series()
 	}
-	if errors.Is(runErr, sim.ErrLivelock) {
-		out.LivelockErr = runErr.Error()
+	if runErr != nil {
+		out.Error = runErr.Error()
 	}
-	if errors.Is(runErr, sim.ErrVerify) {
-		out.VerifyErr = runErr.Error()
-	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "json: %v\n", err)
-		os.Exit(1)
-	}
+	return enc.Encode(out)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"phelps/internal/cache"
 	"phelps/internal/cpu"
 	"phelps/internal/emu"
@@ -769,26 +767,4 @@ func (e *Engine) Stall(now, cycles uint64) {
 	if until := now + cycles; until > e.fetchBlockedUntil {
 		e.fetchBlockedUntil = until
 	}
-}
-
-// DebugState renders internal engine state for test diagnostics.
-func (e *Engine) DebugState(now uint64) string {
-	state := "ok"
-	if now < e.fetchBlockedUntil {
-		state = "fetchblocked"
-	}
-	first := "empty"
-	if e.head < e.tail {
-		ent := e.entry(e.head)
-		first = ent.hi.Inst.Op.String()
-		if !ent.issued {
-			first += ":unissued"
-		} else if ent.doneAt > now {
-			first += ":waiting"
-		} else {
-			first += ":ready"
-		}
-	}
-	return state + " window=" + strconv.Itoa(int(e.tail-e.head)) + " head0=" + first +
-		" fetchIdx=" + strconv.Itoa(e.fetchIdx)
 }

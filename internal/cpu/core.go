@@ -33,8 +33,8 @@ type Hooks struct {
 // Tracer observes per-instruction pipeline lifecycle events (satisfied by
 // obs.KonataWriter). All cycles are absolute; Issue reports the completion
 // cycle as well, since execution latency is known at issue in this model.
-// Events for a sequence number that was never reported to Fetch (e.g. an
-// instruction squashed out of the fetch peek buffer) must be ignored.
+// Events for a sequence number that was never reported to Fetch must be
+// ignored: a tracer can attach mid-run.
 type Tracer interface {
 	Fetch(cycle uint64, d *emu.DynInst)
 	Dispatch(cycle, seq uint64)
@@ -74,25 +74,25 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Retired) / float64(s.Cycles)
 }
 
-// robEntry is one in-flight instruction. Entries live in the Core's pooled
-// ROB ring and are addressed by dispatch *ordinal* — a monotonically
-// increasing counter that serves as stable index + generation fused: slot =
-// ordinal & robMask, and an ordinal below robHead denotes a retired (or
-// squashed) producer whose slot may since have been recycled. Producers are
-// therefore tracked by ordinal, never by pointer, so recycling entries can
-// never alias a stale reference.
-type robEntry struct {
-	d      emu.DynInst
-	srcs   [MaxSrcs]uint64 // producer ordinals still in flight at dispatch; NoOrd = none
-	issued bool
-	doneAt uint64
-	misp   bool
-	fromQ  bool
-}
-
-type frontEntry struct {
+// slot is one in-flight instruction in the Core's ring. The instruction
+// source writes each instruction once, into the slot at srcTail, and the
+// instruction keeps that slot and its *ordinal* until it retires: slot =
+// ordinal & (len(ring)-1). Fetch, an I-cache miss, dispatch and a squash never
+// move it; they move cursors over it. An ordinal below robHead denotes a
+// retired producer whose slot may since have been recycled, so producers are
+// tracked by ordinal, never by pointer.
+//
+// A squash moves robTail and frontTail back to robHead, so a re-fetched
+// instruction is re-dispatched under the ordinal it had before. That is safe
+// because SquashAll resets all state keyed by ordinal: IssueQueue.Clear drops
+// every bit, timer and edge; lastWriter and the store queue reset; and
+// stickyOrd can only name the same instruction again.
+type slot struct {
 	d       emu.DynInst
-	readyAt uint64
+	srcs    [MaxSrcs]uint64 // producer ordinals still in flight at dispatch; NoOrd = none
+	readyAt uint64          // first cycle dispatch may take it (fetch + frontend latency)
+	doneAt  uint64
+	issued  bool
 	misp    bool
 	fromQ   bool
 }
@@ -106,35 +106,26 @@ type Core struct {
 	hier  *cache.Hierarchy
 
 	// next writes the next correct-path instruction into its argument (the
-	// frontend slot it will occupy) or reports false once the source is
-	// exhausted.
-	next    func(*emu.DynInst) bool
-	peeked  emu.DynInst // valid iff hasPeek (a value, not a pointer: keeps fetch allocation-free)
-	hasPeek bool
-	// srcExhausted latches once next() returns false. The instruction source
-	// (the emulator) is permanently exhausted after its first refusal, so an
-	// empty fetch with no replay pending can never act again.
-	srcExhausted bool
+	// ring slot at srcTail) or reports false once the source is exhausted.
+	next func(*emu.DynInst) bool
 
-	replay   []emu.DynInst
-	replayAt int
-
-	// Frontend buffer: a power-of-two ring indexed by monotonic counters.
-	front     []frontEntry
-	frontHead uint64
+	// The instruction ring, a power of two of slots, and its cursors
+	// robHead ≤ robTail ≤ frontTail ≤ srcTail:
+	//   - [robHead, robTail) is the ROB;
+	//   - [robTail, frontTail) is the frontend;
+	//   - [frontTail, srcTail) holds instructions the source has written
+	//     and fetch has not (re)fetched yet: squashed ones, and one whose
+	//     fetch missed in the I-cache.
+	ring      []slot
+	robHead   uint64
+	robTail   uint64
 	frontTail uint64
-
-	// Pooled ROB ring: entries are recycled in place across retire and
-	// squash; robHead..robTail are the live dispatch ordinals.
-	rob     []robEntry
-	robHead uint64
-	robTail uint64
+	srcTail   uint64
 
 	lastWriter [isa.NumRegs]uint64 // producer ordinals; NoOrd = none
 
-	// iq is the wakeup/select index over the ROB ring (issueq.go); its
-	// capacity tracks the ring's, and its unissued count is the IQ
-	// occupancy.
+	// iq is the wakeup/select index over the ROB (issueq.go); its capacity
+	// tracks the ring's, and its unissued count is the IQ occupancy.
 	iq IssueQueue
 
 	// In-flight store ordinals in program order (a ring: stores dispatch and
@@ -168,13 +159,11 @@ type Core struct {
 	faults    *FaultInjection
 	stickyOrd uint64 // ordinal of the FaultInjection.StickySeq entry once dispatched; NoOrd before
 
-	replayScratch []emu.DynInst // SquashAll's reusable assembly buffer
-
 	Stats Stats
 }
 
 // NewCore builds a core over a dynamic-instruction source: next writes the
-// next correct-path instruction into the slot it is given (for example
+// next correct-path instruction into the ring slot it is given (for example
 // emu.(*Emulator).StepInto) and returns false once the stream ends. mem
 // receives retired stores; hier provides load/store/I-fetch timing.
 func NewCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, next func(*emu.DynInst) bool, hooks Hooks) *Core {
@@ -186,12 +175,11 @@ func NewCore(cfg Config, mem *emu.Memory, hier *cache.Hierarchy, next func(*emu.
 		hier:          hier,
 		next:          next,
 		lastFetchLine: ^uint64(0),
-		front:         make([]frontEntry, 64),
-		rob:           make([]robEntry, 256),
+		ring:          make([]slot, 256),
 		storeQ:        make([]uint64, 64),
 		stickyOrd:     NoOrd,
 	}
-	c.iq.Reset(len(c.rob))
+	c.iq.Reset(len(c.ring))
 	for i := range c.lastWriter {
 		c.lastWriter[i] = NoOrd
 	}
@@ -244,10 +232,7 @@ func (c *Core) ArchReg(r isa.Reg) uint64 { return c.archRegs[r] }
 func (c *Core) Halted() bool { return c.halted }
 
 // Drained reports whether no instructions remain anywhere in the machine.
-func (c *Core) Drained() bool {
-	return c.robTail == c.robHead && c.frontTail == c.frontHead &&
-		!c.hasPeek && c.replayAt >= len(c.replay)
-}
+func (c *Core) Drained() bool { return c.srcTail == c.robHead }
 
 // BlockFetchUntil stalls fetch until the given cycle (used to model the
 // main-thread stall while helper-thread live-in moves retire, Section V-F).
@@ -257,37 +242,7 @@ func (c *Core) BlockFetchUntil(cycle uint64) {
 	}
 }
 
-func (c *Core) entry(ord uint64) *robEntry { return &c.rob[ord&uint64(len(c.rob)-1)] }
-
-// nextDynInto fills dst with the next correct-path instruction: the peeked
-// instruction first, then replayed (post-squash) instructions, then fresh
-// emulation written straight into dst.
-func (c *Core) nextDynInto(dst *emu.DynInst) bool {
-	if c.hasPeek {
-		*dst = c.peeked
-		c.hasPeek = false
-		return true
-	}
-	if c.replayAt < len(c.replay) {
-		*dst = c.replay[c.replayAt]
-		c.replayAt++
-		if c.replayAt == len(c.replay) {
-			c.replay = c.replay[:0]
-			c.replayAt = 0
-		}
-		return true
-	}
-	if !c.next(dst) {
-		c.srcExhausted = true
-		return false
-	}
-	return true
-}
-
-func (c *Core) unfetch(d *emu.DynInst) {
-	c.peeked = *d
-	c.hasPeek = true
-}
+func (c *Core) entry(ord uint64) *slot { return &c.ring[ord&uint64(len(c.ring)-1)] }
 
 // Cycle advances the core by one clock at time now, drawing issue slots from
 // the shared pool.
@@ -308,7 +263,7 @@ func (c *Core) retire(now uint64) {
 		}
 		// Advancing robHead is what marks the entry retired: consumers see
 		// any ordinal below robHead as ready, and the slot becomes
-		// recyclable once the ring wraps.
+		// recyclable.
 		c.robHead++
 		d := &e.d
 		op := d.Inst.Op
@@ -317,7 +272,7 @@ func (c *Core) retire(now uint64) {
 			panic(fmt.Sprintf("cpu: injected panic at retirement of seq %d (FaultInjection.PanicAtSeq)", d.Seq))
 		}
 		if c.faults != nil && c.faults.SkipRetireSeq != 0 && d.Seq == c.faults.SkipRetireSeq {
-			c.skipRetire(e, ord, d)
+			c.skipRetire(ord, d)
 			continue
 		}
 		if op.WritesRd() && d.Inst.Rd != isa.X0 {
@@ -384,7 +339,7 @@ func (c *Core) retire(now uint64) {
 // "dropped retirement" timing bug (FaultInjection.SkipRetireSeq). Invalid for
 // stores (skipping RetireStore desynchronizes the pending-store ring) and
 // HALT; see faults.go.
-func (c *Core) skipRetire(e *robEntry, ord uint64, d *emu.DynInst) {
+func (c *Core) skipRetire(ord uint64, d *emu.DynInst) {
 	op := d.Inst.Op
 	if op.IsStore() {
 		panic("cpu: SkipRetireSeq injected on a store instruction")
@@ -452,8 +407,8 @@ func (c *Core) issue(now uint64, lanes *LanePool) {
 // tryIssueLoad handles memory disambiguation: the load waits for the
 // youngest older overlapping store, forwarding from it once the store has
 // executed; otherwise it accesses the cache hierarchy.
-func (c *Core) tryIssueLoad(e *robEntry, now uint64, lanes *LanePool) bool {
-	var dep *robEntry
+func (c *Core) tryIssueLoad(e *slot, now uint64, lanes *LanePool) bool {
+	var dep *slot
 	mask := uint64(len(c.storeQ) - 1)
 	for i := c.storeTail; i > c.storeHead; i-- {
 		s := c.entry(c.storeQ[(i-1)&mask])
@@ -486,16 +441,16 @@ func overlaps(a1 uint64, s1 int, a2 uint64, s2 int) bool {
 	return a1 < a2+uint64(s2) && a2 < a1+uint64(s1)
 }
 
-// growROB doubles the ROB ring, re-laying entries out at their ordinals'
-// new slots.
-func (c *Core) growROB() {
-	next := make([]robEntry, len(c.rob)*2)
-	mask := uint64(len(c.rob) - 1)
+// grow doubles the ring, re-laying the instructions [robHead, srcTail) out
+// at their ordinals' new slots, and the issue queue with it.
+func (c *Core) grow() {
+	next := make([]slot, len(c.ring)*2)
+	mask := uint64(len(c.ring) - 1)
 	nextMask := uint64(len(next) - 1)
-	for ord := c.robHead; ord < c.robTail; ord++ {
-		next[ord&nextMask] = c.rob[ord&mask]
+	for ord := c.robHead; ord < c.srcTail; ord++ {
+		next[ord&nextMask] = c.ring[ord&mask]
 	}
-	c.rob = next
+	c.ring = next
 	c.iq.Grow(c.robHead, c.robTail)
 }
 
@@ -509,13 +464,17 @@ func (c *Core) growStoreQ() {
 	c.storeQ = next
 }
 
+// dispatch moves frontend instructions into the ROB, initializing the ROB
+// fields of each slot in place.
 func (c *Core) dispatch(now uint64) {
-	for c.frontTail > c.frontHead {
-		fe := &c.front[c.frontHead&uint64(len(c.front)-1)]
-		if fe.readyAt > now {
+	for c.robTail < c.frontTail {
+		ord := c.robTail
+		e := c.entry(ord)
+		if e.readyAt > now {
 			break
 		}
-		op := fe.d.Inst.Op
+		d := &e.d
+		op := d.Inst.Op
 		if c.robTail-c.robHead >= uint64(c.lim.ROB) || c.iq.Len() >= c.lim.IQ {
 			break
 		}
@@ -528,17 +487,8 @@ func (c *Core) dispatch(now uint64) {
 		if op.WritesRd() && c.nDests >= c.lim.PRF-isa.NumRegs {
 			break
 		}
-		if c.robTail-c.robHead == uint64(len(c.rob)) {
-			c.growROB()
-		}
-		ord := c.robTail
-		e := c.entry(ord)
-		// Field by field: a composite literal would build the entry in a
-		// temporary and copy it twice.
-		e.d = fe.d
 		e.srcs = [MaxSrcs]uint64{NoOrd, NoOrd, NoOrd}
-		e.issued, e.doneAt, e.misp, e.fromQ = false, 0, fe.misp, fe.fromQ
-		d := &e.d
+		e.issued, e.doneAt = false, 0
 		srcs, n := d.Inst.SrcRegs()
 		k := 0
 		for i := 0; i < n; i++ {
@@ -573,18 +523,7 @@ func (c *Core) dispatch(now uint64) {
 		if c.trace != nil {
 			c.trace.Dispatch(now, d.Seq)
 		}
-		c.frontHead++
 	}
-}
-
-func (c *Core) growFront() {
-	next := make([]frontEntry, len(c.front)*2)
-	mask := uint64(len(c.front) - 1)
-	nextMask := uint64(len(next) - 1)
-	for i := c.frontHead; i < c.frontTail; i++ {
-		next[i&nextMask] = c.front[i&mask]
-	}
-	c.front = next
 }
 
 func (c *Core) fetch(now uint64) {
@@ -604,26 +543,29 @@ func (c *Core) fetch(now uint64) {
 	maxFront := uint64(c.lim.FetchWidth) * c.cfg.FrontendLatency()
 	fl := c.cfg.FrontendLatency()
 	for n := 0; n < c.lim.FetchWidth; n++ {
-		if c.frontTail-c.frontHead >= maxFront {
+		if c.frontTail-c.robTail >= maxFront {
 			return
 		}
-		// The instruction is written straight into the slot at frontTail;
-		// the slot joins the frontend only when frontTail advances below.
-		if c.frontTail-c.frontHead == uint64(len(c.front)) {
-			c.growFront()
+		// With nothing left to re-fetch, the source writes the next
+		// instruction straight into the slot at srcTail.
+		if c.frontTail == c.srcTail {
+			if c.srcTail-c.robHead == uint64(len(c.ring)) {
+				c.grow()
+			}
+			if !c.next(&c.entry(c.srcTail).d) {
+				return
+			}
+			c.srcTail++
 		}
-		fe := &c.front[c.frontTail&uint64(len(c.front)-1)]
-		d := &fe.d
-		if !c.nextDynInto(d) {
-			return
-		}
-		// Instruction cache: crossing into a new line may block fetch.
+		e := c.entry(c.frontTail)
+		d := &e.d
+		// Instruction cache: crossing into a new line may block fetch. A
+		// miss leaves the instruction at frontTail for the next fetch.
 		line := d.PC / cache.LineBytes
 		if line != c.lastFetchLine {
 			r := c.hier.FetchInst(d.PC, now)
 			c.lastFetchLine = line
 			if r > now {
-				c.unfetch(d)
 				c.lastFetchLine = ^uint64(0)
 				c.fetchBlockedUntil = r
 				return
@@ -632,16 +574,16 @@ func (c *Core) fetch(now uint64) {
 		if c.hooks.OnFetch != nil {
 			c.hooks.OnFetch(d)
 		}
-		fe.readyAt, fe.misp, fe.fromQ = now+fl, false, false
+		e.readyAt, e.misp, e.fromQ = now+fl, false, false
 		endGroup := false
 		if d.Inst.Op.IsCondBranch() {
 			pred := Prediction{Taken: false}
 			if c.hooks.Predict != nil {
 				pred = c.hooks.Predict(d)
 			}
-			fe.misp = pred.Taken != d.Taken
-			fe.fromQ = pred.FromQueue
-			if fe.misp {
+			e.misp = pred.Taken != d.Taken
+			e.fromQ = pred.FromQueue
+			if e.misp {
 				// Fetch stalls after a mispredicted branch until it
 				// resolves in the backend.
 				c.stallActive = true
@@ -664,42 +606,18 @@ func (c *Core) fetch(now uint64) {
 	}
 }
 
-// SquashAll flushes every in-flight instruction back into the replay queue
-// (program order preserved) and resets pipeline state. Used at helper-thread
-// trigger/termination (Section V-F/V-G). The squashed instructions will be
-// refetched, paying the frontend refill. The assembly buffer is recycled
-// across squashes (they are frequent under Phelps configurations).
+// SquashAll flushes every in-flight instruction and resets pipeline state.
+// Used at helper-thread trigger/termination (Section V-F/V-G). The squashed
+// instructions stay in their slots: robTail and frontTail move back to
+// robHead, and fetch takes them again from there, paying the frontend refill.
 func (c *Core) SquashAll(now uint64) {
 	c.Stats.Squashes++
-	buf := c.replayScratch[:0]
-	robMask := uint64(len(c.rob) - 1)
-	for ord := c.robHead; ord < c.robTail; ord++ {
-		buf = append(buf, c.rob[ord&robMask].d)
-	}
-	frontMask := uint64(len(c.front) - 1)
-	for i := c.frontHead; i < c.frontTail; i++ {
-		buf = append(buf, c.front[i&frontMask].d)
-	}
 	if c.trace != nil {
-		// The peeked instruction was never reported fetched; the tracer
-		// ignores its unknown sequence number on re-fetch.
-		for i := range buf {
-			c.trace.Squash(now, buf[i].Seq)
+		for ord := c.robHead; ord < c.frontTail; ord++ {
+			c.trace.Squash(now, c.entry(ord).d.Seq)
 		}
 	}
-	if c.hasPeek {
-		buf = append(buf, c.peeked)
-		c.hasPeek = false
-	}
-	// Prepend before any not-yet-replayed instructions, then swap buffers so
-	// the old replay backing array becomes the next squash's scratch.
-	buf = append(buf, c.replay[c.replayAt:]...)
-	c.replayScratch = c.replay[:0]
-	c.replay = buf
-	c.replayAt = 0
-
-	c.frontHead = c.frontTail
-	c.robHead = c.robTail
+	c.robTail, c.frontTail = c.robHead, c.robHead
 	c.iq.Clear()
 	c.storeHead = c.storeTail
 	for i := range c.lastWriter {

@@ -1,14 +1,17 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"phelps/internal/asm"
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
+	"phelps/internal/codec"
 	"phelps/internal/emu"
 	"phelps/internal/graph"
 	"phelps/internal/isa"
+	"phelps/internal/obs"
 )
 
 // run drives a program through the core until HALT retires, returning stats.
@@ -240,6 +243,9 @@ func TestPartitionSlowsMainThread(t *testing.T) {
 
 func TestSquashAllReplaysCorrectly(t *testing.T) {
 	// Squash mid-run every 997 cycles; final state must still be correct.
+	// The pipeline trace is pinned as well: the cycle goldens cannot see a
+	// reordering of fetch, dispatch, issue, retire and squash events that
+	// leaves every cycle count the same.
 	mem := emu.NewMemory()
 	b := asm.New(0)
 	b.Li(isa.S0, 0x8000)
@@ -259,6 +265,9 @@ func TestSquashAllReplaysCorrectly(t *testing.T) {
 	hier := cache.New(cache.DefaultConfig())
 	e := emu.New(prog, mem)
 	core := NewCore(DefaultConfig(), mem, hier, e.StepInto, Hooks{})
+	var trace bytes.Buffer
+	tw := obs.NewKonataWriter(&trace)
+	core.SetTracer(tw)
 	lanes := &LanePool{}
 	cfg := DefaultConfig()
 	for now := uint64(0); !core.Halted(); now++ {
@@ -271,12 +280,20 @@ func TestSquashAllReplaysCorrectly(t *testing.T) {
 			core.SquashAll(now)
 		}
 	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum, wantSquashes = 1_986_927, 0x0dc3e6c06c2d146c, 22
+	if n, sum := trace.Len(), codec.Sum64(trace.Bytes()); n != wantLen || sum != wantSum {
+		t.Errorf("squash trace is %d bytes with FNV-1a-64 sum %#016x, want %d bytes with sum %#016x",
+			n, sum, wantLen, uint64(wantSum))
+	}
+	if core.Stats.Squashes != wantSquashes {
+		t.Errorf("%d squashes, want %d", core.Stats.Squashes, wantSquashes)
+	}
 	// sum 0..1999 = 1999000
 	if got := int64(core.ArchReg(isa.S1)); got != 1999000 {
 		t.Errorf("post-squash sum = %d, want 1999000", got)
-	}
-	if core.Stats.Squashes == 0 {
-		t.Error("no squashes recorded")
 	}
 	for i := 0; i < 2000; i++ {
 		a := uint64(0x8000 + i*8)

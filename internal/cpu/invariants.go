@@ -18,8 +18,8 @@ import (
 type Occupancy struct {
 	ROB, IQ, LQ, SQ int // occupied entries
 	Dests           int // in-flight physical destinations (PRF pressure)
-	Front           int // frontend-buffer entries
-	Replay          int // squashed instructions awaiting re-fetch
+	Front           int // frontend entries
+	Replay          int // instructions awaiting (re)fetch: squashed, or held by an I-cache miss
 	Lim             Limits
 
 	// ROB-head detail: the instruction blocking retirement, if any.
@@ -41,8 +41,8 @@ func (c *Core) Occupancy() Occupancy {
 		LQ:           c.nLoads,
 		SQ:           c.nStores,
 		Dests:        c.nDests,
-		Front:        int(c.frontTail - c.frontHead),
-		Replay:       len(c.replay) - c.replayAt,
+		Front:        int(c.frontTail - c.robTail),
+		Replay:       int(c.srcTail - c.frontTail),
 		Lim:          c.lim,
 		FetchStalled: c.stallActive,
 		Halted:       c.halted,
@@ -74,26 +74,27 @@ func (o Occupancy) String() string {
 	return s
 }
 
-// CheckInvariants audits the O(1)-checkable structural invariants: ring
+// CheckInvariants audits the O(1)-checkable structural invariants: cursor
 // ordering and occupancy counters within the active partition limits.
 // Returns nil when all hold.
 func (c *Core) CheckInvariants() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("cpu: invariant violated: %s [%s]", fmt.Sprintf(format, args...), c.Occupancy())
 	}
-	if c.robHead > c.robTail {
-		return fail("ROB head %d > tail %d", c.robHead, c.robTail)
+	if c.robHead > c.robTail || c.robTail > c.frontTail || c.frontTail > c.srcTail {
+		return fail("ring cursors out of order: robHead %d robTail %d frontTail %d srcTail %d",
+			c.robHead, c.robTail, c.frontTail, c.srcTail)
 	}
-	if n := c.robTail - c.robHead; n > uint64(c.lim.ROB) || n > uint64(len(c.rob)) {
-		return fail("ROB occupancy %d exceeds limit %d (ring %d)", n, c.lim.ROB, len(c.rob))
+	if n := c.srcTail - c.robHead; n > uint64(len(c.ring)) {
+		return fail("%d instructions in flight exceed the ring's %d slots", n, len(c.ring))
 	}
-	if c.frontHead > c.frontTail {
-		return fail("frontend head %d > tail %d", c.frontHead, c.frontTail)
+	if n := c.robTail - c.robHead; n > uint64(c.lim.ROB) {
+		return fail("ROB occupancy %d exceeds limit %d", n, c.lim.ROB)
 	}
-	// The frontend buffer is bounded by full-machine width times frontend
-	// depth (partition limits only shrink the bound fetch enforces, and a
+	// The frontend is bounded by full-machine width times frontend depth
+	// (partition limits only shrink the bound fetch enforces, and a
 	// repartition squashes first).
-	if n := c.frontTail - c.frontHead; n > uint64(c.cfg.FetchWidth)*c.cfg.FrontendLatency() {
+	if n := c.frontTail - c.robTail; n > uint64(c.cfg.FetchWidth)*c.cfg.FrontendLatency() {
 		return fail("frontend occupancy %d exceeds %d×%d", n, c.cfg.FetchWidth, c.cfg.FrontendLatency())
 	}
 	if c.storeHead > c.storeTail {
@@ -121,7 +122,7 @@ func (c *Core) CheckInvariants() error {
 // occupancy counters, the per-register last-writer map, the store queue and
 // the issue index (IssueQueue.Audit) from the ROB contents, and cross-checks
 // the memory's pending-store ring against the store instructions held
-// anywhere in the pipeline (ROB, frontend, replay queue, fetch peek).
+// anywhere in the ring.
 // O(in-flight window); run it sampled.
 func (c *Core) CheckInvariantsDeep() error {
 	fail := func(format string, args ...any) error {
@@ -190,22 +191,13 @@ func (c *Core) CheckInvariantsDeep() error {
 		prevSeq, havePrev = e.d.Seq, true
 	}
 	// Every store the emulator has staged and the timing model has not yet
-	// retired is held somewhere in the pipeline; the counts must agree or a
-	// store was dropped or duplicated across squash/replay.
+	// retired is held somewhere in the ring; the counts must agree or a
+	// store was dropped or duplicated across squash and re-fetch.
 	inFlight := stores
-	frontMask := uint64(len(c.front) - 1)
-	for i := c.frontHead; i < c.frontTail; i++ {
-		if c.front[i&frontMask].d.Inst.Op.IsStore() {
+	for ord := c.robTail; ord < c.srcTail; ord++ {
+		if c.entry(ord).d.Inst.Op.IsStore() {
 			inFlight++
 		}
-	}
-	for i := c.replayAt; i < len(c.replay); i++ {
-		if c.replay[i].Inst.Op.IsStore() {
-			inFlight++
-		}
-	}
-	if c.hasPeek && c.peeked.Inst.Op.IsStore() {
-		inFlight++
 	}
 	if pend := c.mem.PendingStores(); pend != inFlight {
 		return fail("memory holds %d pending stores, pipeline holds %d in flight", pend, inFlight)

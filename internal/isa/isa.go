@@ -192,9 +192,6 @@ func (o Op) IsStore() bool { return o >= SD && o <= SB }
 // IsJump reports whether the opcode is an unconditional control transfer.
 func (o Op) IsJump() bool { return o == JAL || o == JALR }
 
-// IsControl reports whether the opcode can redirect fetch.
-func (o Op) IsControl() bool { return o.IsCondBranch() || o.IsJump() }
-
 // IsComplex reports whether the opcode uses the complex-ALU lanes.
 func (o Op) IsComplex() bool { return o == MUL || o == DIV || o == REM }
 

@@ -78,16 +78,6 @@ func (r *Registry) CounterNames() []string {
 	return names
 }
 
-// GaugeNames returns all registered gauge names, sorted.
-func (r *Registry) GaugeNames() []string {
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Counter reads one counter by name.
 func (r *Registry) CounterValue(name string) (uint64, bool) {
 	fn, ok := r.counters[name]

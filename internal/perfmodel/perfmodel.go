@@ -139,9 +139,6 @@ type Model struct {
 	mpki     ensemble
 }
 
-// NumFeatures returns the expected feature-vector length.
-func (m *Model) NumFeatures() int { return len(m.Features) }
-
 // Trees returns the total tree count across both targets (model-size
 // reporting).
 func (m *Model) Trees() int { return len(m.ipc.trees) + len(m.mpki.trees) }

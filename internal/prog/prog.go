@@ -55,29 +55,6 @@ func (a *Alloc) Array(n, elemBytes int) uint64 {
 	return base
 }
 
-// RunAndVerifyWithObserver executes a workload functionally, invoking
-// observe with each retired instruction's PC (e.g. to feed a SimPoints BBV
-// collector), then verifies the results.
-func RunAndVerifyWithObserver(w *Workload, observe func(pc uint64)) error {
-	e := emu.New(w.Prog, w.Mem)
-	for {
-		d, ok := e.Step()
-		if !ok {
-			break
-		}
-		if d.Inst.Op.IsStore() {
-			if err := w.Mem.RetireStore(d.Seq, d.Addr, d.MemSize, d.StoreVal); err != nil {
-				return err
-			}
-		}
-		observe(d.PC)
-	}
-	if w.Verify != nil {
-		return w.Verify(w.Mem)
-	}
-	return nil
-}
-
 // checkEq is a small verification helper.
 func checkEq(what string, got, want int64) error {
 	if got != want {

@@ -22,7 +22,7 @@ package serve
 // counted (serve.journal.errors) and never crash or block serving — the
 // daemon degrades to the pre-journal in-memory behavior, visible to
 // operators via /v1/healthz. An accept record for a job larger than the
-// server's MaxCellsPerJob (which Submit never admits, so only corruption or
+// server's QueueCap (which Submit never admits, so only corruption or
 // a hand-written file produces one) is dropped and counted the same way,
 // before anything is sized by it.
 

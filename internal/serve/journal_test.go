@@ -16,7 +16,7 @@ import (
 )
 
 // testMaxCells is the per-job cell bound the journal tests open with: the
-// daemon's default MaxCellsPerJob.
+// daemon's default QueueCap.
 const testMaxCells = 1024
 
 func twoCellReq() JobRequest {

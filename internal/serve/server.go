@@ -23,9 +23,9 @@ type Config struct {
 	// Workers is the cell pool size (0 = GOMAXPROCS at NewServer time,
 	// capped by the runtime; one goroutine per core).
 	Workers int
-	// QueueCap bounds the admission queue in cells (0 = 1024). A job with
-	// more cold cells than this can never be admitted and is rejected with
-	// 400 rather than 429.
+	// QueueCap bounds the admission queue in cells (0 = 1024). It also
+	// bounds one job's size: a job with more cells than this can never be
+	// admitted and is rejected with 400 rather than 429.
 	QueueCap int
 	// CachePath, when set, is loaded at NewServer and persisted by
 	// Drain/Close, so a restarted daemon starts warm.
@@ -38,8 +38,6 @@ type Config struct {
 	// the SimPoint profile/checkpoint passes run once per workload ever, and
 	// their product is reused across cells, jobs, and daemon restarts.
 	CkptDir string
-	// MaxCellsPerJob bounds one job's size (0 = QueueCap).
-	MaxCellsPerJob int
 	// JournalDir, when set, roots the write-ahead job journal: accepted jobs
 	// are journaled before the 202 goes out, and a restarted daemon replays
 	// the journal and finishes incomplete jobs under their original IDs.
@@ -61,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
-	}
-	if c.MaxCellsPerJob <= 0 || c.MaxCellsPerJob > c.QueueCap {
-		c.MaxCellsPerJob = c.QueueCap
 	}
 	return c
 }
@@ -148,7 +143,7 @@ func NewServer(cfg Config) *Server {
 		s.ckpts = sim.NewCkptCacheFS(cfg.CkptDir, fs)
 	}
 	if cfg.JournalDir != "" {
-		s.journal = OpenJournal(fs, cfg.JournalDir, cfg.MaxCellsPerJob)
+		s.journal = OpenJournal(fs, cfg.JournalDir, cfg.QueueCap)
 	}
 	s.registerObs()
 	s.routes()
@@ -289,8 +284,8 @@ func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 	if total == 0 {
 		return nil, nil, errors.New("workloads and configs must both be non-empty")
 	}
-	if total > s.cfg.MaxCellsPerJob {
-		return nil, nil, fmt.Errorf("job has %d cells, limit is %d", total, s.cfg.MaxCellsPerJob)
+	if total > s.cfg.QueueCap {
+		return nil, nil, fmt.Errorf("job has %d cells, limit is %d", total, s.cfg.QueueCap)
 	}
 	cells := make([]*Cell, 0, total)
 	for _, w := range req.Workloads {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -88,15 +89,24 @@ func TestLockstepCleanMicro(t *testing.T) {
 }
 
 // The acceptance gate: the lockstep oracle and invariant checks across the
-// full quick GAP matrix report zero divergences.
+// full quick GAP matrix, and quick xz under br, report zero divergences. xz
+// under br squashes the main thread more often than any other quick cell, so
+// it drives the squash and re-fetch path hardest.
 func TestLockstepQuickMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full verified matrix is not a -short test")
 	}
-	_, err := RunMatrixOpt(GapSpecs(true), []string{CfgBase, CfgPhelps, CfgBR},
-		MatrixOptions{Checks: true, Lockstep: true, CrashDir: t.TempDir()})
+	opt := MatrixOptions{Checks: true, Lockstep: true, CrashDir: t.TempDir()}
+	_, err := RunMatrixOpt(GapSpecs(true), []string{CfgBase, CfgPhelps, CfgBR}, opt)
 	if err != nil {
 		t.Fatalf("verified quick matrix reported failures:\n%v", err)
+	}
+	xz, err := SpecByName("xz", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCellCtx(context.Background(), xz, CfgBR, opt); err != nil {
+		t.Fatalf("verified quick xz/br: %v", err)
 	}
 }
 

@@ -63,7 +63,7 @@ type CkptKey struct {
 	FuncWarm     uint64
 	MinIntervals uint64
 	Seed         uint64
-	ProfileCap   uint64 // effective profile bound (MaxProfileInsts ∧ MaxInsts)
+	ProfileCap   uint64 // effective profile bound (maxProfileInsts ∧ MaxInsts)
 	Predictor    uint64 // PredictorKind — warmed predictor state is kind-specific
 	CacheCfg     uint64 // hashCacheConfig — warmed hierarchy state is geometry-specific
 }

@@ -263,7 +263,7 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := SampleConfig{}.withDefaults()
-	key := ckptKeyFor(HashWorkload(spec.Build()), cfg, sc, sc.MaxProfileInsts)
+	key := ckptKeyFor(HashWorkload(spec.Build()), cfg, sc, maxProfileInsts)
 	art, err := decodeArtifact(blob, key)
 	if err != nil {
 		t.Fatalf("decode stored artifact: %v", err)

@@ -225,11 +225,10 @@ type Matrix map[string]map[string]Result
 // MatrixOptions steers RunMatrixOpt's verification and fault containment.
 // The zero value reproduces plain RunMatrix behavior.
 type MatrixOptions struct {
-	// Checks/Lockstep/StallCycles apply the corresponding Config knobs to
-	// every cell (see Config).
-	Checks      bool
-	Lockstep    bool
-	StallCycles uint64
+	// Checks/Lockstep apply the corresponding Config knobs to every cell
+	// (see Config).
+	Checks   bool
+	Lockstep bool
 
 	// CrashDir receives minimized crash reports for panicking cells. Empty
 	// means $PHELPS_CRASH_DIR, falling back to "crashes".
@@ -282,9 +281,6 @@ func RunCellCtx(ctx context.Context, s Spec, cfgName string, opt MatrixOptions) 
 func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt MatrixOptions) (res Result, err error) {
 	cfg.Checks = opt.Checks
 	cfg.Lockstep = opt.Lockstep
-	if opt.StallCycles != 0 {
-		cfg.StallCycles = opt.StallCycles
-	}
 	cfg.Faults = opt.Faults
 	var w *prog.Workload
 	defer func() {

@@ -276,20 +276,15 @@ type ExploreOptions struct {
 	// (0 = ~1/10 of the space, at least 8), budget-stratified across the
 	// grid.
 	Anchors int
-	// MaxFrontier thins the predicted Pareto frontier to at most this many
-	// configurations (0 = 24), keeping the extremes and the best-predicted
-	// point.
-	MaxFrontier int
 	// Exhaustive additionally cycle-simulates every non-frontier cell to
 	// record how close the frontier's best came to the true best (the
 	// validation mode; expensive by design).
 	Exhaustive bool
-	// Model overrides the trainer hyperparameters.
-	Model perfmodel.Config
-	// CrashDir receives crash dumps from contained cell panics (see
-	// MatrixOptions.CrashDir).
-	CrashDir string
 }
+
+// maxFrontier thins the predicted Pareto frontier to at most this many
+// configurations, keeping the extremes and the best-predicted point.
+const maxFrontier = 24
 
 // ExploreFrontierPoint is one measured configuration of the predicted
 // Pareto frontier.
@@ -372,13 +367,13 @@ type exploreCell struct {
 // returning results indexed like cells plus the summed retired-instruction
 // count. Cells fail the whole explore (a failed anchor would silently skew
 // the training set).
-func runExploreCells(ctx context.Context, specs []Spec, points []ExplorePoint, cells []exploreCell, opt ExploreOptions) ([]Result, uint64, error) {
+func runExploreCells(ctx context.Context, specs []Spec, points []ExplorePoint, cells []exploreCell) ([]Result, uint64, error) {
 	runs := make([]cellRun, len(cells))
 	for i, c := range cells {
 		s, p := specs[c.wl], &points[c.pt]
 		runs[i] = cellRun{s, p.Name, p.Config(s.Epoch)}
 	}
-	results, errs := runCells(ctx, runs, MatrixOptions{CrashDir: opt.CrashDir})
+	results, errs := runCells(ctx, runs, MatrixOptions{})
 	var failed []error
 	for i, err := range errs {
 		if err != nil {
@@ -529,11 +524,6 @@ func RunExplore(ctx context.Context, opt ExploreOptions) (*ExploreReport, error)
 	if nAnchor > len(points) {
 		nAnchor = len(points)
 	}
-	maxFrontier := opt.MaxFrontier
-	if maxFrontier == 0 {
-		maxFrontier = 24
-	}
-
 	rep := &ExploreReport{
 		Space:      len(points),
 		TotalCells: len(points) * len(specs),
@@ -574,7 +564,7 @@ func RunExplore(ctx context.Context, opt ExploreOptions) (*ExploreReport, error)
 		}
 	}
 	start = time.Now()
-	anchorRes, anchorInsts, err := runExploreCells(ctx, specs, points, anchorCells, opt)
+	anchorRes, anchorInsts, err := runExploreCells(ctx, specs, points, anchorCells)
 	if err != nil {
 		return nil, fmt.Errorf("sim: explore anchors: %w", err)
 	}
@@ -588,7 +578,7 @@ func RunExplore(ctx context.Context, opt ExploreOptions) (*ExploreReport, error)
 		samples[i] = perfmodel.Sample{X: cellX(c.wl, c.pt), IPC: r.IPC(), MPKI: r.MPKI()}
 	}
 	start = time.Now()
-	model, err := perfmodel.Train(samples, featNames, opt.Model)
+	model, err := perfmodel.Train(samples, featNames, perfmodel.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("sim: explore training: %w", err)
 	}
@@ -634,7 +624,7 @@ func RunExplore(ctx context.Context, opt ExploreOptions) (*ExploreReport, error)
 		}
 	}
 	start = time.Now()
-	frontRes, frontInsts, err := runExploreCells(ctx, specs, points, frontCells, opt)
+	frontRes, frontInsts, err := runExploreCells(ctx, specs, points, frontCells)
 	if err != nil {
 		return nil, fmt.Errorf("sim: explore frontier: %w", err)
 	}
@@ -725,7 +715,7 @@ func RunExplore(ctx context.Context, opt ExploreOptions) (*ExploreReport, error)
 			}
 		}
 		start = time.Now()
-		restRes, restInsts, err := runExploreCells(ctx, specs, points, restCells, opt)
+		restRes, restInsts, err := runExploreCells(ctx, specs, points, restCells)
 		if err != nil {
 			return nil, fmt.Errorf("sim: explore exhaustive: %w", err)
 		}

@@ -85,8 +85,6 @@ type SampleConfig struct {
 	// Seed drives the k-means clustering (deterministic per seed). 0 means
 	// 42.
 	Seed uint64
-	// MaxProfileInsts bounds the functional profile pass. 0 means 1e9.
-	MaxProfileInsts uint64
 	// Workers bounds how many SimPoints are measured concurrently. <= 1
 	// measures serially (the default; callers that already parallelize
 	// across runs, like the run matrix and the phelpsd pool, should
@@ -113,11 +111,11 @@ func (sc SampleConfig) withDefaults() SampleConfig {
 	if sc.Seed == 0 {
 		sc.Seed = 42
 	}
-	if sc.MaxProfileInsts == 0 {
-		sc.MaxProfileInsts = 1_000_000_000
-	}
 	return sc
 }
+
+// maxProfileInsts bounds the functional profile pass.
+const maxProfileInsts = 1_000_000_000
 
 // chunkLen is the fixed grain of the live BBV profile. Auto-sized intervals
 // are multiples of it, so the profile pass can collect BBVs directly (no
@@ -176,23 +174,6 @@ type PointResult struct {
 	Cycles    uint64  // cycles of the measured phase
 	IPC       float64
 	MPKI      float64
-}
-
-// WeightedIPC returns the weighted harmonic-mean IPC over the measured
-// points — the whole-run estimate (cycles add across intervals, IPC doesn't).
-func (s *SampleReport) WeightedIPC() float64 {
-	var inv, wsum float64
-	for _, p := range s.Points {
-		if p.IPC <= 0 {
-			continue
-		}
-		inv += p.Weight / p.IPC
-		wsum += p.Weight
-	}
-	if inv == 0 {
-		return 0
-	}
-	return wsum / inv
 }
 
 // SampledRun estimates a workload's full-run metrics from k SimPoint
@@ -541,11 +522,14 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	if cfg.Obs != nil {
 		return Result{}, fmt.Errorf("sim: SampledRun does not support Config.Obs")
 	}
+	if sc.K < 0 {
+		return Result{}, fmt.Errorf("sim: SampleConfig.K is %d, want at least 0", sc.K)
+	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 2_000_000_000
 	}
 	sc = sc.withDefaults()
-	profileCap := sc.MaxProfileInsts
+	profileCap := uint64(maxProfileInsts)
 	if cfg.MaxInsts > 0 && cfg.MaxInsts < profileCap {
 		profileCap = cfg.MaxInsts
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"strconv"
 	"testing"
@@ -161,5 +162,18 @@ func TestSampledRunRejectsObs(t *testing.T) {
 	}
 	if _, err := SampledRun(spec, cfg, SampleConfig{}); err == nil {
 		t.Fatal("SampledRun accepted a Config with Obs set")
+	}
+}
+
+// TestSampledRunRejectsNegativeK: a negative SimPoint count is bad input,
+// rejected with a plain error before any pass runs, never a contained panic.
+func TestSampledRunRejectsNegativeK(t *testing.T) {
+	spec := Spec{Name: "dl", Build: func() *prog.Workload {
+		t.Error("SampledRun built the workload before rejecting K")
+		return prog.DelinquentLoop(30_000, 50, 1)
+	}}
+	_, err := SampledRun(spec, DefaultConfig(), SampleConfig{K: -1})
+	if err == nil || errors.Is(err, ErrPanic) {
+		t.Fatalf("SampledRun with K = -1 returned %v, want a plain error", err)
 	}
 }

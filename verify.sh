@@ -50,6 +50,14 @@ go test -race -count=1 -run TestChaosKillRestart ./internal/serve
 smoke_dir=$(mktemp -d)
 go build -o "$smoke_dir/phelpsd" ./cmd/phelpsd
 go build -o "$smoke_dir/phelps" ./cmd/phelps
+# A failed run fails the CLI in JSON mode as in text mode: a negative
+# SimPoint count is rejected with an error, which -json reports in its
+# "error" field, and the exit status is 1.
+status=0
+"$smoke_dir/phelps" -workload delinquent -config base -sampled -sp-k -1 \
+    -json >"$smoke_dir/failed.json" || status=$?
+[ "$status" = 1 ]
+grep -q '"error": ' "$smoke_dir/failed.json"
 "$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr" \
     -cache "$smoke_dir/results.cache" -ckpt-dir "$smoke_dir/ckpts" \
     >"$smoke_dir/phelpsd.log" 2>&1 &
