@@ -30,6 +30,14 @@ import (
 	"phelps/internal/sim"
 )
 
+// modeConfigs maps each -mode value to its registered configuration.
+var modeConfigs = map[string]string{
+	"baseline": sim.CfgBase,
+	"phelps":   sim.CfgPhelps,
+	"runahead": sim.CfgBR,
+	"half":     sim.CfgHalf,
+}
+
 func main() {
 	var (
 		workload  = flag.String("workload", "astar", "workload name (see -list)")
@@ -123,33 +131,21 @@ func main() {
 		ep = *epoch
 	}
 
-	var cfg sim.Config
-	modeLabel := *mode
-	if *cfgName != "" {
-		c, err := sim.ConfigByName(*cfgName, ep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		cfg = c
-		modeLabel = *cfgName
-	} else {
-		switch *mode {
-		case "baseline":
-			cfg = sim.DefaultConfig()
-		case "phelps":
-			cfg = sim.PhelpsConfig(ep)
-		case "runahead":
-			cfg = sim.DefaultConfig()
-			cfg.Mode = sim.ModeRunahead
-			cfg.Runahead.EpochLen = ep
-		case "half":
-			cfg = sim.DefaultConfig()
-			cfg.ForcePartition = true
-		default:
-			fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-			os.Exit(1)
-		}
+	// -mode picks a registered configuration by its older name; -config
+	// names one directly and overrides -mode and -pred.
+	modeLabel, name := *mode, *cfgName
+	if name != "" {
+		modeLabel = name
+	} else if name = modeConfigs[*mode]; name == "" {
+		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		os.Exit(1)
+	}
+	cfg, err := sim.ConfigByName(name, ep)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(1)
+	}
+	if *cfgName == "" {
 		switch *predName {
 		case "tage":
 			cfg.Predictor = sim.PredTAGE
@@ -174,13 +170,7 @@ func main() {
 		if *depth != 0 {
 			d = *depth
 		}
-		f := float64(r) / 632
-		cfg.Core.ROB = r
-		cfg.Core.PRF = int(696*f) + 32
-		cfg.Core.LQ = int(144 * f)
-		cfg.Core.SQ = int(144 * f)
-		cfg.Core.IQ = int(128 * f)
-		cfg.Core.PipelineDepth = d
+		sim.ScaleWindow(&cfg, r, d)
 	}
 
 	// Any observability flag attaches a collector; -trace additionally

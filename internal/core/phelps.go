@@ -9,7 +9,6 @@ import (
 
 // Config parameterizes the Phelps controller (paper values by default).
 type Config struct {
-	Enabled  bool
 	EpochLen uint64 // retired main-thread instructions per epoch (paper: 4M)
 
 	DBTSize    int
@@ -34,7 +33,6 @@ type Config struct {
 // DefaultConfig returns the paper's Phelps parameters.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:          true,
 		EpochLen:         4_000_000,
 		DBTSize:          256,
 		DBTMaxSize:       32,
@@ -270,12 +268,6 @@ func (c *Controller) RegisterObs(r *obs.Registry, scope string) {
 // boundary).
 func (c *Controller) ResetStats() { c.Stats = Stats{} }
 
-// HTC returns the helper thread cache rows (report/test use).
-func (c *Controller) HTC() []*HTCRow { return c.htc }
-
-// Rejected returns the rejected-loop map (report/test use).
-func (c *Controller) Rejected() map[uint64]RejectReason { return c.rejected }
-
 // mispThreshold is the per-epoch delinquency threshold (0.5 MPKI).
 func (c *Controller) mispThreshold() uint64 {
 	t := c.cfg.EpochLen / c.cfg.ThresholdDivisor
@@ -318,9 +310,6 @@ func (c *Controller) OnFetch(d *emu.DynInst) {
 // OnRetire observes every retired instruction: table training, construction,
 // epoch turnover, attribution, trigger and termination.
 func (c *Controller) OnRetire(d *emu.DynInst, misp bool) {
-	if !c.cfg.Enabled {
-		return
-	}
 	pc := d.PC
 	op := d.Inst.Op
 
@@ -393,9 +382,6 @@ func (c *Controller) CycleEngines(now uint64, lanes *cpu.LanePool) {
 	}
 	for _, e := range a.engines {
 		e.Cycle(now, lanes)
-		if DebugEngineCycle != nil {
-			DebugEngineCycle(e, now)
-		}
 	}
 	// When the ITO/outer thread finishes the loop, the queues drain: the
 	// main thread keeps consuming the already-deposited outcomes and
@@ -590,9 +576,6 @@ func (c *Controller) trigger(row *HTCRow) {
 		if startAt > maxStart {
 			maxStart = startAt
 		}
-		if DebugTrigger != nil {
-			DebugTrigger(prog, liveIns)
-		}
 		if fresh {
 			a.engines = append(a.engines, NewEngine(prog, qs, a.spec, a.vq, c.mem, c.hier, c.coreCfg, lim, liveIns, startAt))
 		} else {
@@ -695,10 +678,3 @@ func (c *Controller) FinalizeAttribution() {
 		}
 	}
 }
-
-// DebugTrigger, when set, observes engine creation (test instrumentation).
-var DebugTrigger func(prog *HelperProgram, liveIns []uint64)
-
-// DebugEngineCycle, when set, observes each engine cycle (test
-// instrumentation).
-var DebugEngineCycle func(e *Engine, now uint64)

@@ -222,6 +222,42 @@ func TestMatrixPanicContainment(t *testing.T) {
 	}
 }
 
+// A sampled cell that panics outside point measurement — here in the
+// checkpoint pass's rebuild of the workload — is contained like any other
+// cell: a one-line ErrPanic error naming the repro, and a crash report on
+// disk (not a goroutine stack pasted into the error text).
+func TestSampledCellPanicContainment(t *testing.T) {
+	crashDir := t.TempDir()
+	builds := 0
+	spec := Spec{Name: "boom", Epoch: 20_000, Build: func() *prog.Workload {
+		if builds++; builds == 2 {
+			panic("second build")
+		}
+		return prog.DelinquentLoop(30_000, 50, 1)
+	}}
+	_, err := RunCellCtx(context.Background(), spec, CfgBase,
+		MatrixOptions{CrashDir: crashDir, Sample: &SampleConfig{}})
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("panicking sampled cell did not surface ErrPanic: %v", err)
+	}
+	if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, "(repro dumped to ") {
+		t.Errorf("want a one-line error naming the repro, got:\n%s", msg)
+	}
+	files, derr := os.ReadDir(crashDir)
+	if derr != nil || len(files) != 1 {
+		t.Fatalf("want one crash dump, got %d (err=%v)", len(files), derr)
+	}
+	data, derr := os.ReadFile(filepath.Join(crashDir, files[0].Name()))
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	for _, want := range []string{"workload: boom", "second build", "stack:"} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("crash dump missing %q", want)
+		}
+	}
+}
+
 // The watchdog default must be on (a wedged pipeline fails fast without any
 // option set), and NoStallWatchdog must disable it.
 func TestWatchdogDefaults(t *testing.T) {

@@ -40,8 +40,9 @@ import (
 
 // ckptSchema versions the artifact file format; bump on any layout change
 // and old files become misses. Schema 2 carries live-lines-only hierarchy
-// state blobs (see internal/cache/state.go).
-const ckptSchema = 2
+// state blobs (see internal/cache/state.go); schema 3 drops two sampling
+// knobs from the key, leaving eight words.
+const ckptSchema = 3
 
 // ckptPointBytes is the smallest encoded point record: interval, weight,
 // warm and the two state-blob lengths.
@@ -56,38 +57,34 @@ const ckptArtifactMagic uint32 = 0x50534331
 // that only affect measurement (Mode, Checks, Lockstep, MaxCycles) must not
 // be, so base/phelps/runahead cells of one workload share one artifact.
 type CkptKey struct {
-	Workload     uint64 // HashWorkload of the built workload
-	IntervalLen  uint64 // SampleConfig.IntervalLen (0 = auto-sized)
-	K            uint64
-	Warmup       uint64 // SampleConfig.WarmupInsts (0 = auto)
-	FuncWarm     uint64
-	MinIntervals uint64
-	Seed         uint64
-	ProfileCap   uint64 // effective profile bound (maxProfileInsts ∧ MaxInsts)
-	Predictor    uint64 // PredictorKind — warmed predictor state is kind-specific
-	CacheCfg     uint64 // hashCacheConfig — warmed hierarchy state is geometry-specific
+	Workload    uint64 // HashWorkload of the built workload
+	IntervalLen uint64 // SampleConfig.IntervalLen (0 = auto-sized)
+	K           uint64
+	Warmup      uint64 // SampleConfig.WarmupInsts (0 = auto)
+	Seed        uint64
+	ProfileCap  uint64 // effective profile bound (maxProfileInsts ∧ MaxInsts)
+	Predictor   uint64 // PredictorKind — warmed predictor state is kind-specific
+	CacheCfg    uint64 // hashCacheConfig — warmed hierarchy state is geometry-specific
 }
 
 // ckptKeyFor derives the artifact key. sc must already have defaults applied
 // so explicit-default and zero-value configs share artifacts.
 func ckptKeyFor(workloadHash uint64, cfg Config, sc SampleConfig, profileCap uint64) CkptKey {
 	return CkptKey{
-		Workload:     workloadHash,
-		IntervalLen:  sc.IntervalLen,
-		K:            uint64(sc.K),
-		Warmup:       sc.WarmupInsts,
-		FuncWarm:     sc.FuncWarmInsts,
-		MinIntervals: uint64(sc.MinIntervals),
-		Seed:         sc.Seed,
-		ProfileCap:   profileCap,
-		Predictor:    uint64(cfg.Predictor),
-		CacheCfg:     hashCacheConfig(cfg.Cache),
+		Workload:    workloadHash,
+		IntervalLen: sc.IntervalLen,
+		K:           uint64(sc.K),
+		Warmup:      sc.WarmupInsts,
+		Seed:        sc.Seed,
+		ProfileCap:  profileCap,
+		Predictor:   uint64(cfg.Predictor),
+		CacheCfg:    hashCacheConfig(cfg.Cache),
 	}
 }
 
-func (k CkptKey) fields() [10]uint64 {
-	return [10]uint64{k.Workload, k.IntervalLen, k.K, k.Warmup, k.FuncWarm,
-		k.MinIntervals, k.Seed, k.ProfileCap, k.Predictor, k.CacheCfg}
+func (k CkptKey) fields() [8]uint64 {
+	return [8]uint64{k.Workload, k.IntervalLen, k.K, k.Warmup, k.Seed,
+		k.ProfileCap, k.Predictor, k.CacheCfg}
 }
 
 // fileName hashes the key into the artifact's on-disk name. The full key is
@@ -156,7 +153,7 @@ func (p *ckptPoint) protos(cfg Config) (bpred.Predictor, *cache.Hierarchy, error
 // sampled runs share one artifact, resuming its checkpoints (copy-on-write)
 // and decoding its state blobs into private structures.
 type ckptArtifact struct {
-	fullRun     bool // workload below MinIntervals: warm runs go straight to a full RunCtx
+	fullRun     bool // workload below minIntervals: warm runs go straight to a full RunCtx
 	totalInsts  uint64
 	intervalLen uint64
 	intervals   int
@@ -212,8 +209,8 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 		return nil, fmt.Errorf("sim: ckpt artifact schema %d, want %d", v, ckptSchema)
 	}
 	var got CkptKey
-	fields := []*uint64{&got.Workload, &got.IntervalLen, &got.K, &got.Warmup, &got.FuncWarm,
-		&got.MinIntervals, &got.Seed, &got.ProfileCap, &got.Predictor, &got.CacheCfg}
+	fields := []*uint64{&got.Workload, &got.IntervalLen, &got.K, &got.Warmup, &got.Seed,
+		&got.ProfileCap, &got.Predictor, &got.CacheCfg}
 	for _, p := range fields {
 		*p = r.U64()
 	}
@@ -296,9 +293,6 @@ func NewCkptCacheFS(dir string, fs fsio.FS) *CkptCache {
 	}
 	return &CkptCache{dir: dir, fs: fs, mem: make(map[CkptKey]*ckptArtifact)}
 }
-
-// Dir returns the cache's root directory.
-func (c *CkptCache) Dir() string { return c.dir }
 
 // Hits counts artifact loads answered from memory or disk.
 func (c *CkptCache) Hits() uint64 { return c.hits.Load() }

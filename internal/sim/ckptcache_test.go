@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -185,7 +187,6 @@ func TestCkptKeyCollisionResistance(t *testing.T) {
 	keys["k"] = mk(base, SampleConfig{K: 9}, 1_000_000_000)
 	keys["interval"] = mk(base, SampleConfig{IntervalLen: 4000}, 1_000_000_000)
 	keys["warmup"] = mk(base, SampleConfig{WarmupInsts: 6000}, 1_000_000_000)
-	keys["funcwarm"] = mk(base, SampleConfig{FuncWarmInsts: 50_000}, 1_000_000_000)
 	keys["cap"] = mk(base, SampleConfig{}, 500_000)
 	pred := base
 	pred.Predictor = PredGshare
@@ -223,7 +224,7 @@ func TestCkptKeyCollisionResistance(t *testing.T) {
 	}
 }
 
-// TestCkptCacheFullRunMarker: workloads below MinIntervals cache a full-run
+// TestCkptCacheFullRunMarker: workloads below minIntervals cache a full-run
 // marker, so warm runs skip the profile pass and go straight to the full
 // cycle-accurate run — with an identical Result and report.
 func TestCkptCacheFullRunMarker(t *testing.T) {
@@ -287,9 +288,10 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 // TestCkptArtifactFormatPinned pins the PSC1 artifact bytes — the key,
 // header, point records, checkpoint section and FNV-1a trailer — by length
 // and FNV-1a-64 sum, for a fixed hand-built artifact and a full-run marker.
-// The sums were recorded at schema 2 (live-lines-only hierarchy state); the
-// lengths are unchanged from schema 1, which differed only in the schema
-// word because the point blobs here are opaque bytes.
+// The sums were recorded at schema 3 (the eight-word key); each artifact is
+// exactly 16 bytes shorter than at schema 2, whose key carried two more
+// words. Schemas 1 and 2 differed only in the schema word because the point
+// blobs here are opaque bytes.
 func TestCkptArtifactFormatPinned(t *testing.T) {
 	w := prog.PredictableLoop(200)
 	e := emu.New(w.Prog, w.Mem)
@@ -298,7 +300,7 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CkptKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	key := CkptKey{1, 2, 3, 4, 5, 6, 7, 8}
 	art := &ckptArtifact{
 		totalInsts: 1000, intervalLen: 100, intervals: 10, halted: true,
 		points: []ckptPoint{{interval: 3, weight: 0.625, warm: 40, pred: []byte("pred-state"), hier: []byte("hier")}},
@@ -310,8 +312,8 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 		n    int
 		sum  uint64
 	}{
-		{"points", art, 453, 0xa3c23f63d4f7f5ca},
-		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 118, 0xc6e9e4a6fad67229},
+		{"points", art, 437, 0xb1f80aa3de566440},
+		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 102, 0x5da9d8365753e3a5},
 	} {
 		blob := appendArtifact(nil, key, tc.art)
 		if sum := codec.Sum64(blob); len(blob) != tc.n || sum != tc.sum {
@@ -324,15 +326,35 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 }
 
 // fuzzArtifactKey is the key the FuzzDecodeArtifact corpus is encoded under.
-var fuzzArtifactKey = CkptKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+var fuzzArtifactKey = CkptKey{1, 2, 3, 4, 5, 6, 7, 8}
 
 // FuzzDecodeArtifact: the fuzzed bytes are an artifact body, sealed before
 // decoding so inputs get past the checksum to the parser. Any body either
 // fails to decode or decodes to an artifact that re-encodes to exactly the
 // sealed bytes. The committed corpus holds a full-run marker, a one-point
 // artifact without memory pages, and a two-point artifact whose checkpoints
-// share one page and differ in another.
+// share one page and differ in another. A seed that fails to decode passes
+// the target silently, so each must decode: a corpus left under an older
+// key or schema would test nothing.
 func FuzzDecodeArtifact(f *testing.F) {
+	seeds, err := filepath.Glob("testdata/fuzz/FuzzDecodeArtifact/*")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no committed corpus (err=%v)", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lit, _ := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+		body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			f.Fatalf("%s: unreadable seed: %v", path, err)
+		}
+		if _, err := decodeArtifact(codec.Seal([]byte(body), 0), fuzzArtifactKey); err != nil {
+			f.Errorf("%s: seed does not decode: %v", path, err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		blob := codec.Seal(append([]byte(nil), body...), 0)
 		art, err := decodeArtifact(blob, fuzzArtifactKey)

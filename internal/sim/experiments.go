@@ -3,9 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -238,29 +236,19 @@ type MatrixOptions struct {
 	// core (containment tests only; see cpu.FaultInjection).
 	Faults *cpu.FaultInjection
 
-	// Sample, when non-nil, runs every cell sampled (SampledRunCtx) instead
-	// of cycle-accurately end to end. Sample.Ckpts is shared across cells:
-	// the configurations of one workload reuse its cached checkpoint
+	// Sample, when non-nil, runs every cell sampled (as SampledRunCtx does)
+	// instead of cycle-accurately end to end. Sample.Ckpts is shared across
+	// cells: the configurations of one workload reuse its cached checkpoint
 	// artifact once one of them has stored it (the cache key excludes
 	// Mode). phelpsd runs a workload's sampled cells in order on one worker
 	// so that only the first builds it.
 	Sample *SampleConfig
 }
 
-func (o MatrixOptions) crashDir() string {
-	if o.CrashDir != "" {
-		return o.CrashDir
-	}
-	if d := os.Getenv("PHELPS_CRASH_DIR"); d != "" {
-		return d
-	}
-	return "crashes"
-}
-
 // RunCellCtx runs one (workload, configuration) cell with fault containment:
 // a panic anywhere inside the build or the simulator is recovered into an
-// ErrPanic-wrapped error carrying the panic value and goroutine stack, and a
-// minimized repro (workload, config, program listing) is dumped under the
+// ErrPanic-wrapped error carrying the panic value, and a minimized repro
+// (workload, config, program listing, goroutine stack) is dumped under the
 // crash directory. The caller — a pool worker in a matrix sweep or in
 // phelpsd — is unaffected. opt.Faults, when set, is injected into the cell's
 // core (tests of the containment machinery).
@@ -284,27 +272,20 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 	cfg.Faults = opt.Faults
 	var w *prog.Workload
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			rep := check.Report{Name: s.Name, Config: label}
+			if w != nil {
+				rep.Prog = w.Prog
+			}
+			err = panicError(r, opt.CrashDir, rep)
 		}
-		rep := &check.Report{Name: s.Name, Config: label, Err: fmt.Sprint(r), Stack: string(debug.Stack())}
-		if w != nil {
-			rep.Prog = w.Prog
-		}
-		detail := ""
-		if path, derr := check.Dump(opt.crashDir(), rep); derr == nil {
-			detail = " (repro dumped to " + path + ")"
-		}
-		res = Result{}
-		err = fmt.Errorf("%w: %v%s", ErrPanic, r, detail)
 	}()
 	if opt.Sample != nil {
 		scfg := *opt.Sample
 		if scfg.CrashDir == "" {
-			scfg.CrashDir = opt.crashDir()
+			scfg.CrashDir = opt.CrashDir
 		}
-		return SampledRunCtx(ctx, s, cfg, scfg)
+		return sampledRun(ctx, s, cfg, scfg)
 	}
 	w = s.Build()
 	return RunCtx(ctx, w, cfg)
@@ -649,7 +630,7 @@ func planFig15a(p *cellPlan, gap []Spec) (*fig15aPlan, error) {
 				if err != nil {
 					return err
 				}
-				scaleWindow(&cfg, rob, depth)
+				ScaleWindow(&cfg, rob, depth)
 				pair[i] = p.add(s, s.Name, fmt.Sprintf("%s rob=%d depth=%d", name, rob, depth), cfg)
 			}
 			f.points = append(f.points, Fig15aRow{Workload: s.Name, ROB: rob, Depth: depth})
@@ -683,7 +664,11 @@ func (f *fig15aPlan) rows(p *cellPlan) ([]Fig15aRow, error) {
 	return rows, nil
 }
 
-func scaleWindow(cfg *Config, rob, depth int) {
+// ScaleWindow sizes cfg's out-of-order window for a ROB of rob entries and a
+// pipeline of depth stages, scaling the PRF, LQ, SQ and IQ in proportion
+// from the 632-entry Table III point. Fig. 15a, the explore grid and the
+// phelps CLI's -rob/-depth all size windows through it.
+func ScaleWindow(cfg *Config, rob, depth int) {
 	base := 632.0
 	f := float64(rob) / base
 	cfg.Core.ROB = rob

@@ -128,14 +128,14 @@ func TestMatrixAndFormatters(t *testing.T) {
 
 func TestScaleWindow(t *testing.T) {
 	cfg := DefaultConfig()
-	scaleWindow(&cfg, 1024, 19)
+	ScaleWindow(&cfg, 1024, 19)
 	if cfg.Core.ROB != 1024 || cfg.Core.PipelineDepth != 19 {
 		t.Errorf("core: %+v", cfg.Core)
 	}
 	if cfg.Core.LQ <= 144 || cfg.Core.PRF <= 696 {
 		t.Errorf("resources not scaled up: LQ=%d PRF=%d", cfg.Core.LQ, cfg.Core.PRF)
 	}
-	scaleWindow(&cfg, 320, 11)
+	ScaleWindow(&cfg, 320, 11)
 	if cfg.Core.LQ >= 144 {
 		t.Errorf("resources not scaled down: LQ=%d", cfg.Core.LQ)
 	}

@@ -94,7 +94,7 @@ func explorePointFor(rob, depth int, pred PredictorKind, phelps bool, thresholdD
 	// Materialize once to read the scaled window sizes for knobs and budget;
 	// build re-derives the same Config per workload epoch.
 	probe := DefaultConfig()
-	scaleWindow(&probe, rob, depth)
+	ScaleWindow(&probe, rob, depth)
 	phelpsCost := 0.0
 	if phelps {
 		ph := PhelpsConfig(0).Phelps
@@ -124,7 +124,7 @@ func explorePointFor(rob, depth int, pred PredictorKind, phelps bool, thresholdD
 			cfg = DefaultConfig()
 		}
 		cfg.Predictor = pred
-		scaleWindow(&cfg, rob, depth)
+		ScaleWindow(&cfg, rob, depth)
 		return cfg
 	}
 	return ExplorePoint{Name: name, Knobs: knobs, Budget: budget, build: build}

@@ -14,10 +14,10 @@ package sim
 //                 (simpoint.BBVCollector, merged from fixed-grain chunks).
 //  2. pick:       k-means over the BBVs (simpoint.Pick) -> k weighted
 //                 SimPoints.
-//  3. checkpoint: FastForward again, functionally warming a fresh branch
-//                 predictor and cache hierarchy over the last FuncWarmInsts
-//                 before each SimPoint, then Checkpoint (copy-on-write
-//                 memory snapshot) at the interval start.
+//  3. checkpoint: FastForward again, functionally warming one branch
+//                 predictor and cache hierarchy continuously from
+//                 instruction 0, then Checkpoint (copy-on-write memory
+//                 snapshot) before each SimPoint and clone the warmed state.
 //  4. measure:    per point, Resume the checkpoint into a timing machine
 //                 with the warmed predictor/hierarchy, run WarmupInsts
 //                 cycle-accurately, reset the counters, measure the
@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
@@ -70,18 +69,6 @@ type SampleConfig struct {
 	// state, and the cycle-accurate warmup corrects it regardless of how
 	// short the measured interval is.
 	WarmupInsts uint64
-	// FuncWarmInsts bounds functional warming. 0 (the default) warms one
-	// branch predictor and cache hierarchy continuously from instruction 0
-	// and clones them at each checkpoint — the most accurate option, since
-	// the cloned state matches what a full run would have accumulated. A
-	// nonzero value instead warms a fresh predictor/hierarchy over only the
-	// last FuncWarmInsts before each checkpoint, which is cheaper on very
-	// long workloads but cold-starts long-lived cache state.
-	FuncWarmInsts uint64
-	// MinIntervals is the minimum number of profiled intervals worth
-	// sampling; below it SampledRun falls back to a full Run (the workload
-	// is too short for fast-forwarding to pay). 0 means 4.
-	MinIntervals int
 	// Seed drives the k-means clustering (deterministic per seed). 0 means
 	// 42.
 	Seed uint64
@@ -90,9 +77,9 @@ type SampleConfig struct {
 	// across runs, like the run matrix and the phelpsd pool, should
 	// keep it). The Result is bit-identical for any worker count.
 	Workers int
-	// CrashDir receives crash reports when a point's measurement panics
-	// (contained into an ErrPanic error either way). Empty means
-	// $PHELPS_CRASH_DIR, falling back to "crashes".
+	// CrashDir receives crash reports when the run panics (contained into
+	// an ErrPanic error either way). Empty means $PHELPS_CRASH_DIR, falling
+	// back to "crashes".
 	CrashDir string
 	// Ckpts, when non-nil, caches the product of the functional passes — the
 	// SimPoint list, checkpoints, and warmed predictor/hierarchy state —
@@ -105,9 +92,6 @@ func (sc SampleConfig) withDefaults() SampleConfig {
 	if sc.K == 0 {
 		sc.K = 4
 	}
-	if sc.MinIntervals == 0 {
-		sc.MinIntervals = 4
-	}
 	if sc.Seed == 0 {
 		sc.Seed = 42
 	}
@@ -116,6 +100,11 @@ func (sc SampleConfig) withDefaults() SampleConfig {
 
 // maxProfileInsts bounds the functional profile pass.
 const maxProfileInsts = 1_000_000_000
+
+// minIntervals is the fewest profiled intervals worth sampling; below it
+// SampledRun falls back to a full Run (the workload is too short for
+// fast-forwarding to pay).
+const minIntervals = 4
 
 // chunkLen is the fixed grain of the live BBV profile. Auto-sized intervals
 // are multiples of it, so the profile pass can collect BBVs directly (no
@@ -155,7 +144,7 @@ func coldIntervals(nIv int) int {
 
 // SampleReport describes how a sampled Result was reconstructed.
 type SampleReport struct {
-	// FullRun is set when the workload was below MinIntervals and SampledRun
+	// FullRun is set when the workload was below minIntervals and SampledRun
 	// fell back to a complete cycle-accurate run (Points is then empty).
 	FullRun     bool
 	TotalInsts  uint64 // dynamic instructions in the functional profile
@@ -201,13 +190,14 @@ func SampledRun(spec Spec, cfg Config, sc SampleConfig) (Result, error) {
 // SampledRun exactly.
 func SampledRunCtx(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (res Result, err error) {
 	// Fault containment: a panic anywhere in the profile/checkpoint/measure
-	// pipeline becomes a wrapped ErrPanic instead of killing the caller (the
-	// matrix worker pool in particular). Point-measurement workers carry
-	// their own recover (measurePointSafe) — a panic on a pool goroutine
-	// would otherwise kill the process, not reach this handler.
+	// pipeline becomes a wrapped ErrPanic instead of killing the caller.
+	// Point-measurement workers carry their own recover (measurePointSafe) —
+	// a panic on a pool goroutine would otherwise kill the process, not
+	// reach this handler.
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: %s: %w: %v\n%s", spec.Name, ErrPanic, r, debug.Stack())
+			rep := check.Report{Name: spec.Name, Config: "sampled run"}
+			err = fmt.Errorf("sim: %s: %w", spec.Name, panicError(r, sc.CrashDir, rep))
 		}
 	}()
 	return sampledRun(ctx, spec, cfg, sc)
@@ -303,22 +293,6 @@ func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, 
 		orc = check.NewOracleAt(s.prog, mp.ck)
 	}
 	m.setupGuards(orc)
-	fail := func(phase string, outcome runOutcome) error {
-		switch outcome {
-		case runStalled:
-			return fmt.Errorf("sim: %s: SimPoint %d %s: %w: %v",
-				s.name, mp.interval, phase, ErrStall, m.failure)
-		case runCheckFailed:
-			return fmt.Errorf("sim: %s: SimPoint %d %s: %w: %v",
-				s.name, mp.interval, phase, ErrCheck, m.failure)
-		case runCanceled:
-			return fmt.Errorf("sim: %s: SimPoint %d %s: %w: %v",
-				s.name, mp.interval, phase, ErrCanceled, context.Cause(ctx))
-		default:
-			return fmt.Errorf("sim: %s: SimPoint %d %s did not finish within %d cycles: %w",
-				s.name, mp.interval, phase, cfg.MaxCycles, ErrLivelock)
-		}
-	}
 	warmed := uint64(0)
 	measLen := s.intervalLen
 	// The cold-start point (interval 0) skips warmup and measures the
@@ -328,13 +302,13 @@ func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, 
 		measLen = uint64(s.coldIv) * s.intervalLen
 	} else if mp.warm > 0 {
 		if out := m.run(mp.warm, cfg.MaxCycles); out != runDone {
-			return pointMeas{}, fail("warmup", out)
+			return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d warmup", s.name, mp.interval), out)
 		}
 		warmed = m.mt.Stats.Retired
 		m.resetStats()
 	}
 	if out := m.run(measLen, cfg.MaxCycles); out != runDone {
-		return pointMeas{}, fail("measure", out)
+		return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d measure", s.name, mp.interval), out)
 	}
 	if orc != nil {
 		// Sampled points are instruction-bounded, never final: this only
@@ -367,23 +341,11 @@ func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, 
 // process, bypassing SampledRunCtx's recover.
 func measurePointSafe(ctx context.Context, s *measSetup, mp *measPoint) (pm pointMeas, err error) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			rep := check.Report{Name: s.name, Prog: s.prog,
+				Config: fmt.Sprintf("SimPoint interval %d (sampled measure)", mp.interval)}
+			err = fmt.Errorf("sim: %s: SimPoint interval %d: %w", s.name, mp.interval, panicError(r, s.crashDir, rep))
 		}
-		rep := &check.Report{
-			Name:   s.name,
-			Config: fmt.Sprintf("SimPoint interval %d (sampled measure)", mp.interval),
-			Err:    fmt.Sprint(r),
-			Stack:  string(debug.Stack()),
-			Prog:   s.prog,
-		}
-		detail := ""
-		if path, derr := check.Dump(s.crashDir, rep); derr == nil {
-			detail = " (repro dumped to " + path + ")"
-		}
-		pm = pointMeas{}
-		err = fmt.Errorf("sim: %s: SimPoint interval %d: %w: %v%s", s.name, mp.interval, ErrPanic, r, detail)
 	}()
 	return measurePoint(ctx, s, mp)
 }
@@ -483,10 +445,6 @@ func measureAndWeigh(ctx context.Context, s *measSetup, pts []measPoint, total u
 // newMeasSetup assembles the shared measurement context.
 func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, intervalLen uint64, nIv int) *measSetup {
 	cfg.Obs = nil
-	dir := sc.CrashDir
-	if dir == "" {
-		dir = MatrixOptions{}.crashDir()
-	}
 	return &measSetup{
 		name:        spec.Name,
 		prog:        p,
@@ -494,15 +452,22 @@ func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, interv
 		intervalLen: intervalLen,
 		coldIv:      coldIntervals(nIv),
 		workers:     sc.Workers,
-		crashDir:    dir,
+		crashDir:    sc.CrashDir,
 	}
 }
 
 // measureArtifact is the cached path: phases 4–5 driven from a decoded
 // artifact. Each point clones the artifact's lazily decoded state prototypes
 // and resumes its checkpoint copy-on-write, so the (immutable) artifact is
-// safely shared by concurrent workers and concurrent runs.
+// safely shared by concurrent workers and concurrent runs. A full-run marker
+// (a workload below minIntervals) is answered by one complete cycle-accurate
+// run of a fresh build instead.
 func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, art *ckptArtifact) (Result, error) {
+	if art.fullRun {
+		res, err := RunCtx(ctx, spec.Build(), cfg)
+		res.Sampled = &SampleReport{FullRun: true, TotalInsts: art.totalInsts, IntervalLen: art.intervalLen, Intervals: art.intervals}
+		return res, err
+	}
 	s := newMeasSetup(spec, p, cfg, sc, art.intervalLen, art.intervals)
 	pts := make([]measPoint, len(art.points))
 	for i := range art.points {
@@ -516,6 +481,26 @@ func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config,
 		}
 	}
 	return measureAndWeigh(ctx, s, pts, art.totalInsts, art.intervals, art.halted)
+}
+
+// storeAndMeasure measures an artifact the functional passes just built.
+// With the cache on it first stores the encoded artifact and measures from
+// the DECODED form: warm runs decode the same bytes, so cold and warm
+// results are bit-identical by construction (the leaf codecs' round-trip
+// exactness makes cache-off identical too).
+func storeAndMeasure(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, key CkptKey, art *ckptArtifact) (Result, error) {
+	if sc.Ckpts != nil {
+		blob := appendArtifact(nil, key, art)
+		decoded, derr := decodeArtifact(blob, key)
+		if derr != nil {
+			return Result{}, fmt.Errorf("sim: %s: checkpoint artifact round-trip: %v", spec.Name, derr)
+		}
+		if serr := sc.Ckpts.Store(ctx, key, decoded, blob); serr != nil {
+			return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
+		}
+		art = decoded
+	}
+	return measureArtifact(ctx, spec, p, cfg, sc, art)
 }
 
 func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Result, error) {
@@ -554,14 +539,6 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			return Result{}, fmt.Errorf("sim: %s (checkpoint load): %w: %v", spec.Name, ErrCanceled, lerr)
 		}
 		if art != nil {
-			if art.fullRun {
-				// The workload was below MinIntervals when profiled: the
-				// artifact is just a marker that a full run is the answer
-				// (skipping the re-profile), and w is still pristine.
-				res, err := RunCtx(ctx, w, cfg)
-				res.Sampled = &SampleReport{FullRun: true, TotalInsts: art.totalInsts, IntervalLen: art.intervalLen, Intervals: art.intervals}
-				return res, err
-			}
 			return measureArtifact(ctx, spec, w.Prog, cfg, sc, art)
 		}
 	}
@@ -605,18 +582,11 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			warmup = chunkLen
 		}
 	}
-	if len(intervals) < sc.MinIntervals {
-		// Too short to sample: a full run is cheaper than the machinery.
-		// Cache that verdict so warm runs skip straight to the full run.
-		if sc.Ckpts != nil {
-			art := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: e.Halted}
-			if serr := sc.Ckpts.Store(ctx, key, art, appendArtifact(nil, key, art)); serr != nil {
-				return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
-			}
-		}
-		res, err := RunCtx(ctx, spec.Build(), cfg)
-		res.Sampled = &SampleReport{FullRun: true, TotalInsts: total, IntervalLen: intervalLen, Intervals: len(intervals)}
-		return res, err
+	if len(intervals) < minIntervals {
+		// Too short to sample: a full run is cheaper than the machinery. The
+		// cached verdict sends warm runs straight to the full run.
+		marker := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: e.Halted}
+		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, marker)
 	}
 
 	// --- 2. pick SimPoints ---
@@ -644,31 +614,22 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	}
 
 	// --- 3. checkpoint pass: fast-forward once, warming microarch state ---
+	// One predictor and hierarchy train on the whole prefix, on a
+	// pseudo-clock, and are cloned at each checkpoint so every point starts
+	// from the state a full run would have accumulated. Quiesce clears the
+	// clock-relative MSHR bookkeeping; the tag, replacement, and prefetcher
+	// state is what carries over.
 	w2 := spec.Build()
 	e2 := emu.New(w2.Prog, w2.Mem)
-	type prepared struct {
-		sp   simpoint.SimPoint
-		ck   *emu.Checkpoint
-		pred bpred.Predictor
-		hier *cache.Hierarchy
-		warm uint64 // cycle-accurate warmup insts between checkpoint and interval
+	warmPred := makePredictor(cfg.Predictor)
+	warmHier := cache.New(cfg.Cache)
+	var tclk uint64
+	warmObs := &emu.FFObserver{
+		Branch: func(pc uint64, taken bool) { warmPred.PredictAndTrain(pc, taken) },
+		Load:   func(pc, addr uint64, size int) { warmHier.Load(pc, addr, tclk); tclk += 4 },
+		Store:  func(addr uint64, size int) { warmHier.Store(addr, tclk); tclk += 4 },
+		Block:  func(head, n uint64) { warmHier.FetchInst(head, tclk); tclk += n },
 	}
-	preps := make([]prepared, 0, len(byStart))
-	pos := uint64(0) // instructions executed so far in this pass
-
-	// Continuous mode (FuncWarmInsts == 0): one predictor and hierarchy
-	// train on the whole prefix, on a pseudo-clock, and are cloned at each
-	// checkpoint so every point starts from the state a full run would have
-	// accumulated. Quiesce clears the clock-relative MSHR bookkeeping; the
-	// tag, replacement, and prefetcher state is what carries over.
-	continuous := sc.FuncWarmInsts == 0
-	var (
-		warmPred bpred.Predictor
-		warmHier *cache.Hierarchy
-		warmObs  *emu.FFObserver
-		cacheObs *emu.FFObserver
-		tclk     uint64
-	)
 	// Predictor and I-cache state saturate within a few thousand
 	// instructions (the code footprint is tiny next to the data footprint),
 	// so training them over the whole prefix buys nothing — the far part of
@@ -676,22 +637,14 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	// predictor plus instruction fetch train over the last predWindow
 	// instructions before each checkpoint. Data-cache state has run-long
 	// memory and is warmed continuously.
-	predWindow := 2 * intervalLen
-	if continuous {
-		warmPred = makePredictor(cfg.Predictor)
-		warmHier = cache.New(cfg.Cache)
-		warmObs = &emu.FFObserver{
-			Branch: func(pc uint64, taken bool) { warmPred.PredictAndTrain(pc, taken) },
-			Load:   func(pc, addr uint64, size int) { warmHier.Load(pc, addr, tclk); tclk += 4 },
-			Store:  func(addr uint64, size int) { warmHier.Store(addr, tclk); tclk += 4 },
-			Block:  func(head, n uint64) { warmHier.FetchInst(head, tclk); tclk += n },
-		}
-		cacheObs = &emu.FFObserver{
-			Load:  warmObs.Load,
-			Store: warmObs.Store,
-			Block: func(head, n uint64) { tclk += n },
-		}
+	cacheObs := &emu.FFObserver{
+		Load:  warmObs.Load,
+		Store: warmObs.Store,
+		Block: func(head, n uint64) { tclk += n },
 	}
+	predWindow := 2 * intervalLen
+	pts := make([]measPoint, 0, len(byStart))
+	pos := uint64(0) // instructions executed so far in this pass
 	for _, sp := range byStart {
 		start := uint64(sp.Interval) * intervalLen
 		// Checkpoint warmup instructions BEFORE the interval, so the
@@ -706,105 +659,41 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 				ckAt = 0
 			}
 		}
-		var p prepared
-		if continuous {
-			if ckAt > pos+predWindow {
-				if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-predWindow-pos, cacheObs); err != nil {
-					return Result{}, err
-				}
-				pos = ckAt - predWindow
+		if ckAt > pos+predWindow {
+			if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-predWindow-pos, cacheObs); err != nil {
+				return Result{}, err
 			}
-			if ckAt > pos {
-				if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-pos, warmObs); err != nil {
-					return Result{}, err
-				}
-				pos = ckAt
-			}
-			p = prepared{sp: sp, pred: warmPred.ClonePredictor(), hier: warmHier.Clone()}
-		} else {
-			// Window mode: plain fast-forward to the warming window, then a
-			// fresh predictor/hierarchy over the last FuncWarmInsts.
-			warmFrom := uint64(0)
-			if sc.FuncWarmInsts < ckAt {
-				warmFrom = ckAt - sc.FuncWarmInsts
-			}
-			if warmFrom < pos {
-				warmFrom = pos
-			}
-			if warmFrom > pos {
-				if _, err := fastForwardCtx(ctx, spec.Name, e2, warmFrom-pos, nil); err != nil {
-					return Result{}, err
-				}
-				pos = warmFrom
-			}
-			p = prepared{sp: sp, pred: makePredictor(cfg.Predictor), hier: cache.New(cfg.Cache)}
-			if ckAt > pos {
-				var t uint64
-				pred, hier := p.pred, p.hier
-				if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-pos, &emu.FFObserver{
-					Branch: func(pc uint64, taken bool) { pred.PredictAndTrain(pc, taken) },
-					Load:   func(pc, addr uint64, size int) { hier.Load(pc, addr, t); t += 4 },
-					Store:  func(addr uint64, size int) { hier.Store(addr, t); t += 4 },
-					Block:  func(head, n uint64) { hier.FetchInst(head, t); t += n },
-				}); err != nil {
-					return Result{}, err
-				}
-				pos = ckAt
-			}
+			pos = ckAt - predWindow
 		}
-		p.warm = start - ckAt
-		p.hier.Quiesce()
-		p.hier.ResetStats()
+		if ckAt > pos {
+			if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-pos, warmObs); err != nil {
+				return Result{}, err
+			}
+			pos = ckAt
+		}
+		hier := warmHier.Clone()
+		hier.Quiesce()
+		hier.ResetStats()
 		ck, err := e2.Checkpoint()
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: %s: checkpoint at inst %d: %v", spec.Name, pos, err)
 		}
-		p.ck = ck
-		preps = append(preps, p)
+		pts = append(pts, measPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
+			ck: ck, pred: warmPred.ClonePredictor(), hier: hier})
 	}
 
 	// --- 4+5. measure and weigh ---
 	if sc.Ckpts != nil {
-		// Cold run with the cache enabled: serialize the artifact, store it,
-		// and measure from the DECODED form. Warm runs decode the same bytes,
-		// so cold and warm results are bit-identical by construction (the
-		// leaf codecs' round-trip exactness makes cache-off identical too).
 		art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: e.Halted}
-		for i := range preps {
-			p := &preps[i]
-			art.points = append(art.points, ckptPoint{
-				interval: p.sp.Interval,
-				weight:   p.sp.Weight,
-				warm:     p.warm,
-				pred:     p.pred.AppendState(nil),
-				hier:     p.hier.AppendState(nil),
-			})
+		for i := range pts {
+			p := &pts[i]
+			art.points = append(art.points, ckptPoint{interval: p.interval, weight: p.weight, warm: p.warm,
+				pred: p.pred.AppendState(nil), hier: p.hier.AppendState(nil)})
 			art.cks = append(art.cks, p.ck)
 		}
-		blob := appendArtifact(nil, key, art)
-		decoded, derr := decodeArtifact(blob, key)
-		if derr != nil {
-			return Result{}, fmt.Errorf("sim: %s: checkpoint artifact round-trip: %v", spec.Name, derr)
-		}
-		if serr := sc.Ckpts.Store(ctx, key, decoded, blob); serr != nil {
-			return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
-		}
-		return measureArtifact(ctx, spec, w2.Prog, cfg, sc, decoded)
+		return storeAndMeasure(ctx, spec, w2.Prog, cfg, sc, key, art)
 	}
-	s := newMeasSetup(spec, w2.Prog, cfg, sc, intervalLen, nIv)
-	pts := make([]measPoint, len(preps))
-	for i := range preps {
-		p := &preps[i]
-		pts[i] = measPoint{
-			interval: p.sp.Interval,
-			weight:   p.sp.Weight,
-			warm:     p.warm,
-			ck:       p.ck,
-			pred:     p.pred,
-			hier:     p.hier,
-		}
-	}
-	return measureAndWeigh(ctx, s, pts, total, nIv, e.Halted)
+	return measureAndWeigh(ctx, newMeasSetup(spec, w2.Prog, cfg, sc, intervalLen, nIv), pts, total, nIv, e.Halted)
 }
 
 // addCacheStats accumulates b into a field-by-field.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -47,16 +48,94 @@ func goldenBaseIPC(t *testing.T) map[string]float64 {
 	return out
 }
 
+// Sampled golden: every quick workload's sampled base run, pinned exactly —
+// the reconstructed totals and each SimPoint's measurement (JSON floats
+// round-trip bit for bit). The checkpoint artifact's byte pin
+// (TestCkptArtifactFormatPinned) covers what the functional passes produce;
+// this covers what measurement makes of it. Regenerate deliberately with:
+//
+//	UPDATE_GOLDEN=1 go test ./internal/sim -run TestSampledAccuracyVsGolden
+
+const sampledGoldenPath = "testdata/golden_sampled_quick.json"
+
+type sampledGoldenPoint struct {
+	Interval int     `json:"interval"`
+	Weight   float64 `json:"weight"`
+	Warmed   uint64  `json:"warmed"`
+	Measured uint64  `json:"measured"`
+	Cycles   uint64  `json:"cycles"`
+}
+
+type sampledGoldenCell struct {
+	Workload     string               `json:"workload"`
+	Cycles       uint64               `json:"cycles"`
+	Retired      uint64               `json:"retired"`
+	CondBranches uint64               `json:"cond_branches"`
+	Mispredicts  uint64               `json:"mispredicts"`
+	Points       []sampledGoldenPoint `json:"points"`
+}
+
+type sampledGoldenFile struct {
+	Schema int                 `json:"schema"`
+	Cells  []sampledGoldenCell `json:"cells"`
+}
+
+func sampledGoldenCellOf(name string, res Result) sampledGoldenCell {
+	c := sampledGoldenCell{Workload: name, Cycles: res.Cycles, Retired: res.Retired,
+		CondBranches: res.CondBranches, Mispredicts: res.Mispredicts}
+	for _, p := range res.Sampled.Points {
+		c.Points = append(c.Points, sampledGoldenPoint{Interval: p.Interval, Weight: p.Weight,
+			Warmed: p.Warmed, Measured: p.Measured, Cycles: p.Cycles})
+	}
+	return c
+}
+
 // TestSampledAccuracyVsGolden is the acceptance gate for sampled simulation:
 // on every quick-profile workload, the SimPoint-reconstructed IPC must land
-// within 10% of the full cycle-accurate run pinned in the golden file.
+// within 10% of the full cycle-accurate run pinned in the golden file, and
+// the sampled run itself must match the sampled golden exactly.
 func TestSampledAccuracyVsGolden(t *testing.T) {
-	if testing.Short() {
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	if testing.Short() && !update {
 		t.Skip("sampled accuracy sweep skipped in -short mode")
 	}
 	golden := goldenBaseIPC(t)
-	for _, spec := range append(GapSpecs(true), SpecCPUSpecs(true)...) {
-		spec := spec
+	specs := append(GapSpecs(true), SpecCPUSpecs(true)...)
+	pinned := make(map[string]sampledGoldenCell)
+	if !update {
+		data, err := os.ReadFile(sampledGoldenPath)
+		if err != nil {
+			t.Fatalf("missing golden (%v); generate with UPDATE_GOLDEN=1", err)
+		}
+		var want sampledGoldenFile
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("bad golden file: %v", err)
+		}
+		if len(want.Cells) != len(specs) {
+			t.Fatalf("workload count changed: %d workloads, golden has %d", len(specs), len(want.Cells))
+		}
+		for _, c := range want.Cells {
+			pinned[c.Workload] = c
+		}
+	}
+	cells := make([]sampledGoldenCell, len(specs))
+	if update {
+		// Parallel subtests finish before the parent's cleanups run.
+		t.Cleanup(func() {
+			if t.Failed() {
+				return
+			}
+			data, err := json.MarshalIndent(sampledGoldenFile{Schema: 1, Cells: cells}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(sampledGoldenPath, append(data, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %d workloads to %s", len(cells), sampledGoldenPath)
+		})
+	}
+	for i, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			want, ok := golden[spec.Name]
@@ -71,6 +150,15 @@ func TestSampledAccuracyVsGolden(t *testing.T) {
 				got, want, errPct, rep.Intervals, rep.IntervalLen, len(rep.Points), rep.FullRun)
 			if errPct < -10 || errPct > 10 {
 				t.Errorf("sampled IPC %.4f off golden %.4f by %+.2f%% (limit 10%%)", got, want, errPct)
+			}
+			cells[i] = sampledGoldenCellOf(spec.Name, res)
+			if update {
+				return
+			}
+			if pin, ok := pinned[spec.Name]; !ok {
+				t.Errorf("no sampled golden cell for %s", spec.Name)
+			} else if !reflect.DeepEqual(cells[i], pin) {
+				t.Errorf("sampled drift:\n  golden: %+v\n  got:    %+v", pin, cells[i])
 			}
 		})
 	}

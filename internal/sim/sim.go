@@ -14,6 +14,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"runtime/debug"
 
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
@@ -41,9 +43,9 @@ var (
 	ErrConsumed = errors.New("workload memory already consumed")
 	// ErrPanic: the simulator panicked mid-run. RunMatrix and SampledRun
 	// recover per-experiment panics into this sentinel (with the original
-	// panic value and stack in the wrap), so one crashing cell cannot take
-	// down a whole matrix; a minimized repro is dumped under the crash
-	// directory (see MatrixOptions.CrashDir and EXPERIMENTS.md).
+	// panic value in the wrap), so one crashing cell cannot take down a
+	// whole matrix; a minimized repro with the stack is dumped under the
+	// crash directory (see MatrixOptions.CrashDir and EXPERIMENTS.md).
 	ErrPanic = errors.New("simulator panicked")
 	// ErrStall: the forward-progress watchdog fired — no instruction retired
 	// for Config.StallCycles cycles. Distinct from ErrLivelock: a livelocked
@@ -174,7 +176,6 @@ func DefaultConfig() Config {
 func PhelpsConfig(epochLen uint64) Config {
 	cfg := DefaultConfig()
 	cfg.Mode = ModePhelps
-	cfg.Phelps.Enabled = true
 	cfg.Phelps.EpochLen = epochLen
 	return cfg
 }
@@ -337,8 +338,7 @@ func newMachine(cfg Config, mem *emu.Memory, e *emu.Emulator, pred bpred.Predict
 
 	switch cfg.Mode {
 	case ModePhelps:
-		m.cfg.Phelps.Enabled = true
-		m.ctrl = core.NewController(m.cfg.Phelps, cfg.Core, mem, hier)
+		m.ctrl = core.NewController(cfg.Phelps, cfg.Core, mem, hier)
 		ctrl := m.ctrl
 		hooks.Predict = func(d *emu.DynInst) cpu.Prediction {
 			base := pred.PredictAndTrain(d.PC, d.Taken)
@@ -470,6 +470,44 @@ func (m *machine) run(maxInsts, maxCycles uint64) runOutcome {
 	}
 }
 
+// stopErr maps a run that stopped short (any outcome but runDone) to its
+// wrapped sentinel error; what names the run (a workload, or a SimPoint
+// phase of one).
+func (m *machine) stopErr(ctx context.Context, what string, out runOutcome) error {
+	switch out {
+	case runTimeout:
+		return fmt.Errorf("sim: %s did not finish within %d cycles (retired %d): %w",
+			what, m.cfg.MaxCycles, m.mt.Stats.Retired, ErrLivelock)
+	case runStalled:
+		return fmt.Errorf("sim: %s: %w: %v", what, ErrStall, m.failure)
+	case runCheckFailed:
+		return fmt.Errorf("sim: %s: %w: %v", what, ErrCheck, m.failure)
+	default:
+		return fmt.Errorf("sim: %s: %w: %v", what, ErrCanceled, context.Cause(ctx))
+	}
+}
+
+// panicError is the one panic containment behind RunConfigCellCtx,
+// SampledRunCtx and measurePointSafe: each recovers a panic and hands it
+// here. It dumps a crash report — rep plus the panic value and goroutine
+// stack — under dir (empty means $PHELPS_CRASH_DIR, falling back to
+// "crashes") and returns a one-line ErrPanic error naming the report.
+func panicError(r any, dir string, rep check.Report) error {
+	if dir == "" {
+		dir = os.Getenv("PHELPS_CRASH_DIR")
+	}
+	if dir == "" {
+		dir = "crashes"
+	}
+	rep.Err = fmt.Sprint(r)
+	rep.Stack = string(debug.Stack())
+	detail := ""
+	if path, err := check.Dump(dir, &rep); err == nil {
+		detail = " (repro dumped to " + path + ")"
+	}
+	return fmt.Errorf("%w: %v%s", ErrPanic, r, detail)
+}
+
 // resetStats clears every component's counters at a phase boundary
 // (microarchitectural state — predictors, caches, the pipeline — stays
 // warm).
@@ -568,16 +606,8 @@ func RunCtx(ctx context.Context, w *prog.Workload, cfg Config) (Result, error) {
 	}
 
 	res := m.result(outcome == runTimeout)
-	switch outcome {
-	case runTimeout:
-		return res, fmt.Errorf("sim: %s did not finish within %d cycles (retired %d): %w",
-			w.Name, cfg.MaxCycles, res.Retired, ErrLivelock)
-	case runStalled:
-		return res, fmt.Errorf("sim: %s: %w: %v", w.Name, ErrStall, m.failure)
-	case runCheckFailed:
-		return res, fmt.Errorf("sim: %s: %w: %v", w.Name, ErrCheck, m.failure)
-	case runCanceled:
-		return res, fmt.Errorf("sim: %s: %w: %v", w.Name, ErrCanceled, context.Cause(ctx))
+	if outcome != runDone {
+		return res, m.stopErr(ctx, w.Name, outcome)
 	}
 	if orc != nil {
 		// End-of-run audit: reference halted too, memories byte-identical

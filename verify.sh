@@ -58,6 +58,19 @@ status=0
     -json >"$smoke_dir/failed.json" || status=$?
 [ "$status" = 1 ]
 grep -q '"error": ' "$smoke_dir/failed.json"
+# Checkpoint cache on or off, through the binary: a sampled run without a
+# cache (measuring the live warmed clones), a cold run that stores the
+# artifact and a warm run that decodes it print byte-identical JSON, and the
+# cache directory holds exactly one artifact file.
+"$smoke_dir/phelps" -workload bfs -config phelps -quick -sampled -seed 7 \
+    -json >"$smoke_dir/ckpt-off.json"
+for run in cold warm; do
+    "$smoke_dir/phelps" -workload bfs -config phelps -quick -sampled -seed 7 \
+        -json -ckpt-dir "$smoke_dir/cli-ckpts" >"$smoke_dir/ckpt-$run.json"
+    cmp "$smoke_dir/ckpt-off.json" "$smoke_dir/ckpt-$run.json"
+done
+[ "$(ls "$smoke_dir/cli-ckpts" | wc -l)" -eq 1 ]
+ls "$smoke_dir"/cli-ckpts/*.ckpt
 "$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr" \
     -cache "$smoke_dir/results.cache" -ckpt-dir "$smoke_dir/ckpts" \
     >"$smoke_dir/phelpsd.log" 2>&1 &
