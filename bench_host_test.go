@@ -15,6 +15,7 @@
 package phelps_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -315,3 +316,22 @@ func warmSampledXz(b *testing.B, workers int) {
 
 func BenchmarkHostSampledXzWarmSerial(b *testing.B)   { warmSampledXz(b, 1) }
 func BenchmarkHostSampledXzWarm8Workers(b *testing.B) { warmSampledXz(b, 8) }
+
+// BenchmarkHostSampledColdSweep runs the cells of one cold sampled phelpsd
+// job in process and in order: the 8 GAP quick workloads under base and
+// phelps against one fresh checkpoint cache. Its B/op is what a cold
+// sampled job allocates.
+func BenchmarkHostSampledColdSweep(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opt := sim.MatrixOptions{Sample: &sim.SampleConfig{Ckpts: sim.NewCkptCache(b.TempDir())}}
+		for _, s := range sim.GapSpecs(true) {
+			for _, c := range []string{sim.CfgBase, sim.CfgPhelps} {
+				if _, err := sim.RunCellCtx(ctx, s, c, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -63,6 +63,7 @@ func main() {
 		spWarm    = flag.Uint64("sp-warmup", 0, "sampled: cycle-accurate warmup instructions per point (0 = default)")
 		spWork    = flag.Int("sp-workers", 0, "sampled: concurrent SimPoint measurements (0 = one per core, 1 = serial; results are bit-identical)")
 		ckptDir   = flag.String("ckpt-dir", os.Getenv("PHELPS_CKPT_DIR"), "sampled: persistent checkpoint-cache directory (default $PHELPS_CKPT_DIR; empty = no cache)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (diagnostic; read it with go tool pprof)")
 
 		submit    = flag.Bool("submit", false, "submit a job to a phelpsd daemon instead of simulating locally")
 		server    = flag.String("server", "http://127.0.0.1:8077", "submit: phelpsd base URL")
@@ -199,6 +200,11 @@ func main() {
 		}
 	}
 
+	stopProfile, err := obs.StartCPUProfile(*cpuProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
 	var res sim.Result
 	var runErr error
 	if *sampled {
@@ -218,6 +224,10 @@ func main() {
 		res, runErr = sim.SampledRun(runSpec, cfg, sc)
 	} else {
 		res, runErr = sim.Run(spec.Build(), cfg)
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		os.Exit(1)
 	}
 
 	if traceFile != nil {

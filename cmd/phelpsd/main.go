@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"phelps/internal/obs"
 	"phelps/internal/serve"
 )
 
@@ -37,8 +38,15 @@ func main() {
 		journal  = flag.String("journal-dir", os.Getenv("PHELPS_JOURNAL_DIR"), "write-ahead job journal directory; a restarted daemon resumes incomplete jobs from it (default $PHELPS_JOURNAL_DIR; empty = no journal)")
 		retries  = flag.Int("retries", 0, "per-cell retries for transient failures (0 = default 2, negative = none)")
 		cellDL   = flag.Duration("cell-deadline", 0, "per-attempt wall-clock deadline per cell (0 = unbounded)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile from boot to the end of the drain to this file (diagnostic; read it with go tool pprof)")
 	)
 	flag.Parse()
+
+	stopProfile, err := obs.StartCPUProfile(*cpuProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "phelpsd: cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
 
 	srv := serve.NewServer(serve.Config{
 		Workers:    *workers,
@@ -89,8 +97,12 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "phelpsd: shutdown: %v\n", err)
 	}
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "phelpsd: drain: %v\n", err)
+	drainErr := srv.Drain(ctx)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "phelpsd: cpuprofile: %v\n", err)
+	}
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "phelpsd: drain: %v\n", drainErr)
 		os.Exit(1)
 	}
 	fmt.Println("phelpsd: drained")

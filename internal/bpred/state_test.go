@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"phelps/internal/codec"
@@ -66,6 +67,44 @@ func TestStateRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(orig.AppendState(nil), loaded.AppendState(nil)) {
 				t.Fatalf("state diverged after post-load stream")
+			}
+		})
+	}
+}
+
+// TestLoadStateOverwritesAll pins what lets sampled measurement decode one
+// point after another into the same predictor: LoadState into a predictor
+// that holds other, further-trained state leaves it equal, field for field,
+// to the same state loaded into a fresh instance.
+func TestLoadStateOverwritesAll(t *testing.T) {
+	train := func(p Predictor, seed uint64, n int) {
+		g := lcg{s: seed}
+		for i := 0; i < n; i++ {
+			p.PredictAndTrain(g.branch())
+		}
+	}
+	load := func(t *testing.T, p Predictor, blob []byte) {
+		t.Helper()
+		r := codec.NewReader(blob)
+		if err := p.LoadState(r); err != nil || r.Expect(0) != nil {
+			t.Fatalf("LoadState: %v (%d bytes left)", err, r.Len())
+		}
+	}
+	for name, build := range builders() {
+		t.Run(name, func(t *testing.T) {
+			a, b := build(), build()
+			train(a, 1, 5000)
+			train(b, 2, 40000)
+			blobA, blobB := a.AppendState(nil), b.AppendState(nil)
+
+			fresh := build()
+			load(t, fresh, blobA)
+			reused := build()
+			load(t, reused, blobB)
+			train(reused, 3, 20000)
+			load(t, reused, blobA)
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Fatalf("state loaded over a used predictor differs from a fresh load")
 			}
 		})
 	}

@@ -45,14 +45,18 @@ func (l *level) loadState(r *codec.Reader, what string) error {
 		if n > l.ways {
 			return fmt.Errorf("cache: %s set %d holds %d lines, ways=%d", what, si, n, l.ways)
 		}
-		l.cnt[si] = uint16(n)
+		// Ways past the occupancy are always zero, so a reused hierarchy
+		// clears only the ways this set held beyond n.
 		base := si * l.ways
+		if old := int(l.cnt[si]); old > n {
+			clear(l.tags[base+n : base+old])
+			clear(l.pref[base+n : base+old])
+		}
+		l.cnt[si] = uint16(n)
 		for i := base; i < base+n; i++ {
 			l.tags[i] = r.U64()
 			l.pref[i] = r.Bool()
 		}
-		clear(l.tags[base+n : base+l.ways])
-		clear(l.pref[base+n : base+l.ways])
 	}
 	return r.Err()
 }

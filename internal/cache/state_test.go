@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"phelps/internal/codec"
@@ -82,6 +83,47 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(orig.AppendState(nil), loaded.AppendState(nil)) {
 				t.Fatalf("state diverged after post-load stream")
+			}
+		})
+	}
+}
+
+// TestHierarchyLoadStateOverwritesAll pins what lets sampled measurement
+// decode one point after another into the same hierarchy: LoadState into a
+// hierarchy that holds other, further-driven state leaves it equal, field
+// for field, to the same state loaded into a fresh one. The reused
+// hierarchy holds more lines per set than the loaded state, some of them
+// unused prefetches, so the ways it must clear are exercised.
+func TestHierarchyLoadStateOverwritesAll(t *testing.T) {
+	load := func(t *testing.T, h *Hierarchy, blob []byte) {
+		t.Helper()
+		r := codec.NewReader(blob)
+		if err := h.LoadState(r); err != nil || r.Expect(0) != nil {
+			t.Fatalf("LoadState: %v (%d bytes left)", err, r.Len())
+		}
+	}
+	noMSHR := DefaultConfig()
+	noMSHR.MSHRs = 0
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "no-mshr": noMSHR} {
+		t.Run(name, func(t *testing.T) {
+			small, big := New(cfg), New(cfg)
+			drive(small, 1, 2000)
+			drive(big, 2, 60000)
+			blobSmall, blobBig := small.AppendState(nil), big.AppendState(nil)
+
+			fresh := New(cfg)
+			load(t, fresh, blobSmall)
+			reused := New(cfg)
+			load(t, reused, blobBig)
+			drive(reused, 3, 30000)
+			// Fetching every other code line leaves each next-line prefetch
+			// unused, flagged as a prefetch at every depth of the L1I sets.
+			for line := uint64(0); line < 4096; line += 2 {
+				reused.FetchInst(line*LineBytes, 0)
+			}
+			load(t, reused, blobSmall)
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Fatalf("state loaded over a used hierarchy differs from a fresh load")
 			}
 		})
 	}

@@ -38,10 +38,11 @@ type DBTEntry struct {
 // DBT is the 256-entry fully-associative Delinquent Branch Table. When full,
 // the entry with the lowest misprediction count is evicted (this is what
 // lets a benchmark with too many static branches — gcc — thrash the DBT and
-// stay in the "gathering delinquency" state).
+// stay in the "gathering delinquency" state). Entries live in a fixed slot
+// array, found through a pc→slot index; the victim search scans the array.
 type DBT struct {
-	size    int
-	entries map[uint64]*DBTEntry
+	slots []DBTEntry     // one per entry; slots[:len(index)] are live
+	index map[uint64]int // pc → slot
 	// Evictions counts replacement victims (Fig. 14 gcc diagnosis).
 	Evictions uint64
 	// victims remembers evicted PCs across epochs (attribution only; not a
@@ -52,8 +53,8 @@ type DBT struct {
 // NewDBT returns a DBT with the given capacity (paper: 256).
 func NewDBT(size int) *DBT {
 	return &DBT{
-		size:    size,
-		entries: make(map[uint64]*DBTEntry, size),
+		slots:   make([]DBTEntry, size),
+		index:   make(map[uint64]int, size),
 		victims: make(map[uint64]bool),
 	}
 }
@@ -61,30 +62,39 @@ func NewDBT(size int) *DBT {
 // Victim reports whether pc was ever evicted from the DBT.
 func (d *DBT) Victim(pc uint64) bool { return d.victims[pc] }
 
-// Lookup returns the entry for pc, or nil.
-func (d *DBT) Lookup(pc uint64) *DBTEntry { return d.entries[pc] }
+// Lookup returns the entry for pc, or nil. The entry is valid until the
+// next RecordMisp or Reset.
+func (d *DBT) Lookup(pc uint64) *DBTEntry {
+	if i, ok := d.index[pc]; ok {
+		return &d.slots[i]
+	}
+	return nil
+}
 
 // RecordMisp increments the misprediction count for pc, allocating (and
 // possibly evicting) as needed. Returns the entry.
 func (d *DBT) RecordMisp(pc uint64) *DBTEntry {
-	e := d.entries[pc]
-	if e == nil {
-		if len(d.entries) >= d.size {
-			// Evict the entry with the minimum count.
-			var victim *DBTEntry
-			for _, cand := range d.entries {
-				if victim == nil || cand.Misp < victim.Misp ||
-					(cand.Misp == victim.Misp && cand.PC < victim.PC) {
-					victim = cand
+	i, ok := d.index[pc]
+	if !ok {
+		i = len(d.index)
+		if i == len(d.slots) {
+			// Evict the entry with the minimum count, the lowest PC on a tie.
+			i = 0
+			for j := range d.slots {
+				c, v := &d.slots[j], &d.slots[i]
+				if c.Misp < v.Misp || (c.Misp == v.Misp && c.PC < v.PC) {
+					i = j
 				}
 			}
-			delete(d.entries, victim.PC)
-			d.victims[victim.PC] = true
+			victim := d.slots[i].PC
+			delete(d.index, victim)
+			d.victims[victim] = true
 			d.Evictions++
 		}
-		e = &DBTEntry{PC: pc}
-		d.entries[pc] = e
+		d.slots[i] = DBTEntry{PC: pc}
+		d.index[pc] = i
 	}
+	e := &d.slots[i]
 	e.Misp++
 	return e
 }
@@ -93,7 +103,7 @@ func (d *DBT) RecordMisp(pc uint64) *DBTEntry {
 // recently retired backward branch. The two tightest enclosing loops are
 // kept, sorted inner (tightest) then outer.
 func (d *DBT) TrainLoop(pc uint64, bb LoopBounds) {
-	e := d.entries[pc]
+	e := d.Lookup(pc)
 	if e == nil || !bb.Valid || !bb.Contains(pc) {
 		return
 	}
@@ -114,16 +124,15 @@ func (d *DBT) TrainLoop(pc uint64, bb LoopBounds) {
 	}
 }
 
-// Reset clears the DBT for a new epoch.
-func (d *DBT) Reset() {
-	d.entries = make(map[uint64]*DBTEntry, d.size)
-}
+// Reset clears the DBT in place for a new epoch.
+func (d *DBT) Reset() { clear(d.index) }
 
-// Entries returns all entries (test/report use).
+// Entries returns all entries (test/report use), valid until the next
+// RecordMisp or Reset.
 func (d *DBT) Entries() []*DBTEntry {
-	out := make([]*DBTEntry, 0, len(d.entries))
-	for _, e := range d.entries {
-		out = append(out, e)
+	out := make([]*DBTEntry, 0, len(d.index))
+	for i := range d.slots[:len(d.index)] {
+		out = append(out, &d.slots[i])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out

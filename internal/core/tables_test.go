@@ -100,6 +100,93 @@ func TestDBTThrashingUnderManyStaticBranches(t *testing.T) {
 	}
 }
 
+// mapDBT is the DBT as a Go map scanned for each victim, kept as the
+// reference the slot-array DBT must match.
+type mapDBT struct {
+	size      int
+	entries   map[uint64]*DBTEntry
+	evictions uint64
+	victims   map[uint64]bool
+}
+
+func (d *mapDBT) recordMisp(pc uint64) {
+	e := d.entries[pc]
+	if e == nil {
+		if len(d.entries) >= d.size {
+			var victim *DBTEntry
+			for _, cand := range d.entries {
+				if victim == nil || cand.Misp < victim.Misp ||
+					(cand.Misp == victim.Misp && cand.PC < victim.PC) {
+					victim = cand
+				}
+			}
+			delete(d.entries, victim.PC)
+			d.victims[victim.PC] = true
+			d.evictions++
+		}
+		e = &DBTEntry{PC: pc}
+		d.entries[pc] = e
+	}
+	e.Misp++
+}
+
+// TestDBTMatchesMapScan drives the DBT and the map-scan reference with
+// random mispredict streams over more static branches than entries
+// (300–2,000 PCs, skewed so some stay resident), loop training and epoch
+// resets, and requires the same entries, evictions and victims throughout.
+func TestDBTMatchesMapScan(t *testing.T) {
+	for _, npc := range []int{300, 700, 2000} {
+		g := uint64(npc)
+		next := func() uint64 {
+			g = g*6364136223846793005 + 1442695040888963407
+			return g >> 24
+		}
+		d := NewDBT(256)
+		ref := &mapDBT{size: 256, entries: map[uint64]*DBTEntry{}, victims: map[uint64]bool{}}
+		for step := 0; step < 60_000; step++ {
+			v := next()
+			// The lower of two uniform draws skews the stream toward low PCs.
+			pc := 0x1000 + min(v%uint64(npc), v>>20%uint64(npc))*4
+			d.RecordMisp(pc)
+			ref.recordMisp(pc)
+			if v>>32%4 == 0 {
+				bb := LoopBounds{Branch: pc + v>>40%64*4, Target: pc - v>>48%64*4, Valid: true}
+				d.TrainLoop(pc, bb)
+				if e := ref.entries[pc]; e != nil {
+					one := &DBT{slots: []DBTEntry{*e}, index: map[uint64]int{pc: 0}}
+					one.TrainLoop(pc, bb)
+					*e = one.slots[0]
+				}
+			}
+			if step%20_000 == 19_999 {
+				d.Reset()
+				ref.entries = map[uint64]*DBTEntry{}
+			}
+			if step%997 != 0 && step != 59_999 {
+				continue
+			}
+			got := d.Entries()
+			if len(got) != len(ref.entries) || d.Evictions != ref.evictions {
+				t.Fatalf("npc %d step %d: %d entries, %d evictions; reference %d, %d",
+					npc, step, len(got), d.Evictions, len(ref.entries), ref.evictions)
+			}
+			for _, e := range got {
+				if w := ref.entries[e.PC]; w == nil || *e != *w {
+					t.Fatalf("npc %d step %d: entry %+v, reference %+v", npc, step, *e, w)
+				}
+			}
+		}
+		for r := uint64(0); r < uint64(npc); r++ {
+			if pc := 0x1000 + r*4; d.Victim(pc) != ref.victims[pc] {
+				t.Fatalf("npc %d: Victim(%#x) = %v, reference %v", npc, pc, d.Victim(pc), ref.victims[pc])
+			}
+		}
+		if d.Evictions == 0 {
+			t.Fatalf("npc %d: stream never filled the table", npc)
+		}
+	}
+}
+
 func TestTrainLoopKeepsTwoTightest(t *testing.T) {
 	d := NewDBT(16)
 	d.RecordMisp(0x110)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,6 +255,48 @@ func TestSampledCellPanicContainment(t *testing.T) {
 	for _, want := range []string{"workload: boom", "second build", "stack:"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("crash dump missing %q", want)
+		}
+	}
+}
+
+// A panic inside a sampled cell's point measurement is dumped under the
+// cell's configuration, so the base and phelps dumps of one workload differ
+// on disk: each report's config line names its cell and the SimPoint.
+func TestSampledPointCrashNamesCell(t *testing.T) {
+	spec := Spec{Name: "dl", Epoch: 20_000, Build: func() *prog.Workload { return prog.DelinquentLoop(30_000, 50, 1) }}
+	clean, err := RunCellCtx(context.Background(), spec, CfgBase, MatrixOptions{Sample: &SampleConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := clean.Sampled.Points[len(clean.Sampled.Points)-1]
+	crashDir := t.TempDir()
+	for _, label := range []string{CfgBase, CfgPhelps} {
+		_, err := RunCellCtx(context.Background(), spec, label, MatrixOptions{CrashDir: crashDir,
+			Sample: &SampleConfig{}, Faults: &cpu.FaultInjection{PanicAtSeq: last.StartInst + 100}})
+		if !errors.Is(err, ErrPanic) {
+			t.Fatalf("%s: injected panic not contained: %v", label, err)
+		}
+	}
+	files, derr := os.ReadDir(crashDir)
+	if derr != nil || len(files) != 2 {
+		t.Fatalf("want two crash dumps, got %d (err=%v)", len(files), derr)
+	}
+	configs := map[string]bool{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(crashDir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "config: ") {
+				configs[line] = true
+			}
+		}
+	}
+	for _, label := range []string{CfgBase, CfgPhelps} {
+		want := fmt.Sprintf("config: %s, SimPoint interval %d (sampled measure)", label, last.Interval)
+		if !configs[want] {
+			t.Errorf("no crash report reads %q; config lines: %v", want, configs)
 		}
 	}
 }

@@ -24,6 +24,7 @@ package sim
 // wrong artifact.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -105,47 +106,19 @@ type ckptPoint struct {
 	warm     uint64 // cycle-accurate warmup instructions before the interval
 	pred     []byte // bpred state blob of the functionally warmed predictor
 	hier     []byte // cache Hierarchy state blob (quiesced, stats zeroed)
-
-	// Decoded prototypes of the two blobs above, built lazily on first use
-	// and reused by every later measurement that hits this artifact in
-	// memory. Prototypes are never mutated; measurements Clone them.
-	protoOnce sync.Once
-	protoPred bpred.Predictor
-	protoHier *cache.Hierarchy
-	protoErr  error
 }
 
-// protos returns the point's decoded predictor and hierarchy prototypes,
-// decoding the state blobs at most once per artifact. Deep-cloning a
-// prototype is several times cheaper than a field-by-field codec decode,
-// which matters because every warm run re-derives private per-point mutable
-// state from the shared immutable artifact. cfg's predictor kind and cache
-// geometry always match the blobs — both are part of CkptKey.
-func (p *ckptPoint) protos(cfg Config) (bpred.Predictor, *cache.Hierarchy, error) {
-	p.protoOnce.Do(func() {
-		pred := makePredictor(cfg.Predictor)
-		r := codec.NewReader(p.pred)
-		if err := pred.LoadState(r); err != nil {
-			p.protoErr = fmt.Errorf("cached predictor state: %v", err)
-			return
-		}
-		if err := r.Expect(0); err != nil {
-			p.protoErr = fmt.Errorf("cached predictor state: trailing bytes")
-			return
-		}
-		hier := cache.New(cfg.Cache)
-		r = codec.NewReader(p.hier)
-		if err := hier.LoadState(r); err != nil {
-			p.protoErr = fmt.Errorf("cached hierarchy state: %v", err)
-			return
-		}
-		if err := r.Expect(0); err != nil {
-			p.protoErr = fmt.Errorf("cached hierarchy state: trailing bytes")
-			return
-		}
-		p.protoPred, p.protoHier = pred, hier
-	})
-	return p.protoPred, p.protoHier, p.protoErr
+// loadInto decodes the point's state blobs into the measuring machine's
+// predictor and hierarchy, built from the key's kind and geometry.
+func (p *ckptPoint) loadInto(pred bpred.Predictor, hier *cache.Hierarchy) error {
+	rp, rh := codec.NewReader(p.pred), codec.NewReader(p.hier)
+	if err := pred.LoadState(rp); err != nil || rp.Expect(0) != nil {
+		return fmt.Errorf("cached predictor state: %v", cmp.Or(err, rp.Err()))
+	}
+	if err := hier.LoadState(rh); err != nil || rh.Expect(0) != nil {
+		return fmt.Errorf("cached hierarchy state: %v", cmp.Or(err, rh.Err()))
+	}
+	return nil
 }
 
 // ckptArtifact is a decoded checkpoint-cache entry: the full product of the
@@ -259,9 +232,10 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 	return art, nil
 }
 
-// ckptMemEntries bounds the in-memory decoded-artifact layer (a quick GAP
-// workload's artifact is 0.7–1.3 MB: per point, a 75 KB predictor blob and
-// 13–80 KB of live-lines-only hierarchy state, plus the checkpoint pages).
+// ckptMemEntries bounds the in-memory decoded-artifact layer (a decoded
+// artifact costs about its encoded size, 0.7–1.3 MB for a quick GAP
+// workload: per point, a 75 KB predictor blob and 13–80 KB of
+// live-lines-only hierarchy state, plus the checkpoint pages).
 const ckptMemEntries = 8
 
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a

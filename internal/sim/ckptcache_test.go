@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"phelps/internal/bpred"
+	"phelps/internal/cache"
 	"phelps/internal/codec"
 	"phelps/internal/emu"
 	"phelps/internal/prog"
@@ -249,6 +251,82 @@ func TestCkptCacheFullRunMarker(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rc, rw) {
 		t.Errorf("warm full-run diverged:\ncold %+v\nwarm %+v", rc, rw)
+	}
+}
+
+// TestCheckpointPassQuiescesInPlace pins the checkpoint pass's snapshot,
+// which quiesces the live warming hierarchy and zeroes its stats in place
+// instead of cloning it. Every hierarchy blob a cold run stores must be the
+// bytes Clone → Quiesce → ResetStats → AppendState gives for it, and
+// warming that continues after an in-place quiesce, from a state with
+// misses outstanding and nonzero counts, must leave the same state as a
+// copy never quiesced.
+func TestCheckpointPassQuiescesInPlace(t *testing.T) {
+	quiesced := func(h *cache.Hierarchy) []byte {
+		c := h.Clone()
+		c.Quiesce()
+		c.ResetStats()
+		return c.AppendState(nil)
+	}
+	spec, cfg := dlSpec(), DefaultConfig()
+	dir := t.TempDir()
+	mustSampled(t, spec, cfg, SampleConfig{Ckpts: NewCkptCache(dir)})
+	blob, err := os.ReadFile(ckptFiles(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ckptKeyFor(HashWorkload(spec.Build()), cfg, SampleConfig{}.withDefaults(), maxProfileInsts)
+	art, err := decodeArtifact(blob, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range art.points {
+		h := cache.New(cfg.Cache)
+		if err := h.LoadState(codec.NewReader(p.hier)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(quiesced(h), p.hier) {
+			t.Errorf("SimPoint %d: stored hierarchy state is not quiesced with zeroed stats", p.interval)
+		}
+	}
+
+	// warm drives a predictor and hierarchy the way the checkpoint pass
+	// does, on a pseudo-clock too slow for DRAM misses to drain.
+	warm := func(p bpred.Predictor, h *cache.Hierarchy, seed, clk uint64, n int) {
+		for i := 0; i < n; i++ {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			v := seed >> 16
+			pc := 0x1000 + v&0xff*4
+			switch v >> 40 % 4 {
+			case 0:
+				p.PredictAndTrain(pc, v>>12&1 == 1)
+			case 1:
+				h.Store(v&0xffffff, clk)
+			case 2:
+				h.FetchInst(pc, clk)
+			default:
+				h.Load(pc, v&0xfffffff, clk)
+			}
+			clk += 4
+		}
+	}
+	pred, hier := makePredictor(cfg.Predictor), cache.New(cfg.Cache)
+	warm(pred, hier, 1, 0, 20_000)
+	noMSHR := hier.Clone()
+	noMSHR.Quiesce()
+	if bytes.Equal(hier.AppendState(nil), noMSHR.AppendState(nil)) || hier.Stats == (cache.Stats{}) {
+		t.Fatalf("warming left no outstanding misses or no counts: %+v", hier.Stats)
+	}
+	untouchedPred, untouched := pred.ClonePredictor(), hier.Clone()
+	hier.Quiesce()
+	hier.ResetStats()
+	warm(pred, hier, 2, 80_000, 20_000)
+	warm(untouchedPred, untouched, 2, 80_000, 20_000)
+	if !bytes.Equal(quiesced(hier), quiesced(untouched)) {
+		t.Errorf("warming after an in-place quiesce diverged from a copy never quiesced")
+	}
+	if !bytes.Equal(pred.AppendState(nil), untouchedPred.AppendState(nil)) {
+		t.Errorf("predictor warming diverged")
 	}
 }
 

@@ -285,6 +285,7 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 		if scfg.CrashDir == "" {
 			scfg.CrashDir = opt.CrashDir
 		}
+		scfg.label = label
 		return sampledRun(ctx, s, cfg, scfg)
 	}
 	w = s.Build()

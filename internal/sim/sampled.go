@@ -17,7 +17,8 @@ package sim
 //  3. checkpoint: FastForward again, functionally warming one branch
 //                 predictor and cache hierarchy continuously from
 //                 instruction 0, then Checkpoint (copy-on-write memory
-//                 snapshot) before each SimPoint and clone the warmed state.
+//                 snapshot) before each SimPoint and encode or clone the
+//                 warmed state.
 //  4. measure:    per point, Resume the checkpoint into a timing machine
 //                 with the warmed predictor/hierarchy, run WarmupInsts
 //                 cycle-accurately, reset the counters, measure the
@@ -43,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
@@ -86,6 +88,7 @@ type SampleConfig struct {
 	// keyed by workload content and sample/predictor/cache configuration, so
 	// repeat runs skip profiling entirely. See CkptCache.
 	Ckpts *CkptCache
+	label string // names the run in point crash reports
 }
 
 func (sc SampleConfig) withDefaults() SampleConfig {
@@ -194,9 +197,10 @@ func SampledRunCtx(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) 
 	// Point-measurement workers carry their own recover (measurePointSafe) —
 	// a panic on a pool goroutine would otherwise kill the process, not
 	// reach this handler.
+	sc.label = "sampled run"
 	defer func() {
 		if r := recover(); r != nil {
-			rep := check.Report{Name: spec.Name, Config: "sampled run"}
+			rep := check.Report{Name: spec.Name, Config: sc.label}
 			err = fmt.Errorf("sim: %s: %w", spec.Name, panicError(r, sc.CrashDir, rep))
 		}
 	}()
@@ -244,20 +248,22 @@ type measSetup struct {
 	coldIv      int
 	workers     int
 	crashDir    string
+	label       string    // the cell's configuration, or "sampled run"
+	warm        sync.Pool // *warmState decode targets for cached points
 }
 
 // measPoint is one SimPoint's measurement input: its checkpoint plus the
 // functionally warmed microarchitectural state — either live structures
 // (cache-off path: clones made during the checkpoint pass) or an artifact
-// point (cached path: each worker clones the lazily decoded prototypes).
+// point (cached path: its state blobs, decoded into the measuring machine).
 type measPoint struct {
 	interval int
 	weight   float64
 	warm     uint64 // cycle-accurate warmup insts between checkpoint and interval
 	ck       *emu.Checkpoint
-	pred     bpred.Predictor  // live, or nil to clone from src
-	hier     *cache.Hierarchy // live, or nil to clone from src
-	src      *ckptPoint
+	pred     bpred.Predictor  // live (cache off)
+	hier     *cache.Hierarchy // live (cache off)
+	src      *ckptPoint       // the artifact point to decode (cache on)
 }
 
 // pointMeas is one point's measurement output: the reported PointResult plus
@@ -270,17 +276,24 @@ type pointMeas struct {
 	cache        cache.Stats
 }
 
+// warmState is a decode target for cached points (LoadState overwrites all).
+type warmState struct {
+	pred bpred.Predictor
+	hier *cache.Hierarchy
+}
+
 // measurePoint resumes one SimPoint's checkpoint into a timing machine,
 // runs the cycle-accurate warmup, and measures the interval.
 func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, error) {
 	cfg := s.cfg
 	pred, hier := mp.pred, mp.hier
-	if pred == nil || hier == nil {
-		pp, ph, err := mp.src.protos(cfg)
-		if err != nil {
+	if mp.src != nil {
+		ws := s.warm.Get().(*warmState)
+		defer s.warm.Put(ws)
+		pred, hier = ws.pred, ws.hier
+		if err := mp.src.loadInto(pred, hier); err != nil {
 			return pointMeas{}, fmt.Errorf("sim: %s: SimPoint %d %v", s.name, mp.interval, err)
 		}
-		pred, hier = pp.ClonePredictor(), ph.Clone()
 	}
 	em, mem := mp.ck.Resume(s.prog)
 	m := newMachine(cfg, mem, em, pred, hier)
@@ -343,7 +356,7 @@ func measurePointSafe(ctx context.Context, s *measSetup, mp *measPoint) (pm poin
 	defer func() {
 		if r := recover(); r != nil {
 			rep := check.Report{Name: s.name, Prog: s.prog,
-				Config: fmt.Sprintf("SimPoint interval %d (sampled measure)", mp.interval)}
+				Config: fmt.Sprintf("%s, SimPoint interval %d (sampled measure)", s.label, mp.interval)}
 			err = fmt.Errorf("sim: %s: SimPoint interval %d: %w", s.name, mp.interval, panicError(r, s.crashDir, rep))
 		}
 	}()
@@ -445,7 +458,7 @@ func measureAndWeigh(ctx context.Context, s *measSetup, pts []measPoint, total u
 // newMeasSetup assembles the shared measurement context.
 func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, intervalLen uint64, nIv int) *measSetup {
 	cfg.Obs = nil
-	return &measSetup{
+	s := &measSetup{
 		name:        spec.Name,
 		prog:        p,
 		cfg:         cfg,
@@ -453,11 +466,14 @@ func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, interv
 		coldIv:      coldIntervals(nIv),
 		workers:     sc.Workers,
 		crashDir:    sc.CrashDir,
+		label:       sc.label,
 	}
+	s.warm.New = func() any { return &warmState{makePredictor(cfg.Predictor), cache.New(cfg.Cache)} }
+	return s
 }
 
 // measureArtifact is the cached path: phases 4–5 driven from a decoded
-// artifact. Each point clones the artifact's lazily decoded state prototypes
+// artifact. Each point decodes its state blobs into its measuring machine
 // and resumes its checkpoint copy-on-write, so the (immutable) artifact is
 // safely shared by concurrent workers and concurrent runs. A full-run marker
 // (a workload below minIntervals) is answered by one complete cycle-accurate
@@ -615,10 +631,12 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 
 	// --- 3. checkpoint pass: fast-forward once, warming microarch state ---
 	// One predictor and hierarchy train on the whole prefix, on a
-	// pseudo-clock, and are cloned at each checkpoint so every point starts
-	// from the state a full run would have accumulated. Quiesce clears the
-	// clock-relative MSHR bookkeeping; the tag, replacement, and prefetcher
-	// state is what carries over.
+	// pseudo-clock, and are encoded (cache on) or cloned at each checkpoint
+	// so every point starts from the state a full run would have
+	// accumulated. Quiesce clears the clock-relative MSHR bookkeeping; the
+	// tag, replacement, and prefetcher state is what carries over. The live
+	// hierarchy is quiesced and its stats zeroed in place: neither feeds
+	// tag, replacement or prefetcher state, so later warming is unchanged.
 	w2 := spec.Build()
 	e2 := emu.New(w2.Prog, w2.Mem)
 	warmPred := makePredictor(cfg.Predictor)
@@ -643,6 +661,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		Block: func(head, n uint64) { tclk += n },
 	}
 	predWindow := 2 * intervalLen
+	art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: e.Halted}
 	pts := make([]measPoint, 0, len(byStart))
 	pos := uint64(0) // instructions executed so far in this pass
 	for _, sp := range byStart {
@@ -671,26 +690,24 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			}
 			pos = ckAt
 		}
-		hier := warmHier.Clone()
-		hier.Quiesce()
-		hier.ResetStats()
+		warmHier.Quiesce()
+		warmHier.ResetStats()
 		ck, err := e2.Checkpoint()
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: %s: checkpoint at inst %d: %v", spec.Name, pos, err)
 		}
+		if sc.Ckpts != nil {
+			art.points = append(art.points, ckptPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
+				pred: warmPred.AppendState(nil), hier: warmHier.AppendState(nil)})
+			art.cks = append(art.cks, ck)
+			continue
+		}
 		pts = append(pts, measPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
-			ck: ck, pred: warmPred.ClonePredictor(), hier: hier})
+			ck: ck, pred: warmPred.ClonePredictor(), hier: warmHier.Clone()})
 	}
 
 	// --- 4+5. measure and weigh ---
 	if sc.Ckpts != nil {
-		art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: e.Halted}
-		for i := range pts {
-			p := &pts[i]
-			art.points = append(art.points, ckptPoint{interval: p.interval, weight: p.weight, warm: p.warm,
-				pred: p.pred.AppendState(nil), hier: p.hier.AppendState(nil)})
-			art.cks = append(art.cks, p.ck)
-		}
 		return storeAndMeasure(ctx, spec, w2.Prog, cfg, sc, key, art)
 	}
 	return measureAndWeigh(ctx, newMeasSetup(spec, w2.Prog, cfg, sc, intervalLen, nIv), pts, total, nIv, e.Halted)

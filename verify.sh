@@ -71,9 +71,16 @@ for run in cold warm; do
 done
 [ "$(ls "$smoke_dir/cli-ckpts" | wc -l)" -eq 1 ]
 ls "$smoke_dir"/cli-ckpts/*.ckpt
+# -cpuprofile: a quick cell, and the first smoke daemon below (its profile
+# stops after the drain), each write a non-empty CPU profile that
+# go tool pprof reads.
+"$smoke_dir/phelps" -workload gcc -config phelps -quick \
+    -cpuprofile "$smoke_dir/phelps.prof" >/dev/null
+test -s "$smoke_dir/phelps.prof"
+go tool pprof -top "$smoke_dir/phelps" "$smoke_dir/phelps.prof" >/dev/null
 "$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr" \
     -cache "$smoke_dir/results.cache" -ckpt-dir "$smoke_dir/ckpts" \
-    >"$smoke_dir/phelpsd.log" 2>&1 &
+    -cpuprofile "$smoke_dir/phelpsd.prof" >"$smoke_dir/phelpsd.log" 2>&1 &
 daemon_pid=$!
 for _ in $(seq 1 50); do [ -s "$smoke_dir/addr" ] && break; sleep 0.1; done
 daemon_url="http://$(cat "$smoke_dir/addr")"
@@ -88,6 +95,8 @@ curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.ckpt.stores": 1'
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q drained "$smoke_dir/phelpsd.log"
+test -s "$smoke_dir/phelpsd.prof"
+go tool pprof -top "$smoke_dir/phelpsd" "$smoke_dir/phelpsd.prof" >/dev/null
 # Restart on the same checkpoint directory with a cold results cache: the
 # sampled cell re-executes but must reuse the persisted checkpoint artifact
 # (one hit, zero stores) instead of re-running the profile pass.
