@@ -335,3 +335,30 @@ func BenchmarkHostSampledColdSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHostSampledSeedSweep is daemon_sweep without HTTP: each
+// iteration runs the cells of one sampled job at a new seed (the 8 GAP
+// quick workloads under base and phelps, in order) against one long-lived
+// checkpoint cache, so every artifact is cold while each workload's profile
+// can be reused. One untimed job first fills the cache as a running daemon
+// would have. Its B/op is what a seed-sweep job allocates.
+func BenchmarkHostSampledSeedSweep(b *testing.B) {
+	ctx := context.Background()
+	ckpts := sim.NewCkptCache(b.TempDir())
+	job := func(seed uint64) {
+		opt := sim.MatrixOptions{Sample: &sim.SampleConfig{Seed: seed, Ckpts: ckpts}}
+		for _, s := range sim.GapSpecs(true) {
+			for _, c := range []string{sim.CfgBase, sim.CfgPhelps} {
+				if _, err := sim.RunCellCtx(ctx, s, c, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	job(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job(uint64(i) + 2)
+	}
+}

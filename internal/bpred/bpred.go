@@ -53,6 +53,9 @@ type Predictor interface {
 
 	// AppendState appends the predictor's dynamic state to b.
 	AppendState(b []byte) []byte
+	// StateSize returns how many bytes AppendState appends, so a caller can
+	// size the buffer first.
+	StateSize() int
 	// LoadState replaces the predictor's dynamic state from the reader,
 	// consuming exactly what AppendState wrote. The predictor must have been
 	// constructed with the same configuration as the saved one.

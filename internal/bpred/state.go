@@ -47,6 +47,12 @@ func loadStats(r *codec.Reader, s *Stats) {
 	s.PredTaken = r.U64()
 }
 
+// statsSize is the encoded length of appendStats.
+const statsSize = 16
+
+// ctr2sSize is the encoded length of appendCtr2s.
+func ctr2sSize(t []ctr2) int { return 4 + len(t) }
+
 func appendCtr2s(b []byte, t []ctr2) []byte {
 	b = codec.U32(b, uint32(len(t)))
 	for _, c := range t {
@@ -79,6 +85,9 @@ func (b *Bimodal) AppendState(buf []byte) []byte {
 	return appendCtr2s(buf, b.table)
 }
 
+// StateSize implements Predictor.
+func (b *Bimodal) StateSize() int { return 1 + statsSize + ctr2sSize(b.table) }
+
 // LoadState implements Predictor.
 func (b *Bimodal) LoadState(r *codec.Reader) error {
 	if err := checkKind(r, stateBimodal, "bimodal"); err != nil {
@@ -101,6 +110,9 @@ func (g *Gshare) AppendState(buf []byte) []byte {
 	return codec.U64(buf, g.hist)
 }
 
+// StateSize implements Predictor.
+func (g *Gshare) StateSize() int { return 1 + statsSize + ctr2sSize(g.table) + 8 }
+
 // LoadState implements Predictor.
 func (g *Gshare) LoadState(r *codec.Reader) error {
 	if err := checkKind(r, stateGshare, "gshare"); err != nil {
@@ -119,6 +131,9 @@ func (g *Gshare) LoadState(r *codec.Reader) error {
 // AppendState implements Predictor (the oracle is stateless; one tag byte).
 func (Perfect) AppendState(buf []byte) []byte { return codec.U8(buf, statePerfect) }
 
+// StateSize implements Predictor.
+func (Perfect) StateSize() int { return 1 }
+
 // LoadState implements Predictor.
 func (Perfect) LoadState(r *codec.Reader) error { return checkKind(r, statePerfect, "perfect") }
 
@@ -136,9 +151,7 @@ func (t *TAGE) AppendState(buf []byte) []byte {
 		tt := &t.tables[i]
 		buf = codec.U32(buf, uint32(len(tt.entries)))
 		for _, e := range tt.entries {
-			buf = codec.U16(buf, e.tag)
-			buf = codec.U8(buf, uint8(e.ctr))
-			buf = codec.U8(buf, e.u)
+			buf = append(buf, byte(e.tag), byte(e.tag>>8), uint8(e.ctr), e.u)
 		}
 		buf = codec.U64(buf, tt.foldIdx.comp)
 		buf = codec.U64(buf, tt.foldTag0.comp)
@@ -170,6 +183,23 @@ func (t *TAGE) AppendState(buf []byte) []byte {
 		}
 	}
 	return buf
+}
+
+// StateSize implements Predictor.
+func (t *TAGE) StateSize() int {
+	n := 1 + statsSize + ctr2sSize(t.base)
+	for i := range t.tables {
+		n += 4 + 4*len(t.tables[i].entries) + 3*8
+	}
+	n += len(t.ghist) + 4 + 1 + 8 + 1
+	if t.loop != nil {
+		n += 4 + 8*len(t.loop.entries)
+	}
+	n++
+	if t.sc != nil {
+		n += 4 + len(t.sc.bias) + len(t.sc.hist)
+	}
+	return n
 }
 
 // LoadState implements Predictor.

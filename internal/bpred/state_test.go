@@ -72,6 +72,25 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateSize: StateSize is the exact length AppendState appends, fresh
+// and trained, so a caller that sizes its buffer with it gets a blob with no
+// slack capacity.
+func TestStateSize(t *testing.T) {
+	for name, build := range builders() {
+		p := build()
+		for _, n := range []int{0, 20000} {
+			g := lcg{s: 7}
+			for i := 0; i < n; i++ {
+				pc, taken := g.branch()
+				p.PredictAndTrain(pc, taken)
+			}
+			if got, want := p.StateSize(), len(p.AppendState(nil)); got != want {
+				t.Errorf("%s after %d branches: StateSize %d, AppendState wrote %d", name, n, got, want)
+			}
+		}
+	}
+}
+
 // TestLoadStateOverwritesAll pins what lets sampled measurement decode one
 // point after another into the same predictor: LoadState into a predictor
 // that holds other, further-trained state leaves it equal, field for field,

@@ -16,12 +16,33 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"phelps/internal/codec"
 )
 
 const stateHierarchy = 'H'
+
+// Encoded record lengths: a resident line (tag, prefetched flag), an IPCP
+// entry (pc, last line, stride, confidence), a VLDP page entry (page, last
+// line, two deltas, valid) and a used delta-pattern slot (index, d1, d2,
+// next).
+const (
+	lineSize = 8 + 1
+	ipcpSize = 8 + 8 + 8 + 1
+	vldpSize = 8 + 8 + 8 + 8 + 1
+	slotSize = 2 + 8 + 8 + 8
+)
+
+// stateSize is the encoded length of appendState.
+func (l *level) stateSize() int {
+	n := 4 + 2*len(l.cnt)
+	for _, c := range l.cnt {
+		n += lineSize * int(c)
+	}
+	return n
+}
 
 func (l *level) appendState(b []byte) []byte {
 	b = codec.U32(b, uint32(len(l.cnt)))
@@ -45,6 +66,11 @@ func (l *level) loadState(r *codec.Reader, what string) error {
 		if n > l.ways {
 			return fmt.Errorf("cache: %s set %d holds %d lines, ways=%d", what, si, n, l.ways)
 		}
+		// The set's lines decode from one slice.
+		raw := r.Bytes(lineSize * n)
+		if r.Err() != nil {
+			return r.Err()
+		}
 		// Ways past the occupancy are always zero, so a reused hierarchy
 		// clears only the ways this set held beyond n.
 		base := si * l.ways
@@ -53,12 +79,35 @@ func (l *level) loadState(r *codec.Reader, what string) error {
 			clear(l.pref[base+n : base+old])
 		}
 		l.cnt[si] = uint16(n)
-		for i := base; i < base+n; i++ {
-			l.tags[i] = r.U64()
-			l.pref[i] = r.Bool()
+		tags, pref := l.tags[base:base+n], l.pref[base:base+n]
+		for i := range tags {
+			rec := raw[lineSize*i : lineSize*(i+1)]
+			if rec[8] > 1 {
+				return fmt.Errorf("cache: %s set %d way %d prefetched flag %d", what, si, i, rec[8])
+			}
+			tags[i] = binary.LittleEndian.Uint64(rec)
+			pref[i] = rec[8] == 1
 		}
 	}
 	return r.Err()
+}
+
+// StateSize returns how many bytes AppendState appends, so a caller can
+// size the buffer first.
+func (h *Hierarchy) StateSize() int {
+	n := 1 + 11*8
+	for _, l := range []*level{h.l1i, h.l1d, h.l2, h.l3} {
+		n += l.stateSize()
+	}
+	n += 4 + 8*len(h.mshr) + 1
+	if h.ipcp != nil {
+		n += ipcpSize * len(h.ipcp.entries)
+	}
+	n++
+	if h.vldp != nil {
+		n += vldpSize*len(h.vldp.entries) + 4 + slotSize*h.vldp.nDPT
+	}
+	return n
 }
 
 // AppendState appends the hierarchy's dynamic state to b.
@@ -158,12 +207,18 @@ func (h *Hierarchy) LoadState(r *codec.Reader) error {
 		return fmt.Errorf("cache: L1-prefetcher presence mismatch (state %v, config %v)", hasIPCP, h.ipcp != nil)
 	}
 	if hasIPCP && h.ipcp != nil {
+		raw := r.Bytes(ipcpSize * len(h.ipcp.entries))
+		if r.Err() != nil {
+			return r.Err()
+		}
 		for i := range h.ipcp.entries {
-			e := &h.ipcp.entries[i]
-			e.pc = r.U64()
-			e.lastLine = r.U64()
-			e.stride = r.I64()
-			e.conf = r.U8()
+			rec := raw[ipcpSize*i:]
+			h.ipcp.entries[i] = ipcpEntry{
+				pc:       binary.LittleEndian.Uint64(rec),
+				lastLine: binary.LittleEndian.Uint64(rec[8:]),
+				stride:   int64(binary.LittleEndian.Uint64(rec[16:])),
+				conf:     rec[24],
+			}
 		}
 	}
 	hasVLDP := r.Bool()
@@ -171,33 +226,45 @@ func (h *Hierarchy) LoadState(r *codec.Reader) error {
 		return fmt.Errorf("cache: L2-prefetcher presence mismatch (state %v, config %v)", hasVLDP, h.vldp != nil)
 	}
 	if hasVLDP && h.vldp != nil {
+		raw := r.Bytes(vldpSize * len(h.vldp.entries))
+		if r.Err() != nil {
+			return r.Err()
+		}
 		for i := range h.vldp.entries {
-			e := &h.vldp.entries[i]
-			e.page = r.U64()
-			e.lastLine = r.U64()
-			e.delta[0] = r.I64()
-			e.delta[1] = r.I64()
-			e.valid = r.U8()
+			rec := raw[vldpSize*i:]
+			h.vldp.entries[i] = vldpEntry{
+				page:     binary.LittleEndian.Uint64(rec),
+				lastLine: binary.LittleEndian.Uint64(rec[8:]),
+				delta: [2]int64{int64(binary.LittleEndian.Uint64(rec[16:])),
+					int64(binary.LittleEndian.Uint64(rec[24:]))},
+				valid: rec[32],
+			}
 		}
 		n := int(r.U32())
 		if r.Err() == nil && (n < 0 || n > dptMaxKeys) {
 			return fmt.Errorf("cache: state has %d delta patterns, max %d", n, dptMaxKeys)
 		}
+		raw = r.Bytes(slotSize * n)
+		if r.Err() != nil {
+			return r.Err()
+		}
 		clear(h.vldp.dpt[:])
+		h.vldp.nDPT = n
 		prev := -1
-		for k := 0; k < n && r.Err() == nil; k++ {
-			i := int(r.U16())
-			sl := dptSlot{d1: r.I64(), d2: r.I64(), next: r.I64(), used: true}
-			if r.Err() != nil {
-				break
-			}
+		for k := 0; k < n; k++ {
+			rec := raw[slotSize*k:]
+			i := int(binary.LittleEndian.Uint16(rec))
 			if i <= prev || i >= dptSlots {
 				return fmt.Errorf("cache: delta-pattern slot %d after slot %d (want increasing, below %d)", i, prev, dptSlots)
 			}
-			h.vldp.dpt[i] = sl
+			h.vldp.dpt[i] = dptSlot{
+				d1:   int64(binary.LittleEndian.Uint64(rec[2:])),
+				d2:   int64(binary.LittleEndian.Uint64(rec[10:])),
+				next: int64(binary.LittleEndian.Uint64(rec[18:])),
+				used: true,
+			}
 			prev = i
 		}
-		h.vldp.nDPT = n
 	}
 	return r.Err()
 }

@@ -129,6 +129,24 @@ func TestHierarchyLoadStateOverwritesAll(t *testing.T) {
 	}
 }
 
+// TestHierarchyStateSize: StateSize is the exact length AppendState
+// appends, for a fresh and a driven hierarchy with and without prefetchers,
+// so a caller that sizes its buffer with it gets a blob with no slack
+// capacity.
+func TestHierarchyStateSize(t *testing.T) {
+	noPref := DefaultConfig()
+	noPref.L1Prefetch, noPref.L2Prefetch = false, false
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "no-pref": noPref} {
+		h := New(cfg)
+		for _, n := range []int{0, 50000} {
+			drive(h, 5, n)
+			if got, want := h.StateSize(), len(h.AppendState(nil)); got != want {
+				t.Errorf("%s after %d accesses: StateSize %d, AppendState wrote %d", name, n, got, want)
+			}
+		}
+	}
+}
+
 // TestHierarchyStateErrors: truncation and config mismatches are errors.
 func TestHierarchyStateErrors(t *testing.T) {
 	h := New(DefaultConfig())

@@ -10,7 +10,7 @@ package emu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"phelps/internal/codec"
 	"phelps/internal/isa"
@@ -20,12 +20,32 @@ import (
 // version byte invalidates old blobs if the format ever changes.
 const ckptMagic uint32 = 0x50434b31 // "PCK1"
 
-// EncodeCheckpoints appends a deterministic binary encoding of the
-// checkpoint set to b. The order of cks is preserved; shared pages are
-// stored once.
-func EncodeCheckpoints(b []byte, cks []*Checkpoint) []byte {
-	b = codec.U32(b, ckptMagic)
+// ckptHeaderSize is the encoded length of one checkpoint's registers, PC,
+// sequence number, halted flag and page-ref count; each page ref adds
+// pageRefSize.
+const (
+	ckptHeaderSize = isa.NumRegs*8 + 8 + 8 + 1 + 4
+	pageRefSize    = 8 + 4
+)
 
+// CheckpointsSize returns how many bytes EncodeCheckpoints appends for cks,
+// so a caller can size the buffer first.
+func CheckpointsSize(cks []*Checkpoint) int {
+	seen := make(map[*page]struct{})
+	n := 4 + 4 + 4
+	for _, ck := range cks {
+		n += ckptHeaderSize + pageRefSize*len(ck.Mem.pages)
+		for _, p := range ck.Mem.pages {
+			seen[p] = struct{}{}
+		}
+	}
+	return n + pageSize*len(seen)
+}
+
+// EncodeCheckpoints appends a deterministic binary encoding of the
+// checkpoint set to b, growing b once to the encoded size. The order of cks
+// is preserved; shared pages are stored once.
+func EncodeCheckpoints(b []byte, cks []*Checkpoint) []byte {
 	// Assign indices to distinct pages in a deterministic order: checkpoints
 	// in argument order, pages within a checkpoint in ascending page number.
 	type ref struct {
@@ -35,12 +55,13 @@ func EncodeCheckpoints(b []byte, cks []*Checkpoint) []byte {
 	pageIdx := make(map[*page]uint32)
 	var pages []*page
 	refs := make([][]ref, len(cks))
+	n := 4 + 4 + 4
 	for i, ck := range cks {
 		pns := make([]uint64, 0, len(ck.Mem.pages))
 		for pn := range ck.Mem.pages {
 			pns = append(pns, pn)
 		}
-		sort.Slice(pns, func(a, b int) bool { return pns[a] < pns[b] })
+		slices.Sort(pns)
 		rs := make([]ref, 0, len(pns))
 		for _, pn := range pns {
 			p := ck.Mem.pages[pn]
@@ -53,8 +74,11 @@ func EncodeCheckpoints(b []byte, cks []*Checkpoint) []byte {
 			rs = append(rs, ref{pn: pn, idx: idx})
 		}
 		refs[i] = rs
+		n += ckptHeaderSize + pageRefSize*len(rs)
 	}
+	b = slices.Grow(b, n+pageSize*len(pages))
 
+	b = codec.U32(b, ckptMagic)
 	b = codec.U32(b, uint32(len(pages)))
 	for _, p := range pages {
 		b = append(b, p[:]...)

@@ -38,6 +38,9 @@ func TestCheckpointsEncodeDecodeRoundTrip(t *testing.T) {
 	p := sumLoop(2000)
 	cks := takeCheckpoints(t)
 	blob := EncodeCheckpoints(nil, cks)
+	if n := CheckpointsSize(cks); n != len(blob) {
+		t.Fatalf("CheckpointsSize %d, EncodeCheckpoints wrote %d", n, len(blob))
+	}
 	// Deterministic encoding: same set, same bytes.
 	if b2 := EncodeCheckpoints(nil, cks); string(blob) != string(b2) {
 		t.Fatalf("EncodeCheckpoints is not deterministic")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,6 +40,7 @@ type ResultCache struct {
 
 	hits, misses, puts        atomic.Uint64
 	loadErrs, saves, saveErrs atomic.Uint64
+	lastSize                  atomic.Int64 // bytes of the last encoded file
 }
 
 // NewResultCache returns an empty cache backed by the real filesystem.
@@ -122,20 +124,44 @@ type cacheEntry struct {
 func (c *ResultCache) SaveFile(path string) error {
 	c.saves.Add(1)
 	c.mu.Lock()
-	f := cacheFile{Schema: cacheSchema, Entries: make([]cacheEntry, 0, len(c.entries))}
+	entries := make([]cacheEntry, 0, len(c.entries))
 	for k, r := range c.entries {
-		f.Entries = append(f.Entries, cacheEntry{Key: k, Result: r})
+		entries = append(entries, cacheEntry{Key: k, Result: r})
 	}
 	c.mu.Unlock()
-	data, err := json.Marshal(&f)
+	data, err := encodeCacheFile(entries, int(c.lastSize.Load()))
 	if err != nil {
 		c.saveErrs.Add(1)
 		return fmt.Errorf("serve: encode cache: %w", err)
 	}
+	c.lastSize.Store(int64(len(data)))
 	if err = fsio.WriteFileAtomic(c.fs, path, data, true); err != nil {
 		c.saveErrs.Add(1)
 	}
 	return err
+}
+
+// encodeCacheFile writes the bytes json.Marshal gives for a cacheFile of
+// entries, one entry at a time into a buffer sized from the previous file
+// (hint). Marshalling the whole file at once builds it in a pooled buffer
+// that doubles past the file's size, keeps that buffer after the call, and
+// copies the result out: two to three times the file in memory after every
+// job.
+func encodeCacheFile(entries []cacheEntry, hint int) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, hint+hint/8))
+	fmt.Fprintf(buf, `{"schema":%d,"entries":[`, cacheSchema)
+	enc := json.NewEncoder(buf)
+	for i := range entries {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		if err := enc.Encode(&entries[i]); err != nil {
+			return nil, err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode ends each value with a newline
+	}
+	buf.WriteString("]}")
+	return buf.Bytes(), nil
 }
 
 // LoadFile merges a persisted cache into this one. A missing file is not an

@@ -199,3 +199,35 @@ func TestResultCacheSaveFaults(t *testing.T) {
 		t.Errorf("post-heal round-trip: %d entries, want %d", c3.Len(), c.Len())
 	}
 }
+
+// TestResultCacheFileEncoding: SaveFile's entry-by-entry encoding writes the
+// bytes json.Marshal gives for the whole file, empty or not, with HTML-
+// escaped strings and sampled reports, whatever the size hint.
+func TestResultCacheFileEncoding(t *testing.T) {
+	t.Parallel()
+	sampled := &sim.Result{Cycles: 165058, Retired: 246822, Sampled: &sim.SampleReport{
+		TotalInsts: 246822, IntervalLen: 4000, Intervals: 62,
+		Points: []sim.PointResult{{Interval: 6, Weight: 0.2096774193548387, IPC: 0.9, MPKI: 12.5}},
+	}}
+	for name, entries := range map[string][]cacheEntry{
+		"empty": {},
+		"entries": {
+			{Key: CellKey{WorkloadHash: 1, Config: sim.CfgBase}, Result: &sim.Result{Cycles: 42, Retired: 7}},
+			{Key: CellKey{WorkloadHash: 2, Config: "a<b&c>", Seed: 7, Sampled: true, Flags: "checks"}, Result: sampled},
+		},
+	} {
+		want, err := json.Marshal(&cacheFile{Schema: cacheSchema, Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hint := range []int{0, 16, len(want)} {
+			got, err := encodeCacheFile(entries, hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s, hint %d: encoded\n%s\nwant\n%s", name, hint, got, want)
+			}
+		}
+	}
+}

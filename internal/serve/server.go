@@ -218,6 +218,8 @@ func (s *Server) registerObs() {
 		ckpt.Counter("misses", s.ckpts.Misses)
 		ckpt.Counter("stores", s.ckpts.Stores)
 		ckpt.Counter("errors", s.ckpts.Errors)
+		ckpt.Counter("profile_hits", s.ckpts.ProfileHits)
+		ckpt.Counter("profile_misses", s.ckpts.ProfileMisses)
 	}
 
 	queue := s.reg.Scope("serve.queue")
@@ -556,8 +558,9 @@ func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, re
 	if req.Sampled {
 		// Point measurement stays serial per cell — the pool already
 		// keeps every core busy across cells — but the checkpoint cache is
-		// shared daemon-wide, so one workload's profile pass feeds every
-		// configuration, job, and (with CkptDir persisted) daemon restart.
+		// shared daemon-wide: an artifact feeds every cell, job and (with
+		// CkptDir persisted) daemon restart under its key, and a workload's
+		// profile pass every seed and predictor the daemon samples it at.
 		opt.Sample = &sim.SampleConfig{Seed: req.Seed, Ckpts: s.ckpts}
 	}
 	return sim.RunCellCtx(ctx, spec, cfgName, opt)

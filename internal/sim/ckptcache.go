@@ -11,11 +11,19 @@ package sim
 // page-deduped encoding), and the functionally warmed predictor and
 // hierarchy state per point (bpred/cache AppendState blobs).
 //
-// Bit-identicality is by construction: when the cache is enabled, even a
-// cold run measures from the decoded artifact (encode → decode → measure),
-// so a warm run — which decodes the same bytes — cannot differ from the
-// cold run that wrote them. The leaf codecs are exact (see their round-trip
-// tests), so cache on or off is bit-identical too.
+// A cold run measures the artifact as it built it: its own state blobs,
+// decoded into the measuring machine exactly as a warm run decodes them,
+// and its own checkpoints. Cold and warm results are bit-identical because
+// every codec under the artifact is exact — a decoded checkpoint set
+// resumes to the same state and a decoded blob equals the one encoded
+// (see their round-trip tests) — and TestCkptCacheColdWarm holds cold,
+// warm-from-disk and cache-off results equal.
+//
+// Two memory-only layers sit beside the artifacts: each workload's verified
+// profile pass, which does not depend on the seed, K, warmup, predictor or
+// cache geometry, so a cold artifact of a profiled workload skips straight
+// to the checkpoint pass; and the predictor and hierarchy pairs that
+// checkpoint passes warm and cached points decode into, reused across runs.
 //
 // Robustness: files are written atomically (temp + rename) and carry a
 // magic, a schema version, the full key, and a codec.Seal FNV-1a trailer.
@@ -29,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,6 +57,10 @@ const ckptSchema = 3
 // ckptPointBytes is the smallest encoded point record: interval, weight,
 // warm and the two state-blob lengths.
 const ckptPointBytes = 4 + 8 + 8 + 4 + 4
+
+// ckptHeaderBytes is the encoded header: magic, schema, the key words, the
+// full-run flag, total, interval length, interval count and halted flag.
+const ckptHeaderBytes = 4 + 4 + 8*8 + 1 + 8 + 8 + 4 + 1
 
 // ckptArtifactMagic identifies artifact files ("PSC1").
 const ckptArtifactMagic uint32 = 0x50534331
@@ -81,6 +94,15 @@ func ckptKeyFor(workloadHash uint64, cfg Config, sc SampleConfig, profileCap uin
 		Predictor:   uint64(cfg.Predictor),
 		CacheCfg:    hashCacheConfig(cfg.Cache),
 	}
+}
+
+// profileKey is the part of a CkptKey the profile pass depends on: the
+// workload, the interval length asked for and the profile bound. The seed,
+// K, warmup, predictor and cache geometry change only the checkpoint pass.
+type profileKey struct{ workload, intervalLen, profileCap uint64 }
+
+func (k CkptKey) profileKey() profileKey {
+	return profileKey{k.Workload, k.IntervalLen, k.ProfileCap}
 }
 
 func (k CkptKey) fields() [8]uint64 {
@@ -121,10 +143,19 @@ func (p *ckptPoint) loadInto(pred bpred.Predictor, hier *cache.Hierarchy) error 
 	return nil
 }
 
-// ckptArtifact is a decoded checkpoint-cache entry: the full product of the
-// profiling and checkpointing passes. Immutable once built — concurrent
-// sampled runs share one artifact, resuming its checkpoints (copy-on-write)
-// and decoding its state blobs into private structures.
+// stateBlob encodes a predictor's or hierarchy's state into a buffer of
+// exactly its size, so a blob an artifact keeps carries no slack capacity.
+func stateBlob(s interface {
+	AppendState([]byte) []byte
+	StateSize() int
+}) []byte {
+	return s.AppendState(make([]byte, 0, s.StateSize()))
+}
+
+// ckptArtifact is a checkpoint-cache entry, as built or as decoded: the full
+// product of the profiling and checkpointing passes. Immutable once built —
+// concurrent sampled runs share one artifact, resuming its checkpoints
+// (copy-on-write) and decoding its state blobs into private structures.
 type ckptArtifact struct {
 	fullRun     bool // workload below minIntervals: warm runs go straight to a full RunCtx
 	totalInsts  uint64
@@ -135,9 +166,28 @@ type ckptArtifact struct {
 	cks         []*emu.Checkpoint // one per point, in points order
 }
 
+// ckptProfile is one workload's verified profile pass: the merged interval
+// BBVs, the resolved interval length, the instruction total and whether the
+// pass reached HALT. Read-only once built: simpoint.Pick only reads the
+// BBVs, so concurrent runs share one profile.
+type ckptProfile struct {
+	intervals   []map[uint64]float64
+	intervalLen uint64
+	total       uint64
+	halted      bool
+}
+
 // appendArtifact serializes an artifact (with its key and a trailing
-// checksum) for disk.
+// checksum) for disk, growing b once to the encoded size.
 func appendArtifact(b []byte, key CkptKey, art *ckptArtifact) []byte {
+	n := ckptHeaderBytes + 8
+	if !art.fullRun {
+		n += 4 + emu.CheckpointsSize(art.cks)
+		for i := range art.points {
+			n += ckptPointBytes + len(art.points[i].pred) + len(art.points[i].hier)
+		}
+	}
+	b = slices.Grow(b, n)
 	start := len(b)
 	b = codec.U32(b, ckptArtifactMagic)
 	b = codec.U32(b, ckptSchema)
@@ -232,25 +282,89 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 	return art, nil
 }
 
-// ckptMemEntries bounds the in-memory decoded-artifact layer (a decoded
-// artifact costs about its encoded size, 0.7–1.3 MB for a quick GAP
-// workload: per point, a 75 KB predictor blob and 13–80 KB of
-// live-lines-only hierarchy state, plus the checkpoint pages).
+// ckptMemEntries bounds the in-memory artifact layer (an artifact costs
+// about its encoded size, 0.7–1.3 MB for a quick GAP workload: per point, a
+// 75 KB predictor blob and 13–80 KB of live-lines-only hierarchy state, plus
+// the checkpoint pages).
 const ckptMemEntries = 8
 
+// ckptProfileEntries bounds the in-memory profile layer. A profile holds
+// 3–300 KB of BBV maps at the quick sizes and 9–900 KB at full size (gcc
+// is the largest); the bound covers all 23 workloads at both sizes, about
+// 3.5 MB, so a daemon profiles each once.
+const ckptProfileEntries = 64
+
+// fifo is a map bounded to n entries that evicts the oldest insert first.
+// CkptCache guards its fifos with its mutex.
+type fifo[K comparable, V any] struct {
+	n     int
+	m     map[K]V
+	order []K
+}
+
+func newFIFO[K comparable, V any](n int) fifo[K, V] {
+	return fifo[K, V]{n: n, m: make(map[K]V)}
+}
+
+func (f *fifo[K, V]) put(k K, v V) {
+	if _, ok := f.m[k]; !ok {
+		for len(f.order) >= f.n {
+			delete(f.m, f.order[0])
+			f.order = f.order[1:]
+		}
+		f.order = append(f.order, k)
+	}
+	f.m[k] = v
+}
+
+// warmKey identifies a pair's build: warmed state is specific to the
+// predictor kind and the whole cache configuration (the measuring
+// hierarchy's latencies too, not only its geometry).
+type warmKey struct {
+	pred  PredictorKind
+	cache cache.Config
+}
+
+// warmState is a predictor and hierarchy pair that a cold run's checkpoint
+// pass warms or that a cached point decodes into (LoadState overwrites all).
+type warmState struct {
+	pred bpred.Predictor
+	hier *cache.Hierarchy
+}
+
+// warmPool holds the pairs built for one warmKey, shared by every run of
+// that build, with the state blobs of a fresh pair.
+type warmPool struct {
+	sync.Pool
+	fresh ckptPoint
+}
+
+// getFresh takes a pair from the pool and loads a fresh pair's state into
+// it, so a checkpoint pass warms it exactly as it would a new build.
+func (p *warmPool) getFresh() (*warmState, error) {
+	ws := p.Get().(*warmState)
+	if err := p.fresh.loadInto(ws.pred, ws.hier); err != nil {
+		return nil, err
+	}
+	return ws, nil
+}
+
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a
-// directory, with a small in-memory layer of decoded artifacts on top. Safe
-// for concurrent use; phelpsd shares one across its pool workers and the
-// cells of its sampled jobs (MatrixOptions.Sample).
+// directory, with three in-memory layers: recent artifacts, recent
+// workload profiles, and pools of predictor and hierarchy pairs. Safe for
+// concurrent use; phelpsd shares one across its pool workers and the cells
+// of its sampled jobs (MatrixOptions.Sample).
 type CkptCache struct {
 	dir string
 	fs  fsio.FS
 
-	mu    sync.Mutex
-	mem   map[CkptKey]*ckptArtifact
-	order []CkptKey // FIFO eviction order
+	mu       sync.Mutex
+	mem      fifo[CkptKey, *ckptArtifact]
+	profiles fifo[profileKey, *ckptProfile]
+	warm     map[warmKey]*warmPool
 
 	hits, misses, stores, errs atomic.Uint64
+	profileHits, profileMisses atomic.Uint64
 }
 
 // NewCkptCache returns a cache rooted at dir (created on first store).
@@ -265,7 +379,10 @@ func NewCkptCacheFS(dir string, fs fsio.FS) *CkptCache {
 	if fs == nil {
 		fs = fsio.OS
 	}
-	return &CkptCache{dir: dir, fs: fs, mem: make(map[CkptKey]*ckptArtifact)}
+	return &CkptCache{dir: dir, fs: fs,
+		mem:      newFIFO[CkptKey, *ckptArtifact](ckptMemEntries),
+		profiles: newFIFO[profileKey, *ckptProfile](ckptProfileEntries),
+		warm:     make(map[warmKey]*warmPool)}
 }
 
 // Hits counts artifact loads answered from memory or disk.
@@ -281,19 +398,58 @@ func (c *CkptCache) Stores() uint64 { return c.stores.Load() }
 // skipped store).
 func (c *CkptCache) Errors() uint64 { return c.errs.Load() }
 
+// ProfileHits counts artifact misses whose workload profile was in memory,
+// so the run skipped the profile pass.
+func (c *CkptCache) ProfileHits() uint64 { return c.profileHits.Load() }
+
+// ProfileMisses counts artifact misses that ran the profile pass.
+func (c *CkptCache) ProfileMisses() uint64 { return c.profileMisses.Load() }
+
 func (c *CkptCache) remember(key CkptKey, art *ckptArtifact) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok {
-		c.mem[key] = art
-		return
+	c.mem.put(key, art)
+}
+
+// profile returns the cached profile for key, or nil, counting a hit or a
+// miss.
+func (c *CkptCache) profile(key profileKey) *ckptProfile {
+	c.mu.Lock()
+	p := c.profiles.m[key]
+	c.mu.Unlock()
+	if p == nil {
+		c.profileMisses.Add(1)
+	} else {
+		c.profileHits.Add(1)
 	}
-	for len(c.order) >= ckptMemEntries {
-		delete(c.mem, c.order[0])
-		c.order = c.order[1:]
+	return p
+}
+
+// rememberProfile keeps a verified profile in memory only: it costs one
+// functional pass to rebuild, and the workload hash in its key already
+// changes with the program and its input.
+func (c *CkptCache) rememberProfile(key profileKey, p *ckptProfile) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.profiles.put(key, p)
+}
+
+// warmPool returns the pool of pairs built for one predictor kind and cache
+// configuration.
+func (c *CkptCache) warmPool(kind PredictorKind, cc cache.Config) *warmPool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := warmKey{kind, cc}
+	p := c.warm[k]
+	if p == nil {
+		build := func() *warmState { return &warmState{makePredictor(kind), cache.New(cc)} }
+		ws := build()
+		p = &warmPool{fresh: ckptPoint{pred: stateBlob(ws.pred), hier: stateBlob(ws.hier)}}
+		p.New = func() any { return build() }
+		p.Put(ws)
+		c.warm[k] = p
 	}
-	c.mem[key] = art
-	c.order = append(c.order, key)
+	return p
 }
 
 // Load returns the artifact for key, or nil on miss. The only non-nil error
@@ -305,7 +461,7 @@ func (c *CkptCache) Load(ctx context.Context, key CkptKey) (*ckptArtifact, error
 		return nil, context.Cause(ctx)
 	}
 	c.mu.Lock()
-	art, ok := c.mem[key]
+	art, ok := c.mem.m[key]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -336,8 +492,8 @@ func (c *CkptCache) Load(ctx context.Context, key CkptKey) (*ckptArtifact, error
 }
 
 // Store writes the encoded artifact atomically (fsio.WriteFileAtomic, so a
-// crashed or concurrent writer never leaves a torn file) and remembers the
-// decoded form in memory. The write is not fsynced: an artifact is
+// crashed or concurrent writer never leaves a torn file) and remembers art,
+// the artifact blob encodes, in memory. The write is not fsynced: an artifact is
 // checksummed and recomputable, so a crash that loses it costs one profile
 // pass, while an fsync per multi-MB artifact would cost every cold cell.
 // Disk failures are counted and swallowed — a run that computed its

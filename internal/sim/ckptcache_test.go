@@ -74,6 +74,63 @@ func TestCkptCacheColdWarm(t *testing.T) {
 	}
 }
 
+// TestCkptCacheProfileReuse: the profile layer is exact. On one cache, a
+// run at seed A profiles the workload; a run at seed B and a run of a
+// perfBP-kind config (another predictor, so another artifact) find the
+// profile in memory and skip the profile pass, and each Result equals the
+// same run on a fresh cache. Two seeds run concurrently on one cache equal
+// their serial runs.
+func TestCkptCacheProfileReuse(t *testing.T) {
+	spec, base := dlSpec(), DefaultConfig()
+	perf := mustConfig(CfgPerfect, spec.Epoch)
+	if perf.Predictor == base.Predictor {
+		t.Fatalf("%s shares the base predictor kind", CfgPerfect)
+	}
+	runs := []struct {
+		cfg  Config
+		seed uint64
+	}{{base, 3}, {base, 4}, {perf, 3}}
+	c := NewCkptCache(t.TempDir())
+	for i, r := range runs {
+		got := mustSampled(t, spec, r.cfg, SampleConfig{Ckpts: c, Seed: r.seed})
+		want := mustSampled(t, spec, r.cfg, SampleConfig{Ckpts: NewCkptCache(t.TempDir()), Seed: r.seed})
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("run %d (seed %d, %s predictor) on a shared profile diverged from a fresh cache:\nfresh  %+v\nshared %+v",
+				i, r.seed, makePredictor(r.cfg.Predictor).Name(), want, got)
+		}
+	}
+	if h, m, s := c.ProfileHits(), c.ProfileMisses(), c.Stores(); h != 2 || m != 1 || s != 3 {
+		t.Errorf("profile hits=%d misses=%d, artifact stores=%d, want 2/1/3", h, m, s)
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		seeds := []uint64{5, 6}
+		shared := NewCkptCache(t.TempDir())
+		got := make([]Result, len(seeds))
+		errs := make([]error, len(seeds))
+		var wg sync.WaitGroup
+		for i, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = SampledRun(spec, base, SampleConfig{Ckpts: shared, Seed: seed})
+			}()
+		}
+		wg.Wait()
+		for i, seed := range seeds {
+			if errs[i] != nil {
+				t.Fatalf("seed %d: %v", seed, errs[i])
+			}
+			if want := mustSampled(t, spec, base, SampleConfig{Seed: seed}); !reflect.DeepEqual(want, got[i]) {
+				t.Errorf("seed %d run concurrently on one cache diverged from a serial run", seed)
+			}
+		}
+		if h, m := shared.ProfileHits(), shared.ProfileMisses(); h+m != 2 {
+			t.Errorf("profile hits=%d misses=%d, want one lookup per run", h, m)
+		}
+	})
+}
+
 // TestCkptCacheParallelWarm: a warm, parallel run equals the cold serial one
 // (the two accelerations compose), and one artifact serves concurrent runs.
 func TestCkptCacheParallelWarm(t *testing.T) {

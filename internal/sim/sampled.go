@@ -36,21 +36,22 @@ package sim
 // (phases 1–3) can be skipped entirely when SampleConfig.Ckpts holds a
 // cached artifact for the (workload, config) key: the artifact carries the
 // SimPoint list, the checkpoints, and the warmed predictor/hierarchy state
-// blobs. A cold run with the cache enabled measures from the decoded form of
-// the artifact it just encoded, so warm runs — decoding the same bytes —
-// cannot differ.
+// blobs. A cold run with the cache enabled measures the artifact it just
+// built: its own checkpoints, and its own state blobs decoded into the
+// measuring machine as a warm run decodes them from disk. The profile pass
+// (phase 1) alone is skipped when the cache holds the workload's profile.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"phelps/internal/bpred"
 	"phelps/internal/cache"
 	"phelps/internal/check"
 	"phelps/internal/emu"
 	"phelps/internal/isa"
+	"phelps/internal/prog"
 	"phelps/internal/simpoint"
 )
 
@@ -249,7 +250,7 @@ type measSetup struct {
 	workers     int
 	crashDir    string
 	label       string    // the cell's configuration, or "sampled run"
-	warm        sync.Pool // *warmState decode targets for cached points
+	warm        *warmPool // decode targets for cached points
 }
 
 // measPoint is one SimPoint's measurement input: its checkpoint plus the
@@ -274,12 +275,6 @@ type pointMeas struct {
 	pr           PointResult
 	cond, qp, qm uint64 // conditional branches, queue preds/misps in the window
 	cache        cache.Stats
-}
-
-// warmState is a decode target for cached points (LoadState overwrites all).
-type warmState struct {
-	pred bpred.Predictor
-	hier *cache.Hierarchy
 }
 
 // measurePoint resumes one SimPoint's checkpoint into a timing machine,
@@ -458,7 +453,7 @@ func measureAndWeigh(ctx context.Context, s *measSetup, pts []measPoint, total u
 // newMeasSetup assembles the shared measurement context.
 func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, intervalLen uint64, nIv int) *measSetup {
 	cfg.Obs = nil
-	s := &measSetup{
+	return &measSetup{
 		name:        spec.Name,
 		prog:        p,
 		cfg:         cfg,
@@ -468,16 +463,15 @@ func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, interv
 		crashDir:    sc.CrashDir,
 		label:       sc.label,
 	}
-	s.warm.New = func() any { return &warmState{makePredictor(cfg.Predictor), cache.New(cfg.Cache)} }
-	return s
 }
 
-// measureArtifact is the cached path: phases 4–5 driven from a decoded
-// artifact. Each point decodes its state blobs into its measuring machine
-// and resumes its checkpoint copy-on-write, so the (immutable) artifact is
-// safely shared by concurrent workers and concurrent runs. A full-run marker
-// (a workload below minIntervals) is answered by one complete cycle-accurate
-// run of a fresh build instead.
+// measureArtifact is the cached path: phases 4–5 driven from an artifact,
+// cached or just built. Each point decodes its state blobs into its
+// measuring machine, taken from the cache's pool for this predictor kind
+// and cache configuration, and resumes its checkpoint copy-on-write, so the
+// (immutable) artifact is safely shared by concurrent workers and
+// concurrent runs. A full-run marker (a workload below minIntervals) is
+// answered by one complete cycle-accurate run of a fresh build instead.
 func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, art *ckptArtifact) (Result, error) {
 	if art.fullRun {
 		res, err := RunCtx(ctx, spec.Build(), cfg)
@@ -485,6 +479,7 @@ func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config,
 		return res, err
 	}
 	s := newMeasSetup(spec, p, cfg, sc, art.intervalLen, art.intervals)
+	s.warm = sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache)
 	pts := make([]measPoint, len(art.points))
 	for i := range art.points {
 		ap := &art.points[i]
@@ -500,23 +495,51 @@ func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config,
 }
 
 // storeAndMeasure measures an artifact the functional passes just built.
-// With the cache on it first stores the encoded artifact and measures from
-// the DECODED form: warm runs decode the same bytes, so cold and warm
-// results are bit-identical by construction (the leaf codecs' round-trip
-// exactness makes cache-off identical too).
+// With the cache on it first stores the artifact, encoded for disk and kept
+// as built in memory, then measures the artifact as built: a warm run
+// decodes the stored bytes to an equal artifact (the codecs are exact), so
+// cold and warm results are bit-identical.
 func storeAndMeasure(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, key CkptKey, art *ckptArtifact) (Result, error) {
 	if sc.Ckpts != nil {
-		blob := appendArtifact(nil, key, art)
-		decoded, derr := decodeArtifact(blob, key)
-		if derr != nil {
-			return Result{}, fmt.Errorf("sim: %s: checkpoint artifact round-trip: %v", spec.Name, derr)
-		}
-		if serr := sc.Ckpts.Store(ctx, key, decoded, blob); serr != nil {
+		if serr := sc.Ckpts.Store(ctx, key, art, appendArtifact(nil, key, art)); serr != nil {
 			return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
 		}
-		art = decoded
 	}
 	return measureArtifact(ctx, spec, p, cfg, sc, art)
+}
+
+// profilePass is phase 1: a functional pass over w (which it consumes)
+// collecting BBVs live at chunkLen grain, or directly at the caller's
+// intervalLen, rather than via an intermediate block stream; auto-sized
+// intervals are merged from whole chunks after the total is known. A pass
+// that reaches HALT is verified, catching functional bugs before they hide
+// inside weighted estimates.
+func profilePass(ctx context.Context, name string, w *prog.Workload, intervalLen, profileCap uint64) (*ckptProfile, error) {
+	grain := intervalLen
+	if grain == 0 {
+		grain = chunkLen
+	}
+	coll := simpoint.NewBBVCollector(grain)
+	e := emu.New(w.Prog, w.Mem)
+	total, err := fastForwardCtx(ctx, name, e, profileCap, &emu.FFObserver{Block: coll.ObserveBlock})
+	if err != nil {
+		return nil, err
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("sim: %s: empty profile", name)
+	}
+	if e.Halted && w.Verify != nil {
+		if verr := w.Verify(w.Mem); verr != nil {
+			return nil, fmt.Errorf("sim: %s (functional profile): %w: %v", name, ErrVerify, verr)
+		}
+	}
+	coll.Flush()
+	p := &ckptProfile{intervals: coll.Intervals(), intervalLen: intervalLen, total: total, halted: e.Halted}
+	if intervalLen == 0 {
+		p.intervalLen = autoInterval(total)
+		p.intervals = simpoint.MergeIntervals(p.intervals, int(p.intervalLen/chunkLen))
+	}
+	return p, nil
 }
 
 func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Result, error) {
@@ -548,6 +571,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	// artifact. The hash must see the freshly built workload (pristine
 	// memory image), hence hashing before the profile pass consumes w.
 	var key CkptKey
+	var prof *ckptProfile
 	if sc.Ckpts != nil {
 		key = ckptKeyFor(HashWorkload(w), cfg, sc, profileCap)
 		art, lerr := sc.Ckpts.Load(ctx, key)
@@ -557,40 +581,22 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		if art != nil {
 			return measureArtifact(ctx, spec, w.Prog, cfg, sc, art)
 		}
+		prof = sc.Ckpts.profile(key.profileKey())
 	}
 
-	// --- 1. profile: functional pass recording the basic-block stream ---
-	// BBVs are collected live at chunkLen grain (or directly at the caller's
-	// interval) rather than via an intermediate block stream; auto-sized
-	// intervals are merged from whole chunks after the total is known.
-	grain := sc.IntervalLen
-	if grain == 0 {
-		grain = chunkLen
-	}
-	coll := simpoint.NewBBVCollector(grain)
-	e := emu.New(w.Prog, w.Mem)
-	total, ferr := fastForwardCtx(ctx, spec.Name, e, profileCap, &emu.FFObserver{Block: coll.ObserveBlock})
-	if ferr != nil {
-		return Result{}, ferr
-	}
-	if total == 0 {
-		return Result{}, fmt.Errorf("sim: %s: empty profile", spec.Name)
-	}
-	// The profile pass reached HALT: verify it, catching functional bugs
-	// before they hide inside weighted estimates.
-	if e.Halted && w.Verify != nil {
-		if verr := w.Verify(w.Mem); verr != nil {
-			return Result{}, fmt.Errorf("sim: %s (functional profile): %w: %v", spec.Name, ErrVerify, verr)
+	// --- 1. profile: functional pass collecting interval BBVs ---
+	// A cached profile leaves w pristine for the checkpoint pass.
+	profiled := prof == nil
+	if profiled {
+		var perr error
+		if prof, perr = profilePass(ctx, spec.Name, w, sc.IntervalLen, profileCap); perr != nil {
+			return Result{}, perr
+		}
+		if sc.Ckpts != nil {
+			sc.Ckpts.rememberProfile(key.profileKey(), prof)
 		}
 	}
-
-	coll.Flush()
-	intervalLen := sc.IntervalLen
-	intervals := coll.Intervals()
-	if intervalLen == 0 {
-		intervalLen = autoInterval(total)
-		intervals = simpoint.MergeIntervals(intervals, int(intervalLen/chunkLen))
-	}
+	total, intervalLen, intervals := prof.total, prof.intervalLen, prof.intervals
 	warmup := sc.WarmupInsts
 	if warmup == 0 {
 		warmup = intervalLen / 2
@@ -601,7 +607,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	if len(intervals) < minIntervals {
 		// Too short to sample: a full run is cheaper than the machinery. The
 		// cached verdict sends warm runs straight to the full run.
-		marker := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: e.Halted}
+		marker := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: prof.halted}
 		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, marker)
 	}
 
@@ -637,10 +643,24 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	// tag, replacement, and prefetcher state is what carries over. The live
 	// hierarchy is quiesced and its stats zeroed in place: neither feeds
 	// tag, replacement or prefetcher state, so later warming is unchanged.
-	w2 := spec.Build()
-	e2 := emu.New(w2.Prog, w2.Mem)
-	warmPred := makePredictor(cfg.Predictor)
-	warmHier := cache.New(cfg.Cache)
+	// With a cache the pair comes from the pool points decode into, reset to
+	// a fresh pair's state, and goes back after the pass.
+	if profiled {
+		w = spec.Build()
+	}
+	e := emu.New(w.Prog, w.Mem)
+	var pool *warmPool
+	warm := &warmState{}
+	if sc.Ckpts != nil {
+		pool = sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache)
+		var werr error
+		if warm, werr = pool.getFresh(); werr != nil {
+			return Result{}, fmt.Errorf("sim: %s: fresh warming state: %v", spec.Name, werr)
+		}
+	} else {
+		warm.pred, warm.hier = makePredictor(cfg.Predictor), cache.New(cfg.Cache)
+	}
+	warmPred, warmHier := warm.pred, warm.hier
 	var tclk uint64
 	warmObs := &emu.FFObserver{
 		Branch: func(pc uint64, taken bool) { warmPred.PredictAndTrain(pc, taken) },
@@ -661,7 +681,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		Block: func(head, n uint64) { tclk += n },
 	}
 	predWindow := 2 * intervalLen
-	art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: e.Halted}
+	art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: prof.halted}
 	pts := make([]measPoint, 0, len(byStart))
 	pos := uint64(0) // instructions executed so far in this pass
 	for _, sp := range byStart {
@@ -679,26 +699,26 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			}
 		}
 		if ckAt > pos+predWindow {
-			if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-predWindow-pos, cacheObs); err != nil {
+			if _, err := fastForwardCtx(ctx, spec.Name, e, ckAt-predWindow-pos, cacheObs); err != nil {
 				return Result{}, err
 			}
 			pos = ckAt - predWindow
 		}
 		if ckAt > pos {
-			if _, err := fastForwardCtx(ctx, spec.Name, e2, ckAt-pos, warmObs); err != nil {
+			if _, err := fastForwardCtx(ctx, spec.Name, e, ckAt-pos, warmObs); err != nil {
 				return Result{}, err
 			}
 			pos = ckAt
 		}
 		warmHier.Quiesce()
 		warmHier.ResetStats()
-		ck, err := e2.Checkpoint()
+		ck, err := e.Checkpoint()
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: %s: checkpoint at inst %d: %v", spec.Name, pos, err)
 		}
 		if sc.Ckpts != nil {
 			art.points = append(art.points, ckptPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
-				pred: warmPred.AppendState(nil), hier: warmHier.AppendState(nil)})
+				pred: stateBlob(warmPred), hier: stateBlob(warmHier)})
 			art.cks = append(art.cks, ck)
 			continue
 		}
@@ -708,9 +728,10 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 
 	// --- 4+5. measure and weigh ---
 	if sc.Ckpts != nil {
-		return storeAndMeasure(ctx, spec, w2.Prog, cfg, sc, key, art)
+		pool.Put(warm)
+		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, art)
 	}
-	return measureAndWeigh(ctx, newMeasSetup(spec, w2.Prog, cfg, sc, intervalLen, nIv), pts, total, nIv, e.Halted)
+	return measureAndWeigh(ctx, newMeasSetup(spec, w.Prog, cfg, sc, intervalLen, nIv), pts, total, nIv, prof.halted)
 }
 
 // addCacheStats accumulates b into a field-by-field.

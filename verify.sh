@@ -27,10 +27,12 @@ go test -race -run 'TestLockstepQuickMatrix|TestInjectedTimingBugsCaught' ./inte
 go test -count=1 -run 'TestSampledAccuracyVsGolden/astar$' -v ./internal/sim
 # Parallel sampled + checkpoint-cache smoke under -race: the point-measurement
 # worker pool must stay bit-identical to serial (skipped under -short, so the
-# -race -short line above does not cover it), and the cold->warm disk
-# round-trip must store once then hit (asserted via the cache's obs counters).
+# -race -short line above does not cover it), the cold->warm disk
+# round-trip must store once then hit (asserted via the cache's obs
+# counters), and two seeds of one workload sharing a cached profile
+# concurrently must equal their serial runs.
 go test -race -count=1 \
-    -run 'TestSampledParallelBitIdentical/(astar|xz)$|TestCkptCacheColdWarm' \
+    -run 'TestSampledParallelBitIdentical/(astar|xz)$|TestCkptCacheColdWarm|TestCkptCacheProfileReuse' \
     ./internal/sim
 # The daemon's concurrency (its sim.Pool, flights, admission, cache, live
 # registry snapshots) race-clean — this also covers the journal,
@@ -46,7 +48,9 @@ go test -race -count=1 -run TestChaosKillRestart ./internal/serve
 # phelpsd smoke: boot the daemon on an ephemeral port, submit a quick job
 # with the CLI client, then resubmit and require the second pass to be
 # answered from the results cache; a sampled job populates the persistent
-# checkpoint cache; SIGTERM must drain cleanly.
+# checkpoint cache, and the same job at another seed stores a second
+# artifact from the profile the first one left in memory; SIGTERM must
+# drain cleanly.
 smoke_dir=$(mktemp -d)
 go build -o "$smoke_dir/phelpsd" ./cmd/phelpsd
 go build -o "$smoke_dir/phelps" ./cmd/phelps
@@ -92,6 +96,11 @@ daemon_url="http://$(cat "$smoke_dir/addr")"
 "$smoke_dir/phelps" -submit -server "$daemon_url" \
     -workloads delinquent -configs base -quick -sampled
 curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.ckpt.stores": 1'
+"$smoke_dir/phelps" -submit -server "$daemon_url" \
+    -workloads delinquent -configs base -quick -sampled -seed 8
+obs=$(curl -fsS "$daemon_url/v1/obs")
+echo "$obs" | grep -q '"serve.ckpt.profile_hits": 1'
+echo "$obs" | grep -q '"serve.ckpt.stores": 2'
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q drained "$smoke_dir/phelpsd.log"
