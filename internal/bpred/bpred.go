@@ -36,9 +36,9 @@ func (s *Stats) record(taken bool) {
 // up front; see DESIGN.md). Implementations keep their own global history.
 //
 // Every predictor's trained state can be snapshotted: sampled simulation
-// (sim.SampledRun) warms one predictor functionally over the run prefix and
-// clones it at each SimPoint checkpoint, and the checkpoint cache round-trips
-// it through bytes (state.go).
+// (sim.SampledRun) warms one predictor functionally over the run prefix,
+// encodes its state at each SimPoint checkpoint (state.go), and decodes it
+// into the predictor that measures the point.
 type Predictor interface {
 	// PredictAndTrain returns the prediction for the branch at pc, then
 	// updates all internal state (tables and histories) with the actual
@@ -47,9 +47,6 @@ type Predictor interface {
 
 	// Name identifies the predictor in reports.
 	Name() string
-
-	// ClonePredictor returns an independent deep copy of the predictor.
-	ClonePredictor() Predictor
 
 	// AppendState appends the predictor's dynamic state to b.
 	AppendState(b []byte) []byte
@@ -124,13 +121,6 @@ func (b *Bimodal) PredictAndTrain(pc uint64, taken bool) bool {
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
 
-// ClonePredictor implements Predictor.
-func (b *Bimodal) ClonePredictor() Predictor {
-	cp := *b
-	cp.table = append([]ctr2(nil), b.table...)
-	return &cp
-}
-
 // ResetPC restores pc's counter to its freshly-constructed state (weakly
 // not-taken). A pooled predictor whose user trains a known set of PCs resets
 // just those counters (and its Stats) instead of the whole table.
@@ -171,13 +161,6 @@ func (g *Gshare) PredictAndTrain(pc uint64, taken bool) bool {
 // Name implements Predictor.
 func (g *Gshare) Name() string { return "gshare" }
 
-// ClonePredictor implements Predictor.
-func (g *Gshare) ClonePredictor() Predictor {
-	cp := *g
-	cp.table = append([]ctr2(nil), g.table...)
-	return &cp
-}
-
 // --- Perfect ---
 
 // Perfect is the oracle predictor used for the perfBP configuration.
@@ -188,9 +171,6 @@ func (Perfect) PredictAndTrain(_ uint64, taken bool) bool { return taken }
 
 // Name implements Predictor.
 func (Perfect) Name() string { return "perfect" }
-
-// ClonePredictor implements Predictor (the oracle is stateless).
-func (Perfect) ClonePredictor() Predictor { return Perfect{} }
 
 func b2u(b bool) uint64 {
 	if b {

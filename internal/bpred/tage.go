@@ -328,29 +328,6 @@ func (t *TAGE) pushHistory(taken bool) {
 // Name implements Predictor.
 func (t *TAGE) Name() string { return "tage-sc-l" }
 
-// ClonePredictor implements Predictor: a deep copy of every table and the
-// history state (ghist and the folded registers are arrays/values, so the
-// struct copy already covers them).
-func (t *TAGE) ClonePredictor() Predictor {
-	cp := *t
-	cp.base = append([]ctr2(nil), t.base...)
-	for i := range cp.tables {
-		cp.tables[i].entries = append([]tageEntry(nil), t.tables[i].entries...)
-	}
-	if t.loop != nil {
-		l := *t.loop
-		l.entries = append([]loopEntry(nil), t.loop.entries...)
-		cp.loop = &l
-	}
-	if t.sc != nil {
-		s := *t.sc
-		s.bias = append([]int8(nil), t.sc.bias...)
-		s.hist = append([]int8(nil), t.sc.hist...)
-		cp.sc = &s
-	}
-	return &cp
-}
-
 // --- loop predictor ---
 
 type loopEntry struct {

@@ -67,16 +67,6 @@ type level struct {
 	setMask uint64
 }
 
-func (l *level) clone() *level {
-	return &level{
-		tags:    append([]uint64(nil), l.tags...),
-		pref:    append([]bool(nil), l.pref...),
-		cnt:     append([]uint16(nil), l.cnt...),
-		ways:    l.ways,
-		setMask: l.setMask,
-	}
-}
-
 func newLevel(nSets, ways int) *level {
 	return &level{
 		tags:    make([]uint64, nSets*ways),
@@ -168,34 +158,6 @@ func New(cfg Config) *Hierarchy {
 		h.vldp = newVLDP()
 	}
 	return h
-}
-
-// Clone returns an independent deep copy of the hierarchy: tag arrays,
-// prefetcher tables, stats, and outstanding-miss bookkeeping. Sampled
-// simulation (sim.SampledRun) warms one hierarchy functionally over the whole
-// run prefix and clones it at each SimPoint checkpoint.
-func (h *Hierarchy) Clone() *Hierarchy {
-	cp := &Hierarchy{
-		cfg:   h.cfg,
-		l1i:   h.l1i.clone(),
-		l1d:   h.l1d.clone(),
-		l2:    h.l2.clone(),
-		l3:    h.l3.clone(),
-		Stats: h.Stats,
-	}
-	if h.mshr != nil {
-		cp.mshr = make([]uint64, len(h.mshr), cap(h.mshr))
-		copy(cp.mshr, h.mshr)
-	}
-	if h.ipcp != nil {
-		p := *h.ipcp
-		cp.ipcp = &p
-	}
-	if h.vldp != nil {
-		p := *h.vldp
-		cp.vldp = &p
-	}
-	return cp
 }
 
 // RegisterObs registers the hierarchy's counters into an observability

@@ -408,9 +408,6 @@ func (c *Construction) growFromProducer(pc uint64, r isa.Reg, p uint64) {
 		} else {
 			// Outer-thread instruction consuming an inner-loop value:
 			// Section V-J condition 3.
-			if DebugReject != nil {
-				DebugReject(pc, r, p)
-			}
 			c.reject = RejectOuterDepInner
 		}
 	case c.LT.IsNested && c.LT.Loop.Contains(p):
@@ -748,7 +745,3 @@ func sortedRegs(set map[isa.Reg]bool) []isa.Reg {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// DebugReject, when set, observes outer-dep-inner rejections (test
-// instrumentation): consumer PC, register, producer PC.
-var DebugReject func(pc uint64, r isa.Reg, producer uint64)

@@ -76,9 +76,6 @@ func (q *QueueSet) Deposit(qi int, outcome bool) {
 	col := q.tail % uint64(q.depth)
 	q.outcome[qi][col] = outcome
 	q.valid[qi][col] = true
-	if DebugDeposit != nil {
-		DebugDeposit(qi, q.tail, outcome)
-	}
 }
 
 // AdvanceTail moves the helper thread to the next iteration (at its loop
@@ -97,23 +94,14 @@ func (q *QueueSet) Consume(pc uint64) (outcome, ok bool) {
 	}
 	if q.specHead >= q.tail {
 		q.Untimely++
-		if DebugConsume != nil {
-			DebugConsume(pc, q.head, q.specHead, q.tail, false)
-		}
 		return false, false
 	}
 	col := q.specHead % uint64(q.depth)
 	if !q.valid[qi][col] {
 		q.Untimely++
-		if DebugConsume != nil {
-			DebugConsume(pc, q.head, q.specHead, q.tail, false)
-		}
 		return false, false
 	}
 	q.Consumed++
-	if DebugConsume != nil {
-		DebugConsume(pc, q.head, q.specHead, q.tail, true)
-	}
 	return q.outcome[qi][col], true
 }
 
@@ -146,9 +134,6 @@ func (q *QueueSet) AdvanceHead() {
 	for i := range q.valid {
 		q.valid[i][col] = false
 	}
-	if DebugAdvanceHead != nil {
-		DebugAdvanceHead(q.head, col)
-	}
 	q.head++
 	if q.specHead < q.head {
 		q.specHead = q.head
@@ -169,16 +154,6 @@ func (q *QueueSet) Reset() {
 	}
 }
 
-// DebugAdvanceHead, when set, observes head advances (test instrumentation).
-var DebugAdvanceHead func(head, col uint64)
-
 // Lag returns how many iterations the helper thread is ahead of the main
 // thread's consumption point.
 func (q *QueueSet) Lag() int64 { return int64(q.tail) - int64(q.specHead) }
-
-// DebugDeposit, when set, observes every queue deposit (test instrumentation).
-var DebugDeposit func(qi int, iter uint64, outcome bool)
-
-// DebugConsume, when set, observes every consumption attempt (test
-// instrumentation).
-var DebugConsume func(pc uint64, head, specHead, tail uint64, ok bool)

@@ -1,13 +1,5 @@
 package obs
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"io"
-	"sort"
-	"strconv"
-)
-
 // Well-known registry names the sampler uses to derive per-interval metrics.
 // They match what sim.Run registers; a registry missing them simply yields
 // zero derived fields.
@@ -117,46 +109,3 @@ func (c *Collector) sample(cycles uint64) {
 
 // Series returns the samples taken so far.
 func (c *Collector) Series() []Sample { return c.series }
-
-// WriteSeriesJSON writes samples as a JSON array.
-func WriteSeriesJSON(w io.Writer, series []Sample) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(series)
-}
-
-// WriteSeriesCSV writes samples as CSV: the derived columns first, then one
-// column per counter (sorted by name, taken from the first sample).
-func WriteSeriesCSV(w io.Writer, series []Sample) error {
-	cw := csv.NewWriter(w)
-	header := []string{"cycle", "retired", "interval_ipc", "interval_mpki", "active_hts", "epoch"}
-	var names []string
-	if len(series) > 0 {
-		for n := range series[0].Counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		header = append(header, names...)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, s := range series {
-		rec := []string{
-			strconv.FormatUint(s.Cycle, 10),
-			strconv.FormatUint(s.Retired, 10),
-			strconv.FormatFloat(s.IPC, 'f', 4, 64),
-			strconv.FormatFloat(s.MPKI, 'f', 4, 64),
-			strconv.FormatFloat(s.ActiveHTs, 'f', 1, 64),
-			strconv.FormatFloat(s.Epoch, 'f', 0, 64),
-		}
-		for _, n := range names {
-			rec = append(rec, strconv.FormatUint(s.Counters[n], 10))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

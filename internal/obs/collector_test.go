@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fakeRun registers a synthetic core whose counters are driven directly.
 type fakeRun struct {
@@ -73,42 +68,5 @@ func TestCollectorDisabledSampling(t *testing.T) {
 	c.Finish(100)
 	if len(c.Series()) != 0 {
 		t.Errorf("interval 0 must disable sampling, got %d samples", len(c.Series()))
-	}
-}
-
-func TestWriteSeriesJSONAndCSV(t *testing.T) {
-	c := NewCollector(50)
-	f := &fakeRun{}
-	f.register(c.Registry)
-	for cyc := uint64(1); cyc <= 100; cyc++ {
-		f.cycles, f.retired = cyc, cyc
-		c.MaybeSample(cyc)
-	}
-
-	var jb bytes.Buffer
-	if err := WriteSeriesJSON(&jb, c.Series()); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Sample
-	if err := json.Unmarshal(jb.Bytes(), &decoded); err != nil {
-		t.Fatalf("series JSON does not round-trip: %v", err)
-	}
-	if len(decoded) != 2 || decoded[1].Counters[CtrRetired] != 100 {
-		t.Errorf("decoded series = %+v", decoded)
-	}
-
-	var cb bytes.Buffer
-	if err := WriteSeriesCSV(&cb, c.Series()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(cb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 samples:\n%s", len(lines), cb.String())
-	}
-	if !strings.HasPrefix(lines[0], "cycle,retired,interval_ipc") {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.Contains(lines[0], CtrMispredicts) {
-		t.Errorf("CSV header missing counter column: %q", lines[0])
 	}
 }

@@ -81,8 +81,9 @@ type JobRequest struct {
 	// Sampled runs every cell through the SimPoint-sampled pipeline instead
 	// of the full cycle-accurate run.
 	Sampled bool `json:"sampled,omitempty"`
-	// Seed drives the sampled pipeline's clustering (0 = the sim default).
-	// Part of the result-cache key.
+	// Seed drives the sampled pipeline's clustering (0 =
+	// sim.DefaultSampleSeed). The seed a sampled cell runs with is part of
+	// its result-cache key.
 	Seed uint64 `json:"seed,omitempty"`
 	// Checks/Lockstep enable the invariant audit and the lockstep retirement
 	// oracle on every cell (see sim.Config).

@@ -102,3 +102,39 @@ func TestSampledJobBuildsEachArtifactOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledSeedZeroIsDefaultSeed: a sampled job at seed 0 runs at
+// sim.DefaultSampleSeed, so the same job at that seed is answered entirely
+// from the results cache, with no cell executed again, and the results are
+// equal.
+func TestSampledSeedZeroIsDefaultSeed(t *testing.T) {
+	req := JobRequest{Workloads: []string{"delinquent"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true}
+	s, ts := newTestServer(t, Config{Workers: 1})
+	first := submitSampledAndWait(t, ts, req)
+	executed, _ := s.Registry().CounterValue("serve.sched.executed")
+	if executed != 2 {
+		t.Fatalf("serve.sched.executed = %d after the seed-0 job, want 2", executed)
+	}
+
+	req.Seed = sim.DefaultSampleSeed
+	st, resp := postJob(t, ts, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	fin := waitJob(t, ts, st.ID)
+	if fin.State != JobDone || fin.Cached != fin.Total {
+		t.Fatalf("seed-%d job: state %s, %d/%d cells cached, want done and all cached",
+			sim.DefaultSampleSeed, fin.State, fin.Cached, fin.Total)
+	}
+	if got, _ := s.Registry().CounterValue("serve.sched.executed"); got != executed {
+		t.Errorf("serve.sched.executed = %d after the seed-%d job, want %d", got, sim.DefaultSampleSeed, executed)
+	}
+	second := make(map[string]*sim.Result)
+	for _, c := range jobResult(t, ts, st.ID).Cells {
+		second[c.Workload+"/"+c.Config] = c.Result
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("seed-%d results differ from seed 0:\nseed 0 %+v\nseed %d %+v",
+			sim.DefaultSampleSeed, first, sim.DefaultSampleSeed, second)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -330,9 +331,11 @@ func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 	if req.Lockstep {
 		flags += "lockstep,"
 	}
+	// A sampled cell is keyed by the seed it runs with, so seed 0 and the
+	// default seed it stands for share one flight and one cache entry.
 	seed := uint64(0)
 	if req.Sampled {
-		seed = req.Seed
+		seed = cmp.Or(req.Seed, sim.DefaultSampleSeed)
 	}
 	for _, c := range cells {
 		c.Key = CellKey{WorkloadHash: hashes[c.Workload], Config: c.Config, Seed: seed, Sampled: req.Sampled, Flags: flags}

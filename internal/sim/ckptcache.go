@@ -11,11 +11,13 @@ package sim
 // page-deduped encoding), and the functionally warmed predictor and
 // hierarchy state per point (bpred/cache AppendState blobs).
 //
-// A cold run measures the artifact as it built it: its own state blobs,
-// decoded into the measuring machine exactly as a warm run decodes them,
-// and its own checkpoints. Cold and warm results are bit-identical because
-// every codec under the artifact is exact — a decoded checkpoint set
-// resumes to the same state and a decoded blob equals the one encoded
+// Every sampled run measures an artifact, as built or as loaded: each point
+// decodes its state blobs into a pooled predictor and hierarchy pair, and
+// resumes its checkpoint. A cold run measures the artifact it built and
+// stores; a cache-off run builds one the same way and stores nothing, with
+// a pool of its own. Cache-off, cold and warm results are bit-identical
+// because every codec under the artifact is exact — a decoded checkpoint
+// set resumes to the same state and a decoded blob equals the one encoded
 // (see their round-trip tests) — and TestCkptCacheColdWarm holds cold,
 // warm-from-disk and cache-off results equal.
 //
@@ -23,7 +25,7 @@ package sim
 // profile pass, which does not depend on the seed, K, warmup, predictor or
 // cache geometry, so a cold artifact of a profiled workload skips straight
 // to the checkpoint pass; and the predictor and hierarchy pairs that
-// checkpoint passes warm and cached points decode into, reused across runs.
+// checkpoint passes warm and points decode into, reused across runs.
 //
 // Robustness: files are written atomically (temp + rename) and carry a
 // magic, a schema version, the full key, and a codec.Seal FNV-1a trailer.
@@ -325,18 +327,30 @@ type warmKey struct {
 	cache cache.Config
 }
 
-// warmState is a predictor and hierarchy pair that a cold run's checkpoint
-// pass warms or that a cached point decodes into (LoadState overwrites all).
+// warmState is a predictor and hierarchy pair that a checkpoint pass warms
+// or that a point decodes into (LoadState overwrites all).
 type warmState struct {
 	pred bpred.Predictor
 	hier *cache.Hierarchy
 }
 
-// warmPool holds the pairs built for one warmKey, shared by every run of
-// that build, with the state blobs of a fresh pair.
+// warmPool holds the pairs built for one warmKey, with the state blobs of a
+// fresh pair: shared by every run of that build on a CkptCache, or by one
+// cache-off run's checkpoint pass and its measuring goroutines.
 type warmPool struct {
 	sync.Pool
 	fresh ckptPoint
+}
+
+// newWarmPool returns a pool of pairs of one predictor kind and cache
+// configuration, holding one fresh pair.
+func newWarmPool(kind PredictorKind, cc cache.Config) *warmPool {
+	build := func() *warmState { return &warmState{makePredictor(kind), cache.New(cc)} }
+	ws := build()
+	p := &warmPool{fresh: ckptPoint{pred: stateBlob(ws.pred), hier: stateBlob(ws.hier)}}
+	p.New = func() any { return build() }
+	p.Put(ws)
+	return p
 }
 
 // getFresh takes a pair from the pool and loads a fresh pair's state into
@@ -435,18 +449,18 @@ func (c *CkptCache) rememberProfile(key profileKey, p *ckptProfile) {
 }
 
 // warmPool returns the pool of pairs built for one predictor kind and cache
-// configuration.
+// configuration. A nil cache, a cache-off run, gets a new pool that lives as
+// long as the run.
 func (c *CkptCache) warmPool(kind PredictorKind, cc cache.Config) *warmPool {
+	if c == nil {
+		return newWarmPool(kind, cc)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := warmKey{kind, cc}
 	p := c.warm[k]
 	if p == nil {
-		build := func() *warmState { return &warmState{makePredictor(kind), cache.New(cc)} }
-		ws := build()
-		p = &warmPool{fresh: ckptPoint{pred: stateBlob(ws.pred), hier: stateBlob(ws.hier)}}
-		p.New = func() any { return build() }
-		p.Put(ws)
+		p = newWarmPool(kind, cc)
 		c.warm[k] = p
 	}
 	return p

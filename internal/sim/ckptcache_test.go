@@ -39,7 +39,10 @@ func ckptFiles(t *testing.T, dir string) []string {
 // checkpoints, and stores exactly one artifact; a warm run (fresh cache
 // instance on the same directory, so the artifact really round-trips through
 // disk) hits and skips the functional passes; and cold, warm, and cache-off
-// Results are bit-identical.
+// Results are bit-identical. Every run measures an artifact's decoded state
+// blobs, so cache off against cold pins that storing changes nothing and
+// that a run-scoped pool measures as the cache's pool does, and warm
+// against cold pins the artifact codecs through disk.
 func TestCkptCacheColdWarm(t *testing.T) {
 	spec, cfg := dlSpec(), DefaultConfig()
 	dir := t.TempDir()
@@ -312,19 +315,14 @@ func TestCkptCacheFullRunMarker(t *testing.T) {
 }
 
 // TestCheckpointPassQuiescesInPlace pins the checkpoint pass's snapshot,
-// which quiesces the live warming hierarchy and zeroes its stats in place
-// instead of cloning it. Every hierarchy blob a cold run stores must be the
-// bytes Clone → Quiesce → ResetStats → AppendState gives for it, and
-// warming that continues after an in-place quiesce, from a state with
-// misses outstanding and nonzero counts, must leave the same state as a
-// copy never quiesced.
+// which quiesces the live warming hierarchy and zeroes its stats in place.
+// Every hierarchy blob a cold run stores must already be quiesced with
+// zeroed stats: loaded into a throwaway hierarchy that is then quiesced and
+// zeroed in place, it must re-encode to the same bytes. And warming that
+// continues after an in-place quiesce, from a state with misses outstanding
+// and nonzero counts, must leave the same state as a twin pair, warmed by
+// the same stream, that was never quiesced.
 func TestCheckpointPassQuiescesInPlace(t *testing.T) {
-	quiesced := func(h *cache.Hierarchy) []byte {
-		c := h.Clone()
-		c.Quiesce()
-		c.ResetStats()
-		return c.AppendState(nil)
-	}
 	spec, cfg := dlSpec(), DefaultConfig()
 	dir := t.TempDir()
 	mustSampled(t, spec, cfg, SampleConfig{Ckpts: NewCkptCache(dir)})
@@ -342,7 +340,9 @@ func TestCheckpointPassQuiescesInPlace(t *testing.T) {
 		if err := h.LoadState(codec.NewReader(p.hier)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(quiesced(h), p.hier) {
+		h.Quiesce()
+		h.ResetStats()
+		if !bytes.Equal(h.AppendState(nil), p.hier) {
 			t.Errorf("SimPoint %d: stored hierarchy state is not quiesced with zeroed stats", p.interval)
 		}
 	}
@@ -367,23 +367,30 @@ func TestCheckpointPassQuiescesInPlace(t *testing.T) {
 			clk += 4
 		}
 	}
+	same := func(p, q bpred.Predictor, h, g *cache.Hierarchy) bool {
+		return bytes.Equal(p.AppendState(nil), q.AppendState(nil)) &&
+			bytes.Equal(h.AppendState(nil), g.AppendState(nil)) && h.Stats == g.Stats
+	}
 	pred, hier := makePredictor(cfg.Predictor), cache.New(cfg.Cache)
+	twinPred, twin := makePredictor(cfg.Predictor), cache.New(cfg.Cache)
 	warm(pred, hier, 1, 0, 20_000)
-	noMSHR := hier.Clone()
-	noMSHR.Quiesce()
-	if bytes.Equal(hier.AppendState(nil), noMSHR.AppendState(nil)) || hier.Stats == (cache.Stats{}) {
+	warm(twinPred, twin, 1, 0, 20_000)
+	if !same(pred, twinPred, hier, twin) {
+		t.Fatal("twin pairs warmed by one stream differ")
+	}
+	hier.Quiesce()
+	if bytes.Equal(hier.AppendState(nil), twin.AppendState(nil)) || hier.Stats == (cache.Stats{}) {
 		t.Fatalf("warming left no outstanding misses or no counts: %+v", hier.Stats)
 	}
-	untouchedPred, untouched := pred.ClonePredictor(), hier.Clone()
-	hier.Quiesce()
 	hier.ResetStats()
 	warm(pred, hier, 2, 80_000, 20_000)
-	warm(untouchedPred, untouched, 2, 80_000, 20_000)
-	if !bytes.Equal(quiesced(hier), quiesced(untouched)) {
-		t.Errorf("warming after an in-place quiesce diverged from a copy never quiesced")
+	warm(twinPred, twin, 2, 80_000, 20_000)
+	for _, h := range []*cache.Hierarchy{hier, twin} {
+		h.Quiesce()
+		h.ResetStats()
 	}
-	if !bytes.Equal(pred.AppendState(nil), untouchedPred.AppendState(nil)) {
-		t.Errorf("predictor warming diverged")
+	if !same(pred, twinPred, hier, twin) {
+		t.Errorf("warming after an in-place quiesce diverged from a twin never quiesced")
 	}
 }
 

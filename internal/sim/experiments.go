@@ -282,10 +282,7 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 	}()
 	if opt.Sample != nil {
 		scfg := *opt.Sample
-		if scfg.CrashDir == "" {
-			scfg.CrashDir = opt.CrashDir
-		}
-		scfg.label = label
+		scfg.crashDir, scfg.label = opt.CrashDir, label
 		return sampledRun(ctx, s, cfg, scfg)
 	}
 	w = s.Build()

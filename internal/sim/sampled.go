@@ -17,10 +17,11 @@ package sim
 //  3. checkpoint: FastForward again, functionally warming one branch
 //                 predictor and cache hierarchy continuously from
 //                 instruction 0, then Checkpoint (copy-on-write memory
-//                 snapshot) before each SimPoint and encode or clone the
-//                 warmed state.
-//  4. measure:    per point, Resume the checkpoint into a timing machine
-//                 with the warmed predictor/hierarchy, run WarmupInsts
+//                 snapshot) before each SimPoint and encode the warmed
+//                 state into the point's two state blobs.
+//  4. measure:    per point, decode the state blobs into a pooled
+//                 predictor/hierarchy pair, Resume the checkpoint into a
+//                 timing machine with that pair, run WarmupInsts
 //                 cycle-accurately, reset the counters, measure the
 //                 interval.
 //  5. weigh:      Result rates are the weight-averaged per-point rates
@@ -30,15 +31,16 @@ package sim
 // execution + checkpoint cache). Measurement (phase 4) can run the points on
 // a bounded worker pool (SampleConfig.Workers): each point already owns an
 // isolated machine — a copy-on-write materialization of its checkpoint plus
-// its own predictor/hierarchy state — and the weighted reconstruction
-// (phase 5) is aggregated serially in interval order afterwards, so the
-// Result is bit-identical to a serial run. And the functional passes
-// (phases 1–3) can be skipped entirely when SampleConfig.Ckpts holds a
-// cached artifact for the (workload, config) key: the artifact carries the
-// SimPoint list, the checkpoints, and the warmed predictor/hierarchy state
-// blobs. A cold run with the cache enabled measures the artifact it just
-// built: its own checkpoints, and its own state blobs decoded into the
-// measuring machine as a warm run decodes them from disk. The profile pass
+// its own decoded predictor/hierarchy state — and the weighted
+// reconstruction (phase 5) is aggregated serially in interval order
+// afterwards, so the Result is bit-identical to a serial run. And the
+// functional passes (phases 1–3) can be skipped entirely when
+// SampleConfig.Ckpts holds a cached artifact for the (workload, config) key:
+// the artifact carries the SimPoint list, the checkpoints, and the warmed
+// predictor/hierarchy state blobs. Phases 1–3 build that same artifact
+// whether the cache is on or off, and phase 4 always measures an artifact:
+// a cold run measures the one it built and stores, a cache-off run the one
+// it built and drops, a warm run the one it loaded. The profile pass
 // (phase 1) alone is skipped when the cache holds the workload's profile.
 
 import (
@@ -46,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 
-	"phelps/internal/bpred"
 	"phelps/internal/cache"
 	"phelps/internal/check"
 	"phelps/internal/emu"
@@ -64,40 +65,44 @@ type SampleConfig struct {
 	IntervalLen uint64
 	// K scales the number of SimPoints: the clustering yields about K
 	// weighted representatives (at most 2K; see simpoint.Pick), plus one
-	// mandatory cold-start point covering the first intervals. 0 means 5.
+	// mandatory cold-start point covering the first intervals. 0 means 4.
 	K int
 	// WarmupInsts is the cycle-accurate warmup run before each measured
 	// interval (counters are reset at the warmup/measure boundary). 0 means
-	// max(IntervalLen/2, 4000): functional warming approximates timing
+	// max(IntervalLen/2, 2000): functional warming approximates timing
 	// state, and the cycle-accurate warmup corrects it regardless of how
 	// short the measured interval is.
 	WarmupInsts uint64
 	// Seed drives the k-means clustering (deterministic per seed). 0 means
-	// 42.
+	// DefaultSampleSeed.
 	Seed uint64
 	// Workers bounds how many SimPoints are measured concurrently. <= 1
 	// measures serially (the default; callers that already parallelize
 	// across runs, like the run matrix and the phelpsd pool, should
 	// keep it). The Result is bit-identical for any worker count.
 	Workers int
-	// CrashDir receives crash reports when the run panics (contained into
-	// an ErrPanic error either way). Empty means $PHELPS_CRASH_DIR, falling
-	// back to "crashes".
-	CrashDir string
 	// Ckpts, when non-nil, caches the product of the functional passes — the
 	// SimPoint list, checkpoints, and warmed predictor/hierarchy state —
 	// keyed by workload content and sample/predictor/cache configuration, so
 	// repeat runs skip profiling entirely. See CkptCache.
 	Ckpts *CkptCache
-	label string // names the run in point crash reports
+	// crashDir receives crash reports when the run panics (contained into
+	// an ErrPanic error either way). Empty means $PHELPS_CRASH_DIR, falling
+	// back to "crashes"; RunConfigCellCtx passes MatrixOptions.CrashDir.
+	crashDir string
+	label    string // names the run in point crash reports
 }
+
+// DefaultSampleSeed is the clustering seed a zero SampleConfig.Seed runs
+// with, so seed 0 and seed DefaultSampleSeed are one run.
+const DefaultSampleSeed = 42
 
 func (sc SampleConfig) withDefaults() SampleConfig {
 	if sc.K == 0 {
 		sc.K = 4
 	}
 	if sc.Seed == 0 {
-		sc.Seed = 42
+		sc.Seed = DefaultSampleSeed
 	}
 	return sc
 }
@@ -202,7 +207,7 @@ func SampledRunCtx(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) 
 	defer func() {
 		if r := recover(); r != nil {
 			rep := check.Report{Name: spec.Name, Config: sc.label}
-			err = fmt.Errorf("sim: %s: %w", spec.Name, panicError(r, sc.CrashDir, rep))
+			err = fmt.Errorf("sim: %s: %w", spec.Name, panicError(r, sc.crashDir, rep))
 		}
 	}()
 	return sampledRun(ctx, spec, cfg, sc)
@@ -242,29 +247,15 @@ func fastForwardCtx(ctx context.Context, name string, e *emu.Emulator, n uint64,
 
 // measSetup is the run-wide context shared by every point measurement.
 type measSetup struct {
-	name        string
-	prog        *isa.Program
-	cfg         Config // Obs already nil, MaxCycles already defaulted
-	intervalLen uint64
-	coldIv      int
-	workers     int
-	crashDir    string
-	label       string    // the cell's configuration, or "sampled run"
-	warm        *warmPool // decode targets for cached points
-}
-
-// measPoint is one SimPoint's measurement input: its checkpoint plus the
-// functionally warmed microarchitectural state — either live structures
-// (cache-off path: clones made during the checkpoint pass) or an artifact
-// point (cached path: its state blobs, decoded into the measuring machine).
-type measPoint struct {
-	interval int
-	weight   float64
-	warm     uint64 // cycle-accurate warmup insts between checkpoint and interval
-	ck       *emu.Checkpoint
-	pred     bpred.Predictor  // live (cache off)
-	hier     *cache.Hierarchy // live (cache off)
-	src      *ckptPoint       // the artifact point to decode (cache on)
+	name     string
+	prog     *isa.Program
+	cfg      Config        // Obs already nil, MaxCycles already defaulted
+	art      *ckptArtifact // the points to measure, with their checkpoints
+	coldIv   int
+	workers  int
+	crashDir string
+	label    string    // the cell's configuration, or "sampled run"
+	warm     *warmPool // the pairs points decode into
 }
 
 // pointMeas is one point's measurement output: the reported PointResult plus
@@ -277,60 +268,59 @@ type pointMeas struct {
 	cache        cache.Stats
 }
 
-// measurePoint resumes one SimPoint's checkpoint into a timing machine,
-// runs the cycle-accurate warmup, and measures the interval.
-func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, error) {
+// measurePoint decodes point i's state blobs into a pooled pair, resumes
+// its checkpoint into a timing machine with that pair, runs the
+// cycle-accurate warmup, and measures the interval.
+func measurePoint(ctx context.Context, s *measSetup, i int) (pointMeas, error) {
 	cfg := s.cfg
-	pred, hier := mp.pred, mp.hier
-	if mp.src != nil {
-		ws := s.warm.Get().(*warmState)
-		defer s.warm.Put(ws)
-		pred, hier = ws.pred, ws.hier
-		if err := mp.src.loadInto(pred, hier); err != nil {
-			return pointMeas{}, fmt.Errorf("sim: %s: SimPoint %d %v", s.name, mp.interval, err)
-		}
+	ap, ck := &s.art.points[i], s.art.cks[i]
+	intervalLen := s.art.intervalLen
+	ws := s.warm.Get().(*warmState)
+	defer s.warm.Put(ws)
+	if err := ap.loadInto(ws.pred, ws.hier); err != nil {
+		return pointMeas{}, fmt.Errorf("sim: %s: SimPoint %d %v", s.name, ap.interval, err)
 	}
-	em, mem := mp.ck.Resume(s.prog)
-	m := newMachine(cfg, mem, em, pred, hier)
+	em, mem := ck.Resume(s.prog)
+	m := newMachine(cfg, mem, em, ws.pred, ws.hier)
 	m.done = ctx.Done()
 	// Each measured point gets its own lockstep oracle, resumed from the
 	// same checkpoint on a third isolated materialization; it covers the
 	// warmup and measured phases alike.
 	var orc *check.Oracle
 	if cfg.Lockstep {
-		orc = check.NewOracleAt(s.prog, mp.ck)
+		orc = check.NewOracleAt(s.prog, ck)
 	}
 	m.setupGuards(orc)
 	warmed := uint64(0)
-	measLen := s.intervalLen
+	measLen := intervalLen
 	// The cold-start point (interval 0) skips warmup and measures the
 	// whole cold prefix: cold behavior is exactly what it is there to
 	// measure.
-	if mp.interval == 0 {
-		measLen = uint64(s.coldIv) * s.intervalLen
-	} else if mp.warm > 0 {
-		if out := m.run(mp.warm, cfg.MaxCycles); out != runDone {
-			return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d warmup", s.name, mp.interval), out)
+	if ap.interval == 0 {
+		measLen = uint64(s.coldIv) * intervalLen
+	} else if ap.warm > 0 {
+		if out := m.run(ap.warm, cfg.MaxCycles); out != runDone {
+			return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d warmup", s.name, ap.interval), out)
 		}
 		warmed = m.mt.Stats.Retired
 		m.resetStats()
 	}
 	if out := m.run(measLen, cfg.MaxCycles); out != runDone {
-		return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d measure", s.name, mp.interval), out)
+		return pointMeas{}, m.stopErr(ctx, fmt.Sprintf("%s: SimPoint %d measure", s.name, ap.interval), out)
 	}
 	if orc != nil {
 		// Sampled points are instruction-bounded, never final: this only
 		// reports a divergence latched after the last guard poll.
 		if cerr := orc.Finish(mem, false); cerr != nil {
 			return pointMeas{}, fmt.Errorf("sim: %s: SimPoint %d: %w: %v",
-				s.name, mp.interval, ErrCheck, cerr)
+				s.name, ap.interval, ErrCheck, cerr)
 		}
 	}
 	st := &m.mt.Stats
 	pr := PointResult{
-		Interval:  mp.interval,
-		Weight:    mp.weight,
-		StartInst: uint64(mp.interval) * s.intervalLen,
+		Interval:  ap.interval,
+		Weight:    ap.weight,
+		StartInst: uint64(ap.interval) * intervalLen,
 		Warmed:    warmed,
 		Measured:  st.Retired,
 		Cycles:    st.Cycles,
@@ -347,15 +337,16 @@ func measurePoint(ctx context.Context, s *measSetup, mp *measPoint) (pointMeas, 
 // interval, with a crash report dumped, and sibling workers are unaffected.
 // Mandatory on pool goroutines — an uncontained panic there kills the
 // process, bypassing SampledRunCtx's recover.
-func measurePointSafe(ctx context.Context, s *measSetup, mp *measPoint) (pm pointMeas, err error) {
+func measurePointSafe(ctx context.Context, s *measSetup, i int) (pm pointMeas, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			iv := s.art.points[i].interval
 			rep := check.Report{Name: s.name, Prog: s.prog,
-				Config: fmt.Sprintf("%s, SimPoint interval %d (sampled measure)", s.label, mp.interval)}
-			err = fmt.Errorf("sim: %s: SimPoint interval %d: %w", s.name, mp.interval, panicError(r, s.crashDir, rep))
+				Config: fmt.Sprintf("%s, SimPoint interval %d (sampled measure)", s.label, iv)}
+			err = fmt.Errorf("sim: %s: SimPoint interval %d: %w", s.name, iv, panicError(r, s.crashDir, rep))
 		}
 	}()
-	return measurePoint(ctx, s, mp)
+	return measurePoint(ctx, s, i)
 }
 
 // measureAll measures every point on up to s.workers pool workers (ForEach;
@@ -366,18 +357,19 @@ func measurePointSafe(ctx context.Context, s *measSetup, mp *measPoint) (pm poin
 // failure the first real error in interval order wins, and cancellation
 // errors only surface when nothing else failed. ForEach returns only after
 // every started point has, so no goroutine outlives this call.
-func measureAll(ctx context.Context, s *measSetup, pts []measPoint) ([]pointMeas, error) {
-	meas := make([]pointMeas, len(pts))
-	errs := make([]error, len(pts))
+func measureAll(ctx context.Context, s *measSetup) ([]pointMeas, error) {
+	n := len(s.art.points)
+	meas := make([]pointMeas, n)
+	errs := make([]error, n)
 	mctx, mcancel := context.WithCancelCause(ctx)
 	defer mcancel(nil)
-	ForEach(len(pts), s.workers, func(i int) {
+	ForEach(n, s.workers, func(i int) {
 		if mctx.Err() != nil {
 			errs[i] = fmt.Errorf("sim: %s: SimPoint %d dispatch: %w: %v",
-				s.name, pts[i].interval, ErrCanceled, context.Cause(mctx))
+				s.name, s.art.points[i].interval, ErrCanceled, context.Cause(mctx))
 			return
 		}
-		if meas[i], errs[i] = measurePointSafe(mctx, s, &pts[i]); errs[i] != nil {
+		if meas[i], errs[i] = measurePointSafe(mctx, s, i); errs[i] != nil {
 			mcancel(errs[i])
 		}
 	})
@@ -399,16 +391,30 @@ func measureAll(ctx context.Context, s *measSetup, pts []measPoint) ([]pointMeas
 	return meas, nil
 }
 
-// measureAndWeigh runs phases 4 and 5: measure every point (serially or in
-// parallel) and reconstruct the whole-run Result. The weighted reduction is
-// a serial pass in interval order over the per-point outputs, keeping the
-// floating-point result bit-identical for every worker count.
-func measureAndWeigh(ctx context.Context, s *measSetup, pts []measPoint, total uint64, intervals int, halted bool) (Result, error) {
-	meas, err := measureAll(ctx, s, pts)
+// measureArtifact runs phases 4 and 5 on an artifact, just built or cached:
+// measure every point (serially or in parallel) and reconstruct the
+// whole-run Result. Each point decodes its state blobs into a pair taken
+// from pool and resumes its checkpoint copy-on-write, so the (immutable)
+// artifact is safely shared by concurrent workers and concurrent runs. The
+// weighted reduction is a serial pass in interval order over the per-point
+// outputs, keeping the floating-point result bit-identical for every worker
+// count. A full-run marker (a workload below minIntervals) is answered by
+// one complete cycle-accurate run of a fresh build instead.
+func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, pool *warmPool, art *ckptArtifact) (Result, error) {
+	if art.fullRun {
+		res, err := RunCtx(ctx, spec.Build(), cfg)
+		res.Sampled = &SampleReport{FullRun: true, TotalInsts: art.totalInsts, IntervalLen: art.intervalLen, Intervals: art.intervals}
+		return res, err
+	}
+	cfg.Obs = nil
+	s := &measSetup{name: spec.Name, prog: p, cfg: cfg, art: art, coldIv: coldIntervals(art.intervals),
+		workers: sc.Workers, crashDir: sc.crashDir, label: sc.label, warm: pool}
+	meas, err := measureAll(ctx, s)
 	if err != nil {
 		return Result{}, err
 	}
-	report := &SampleReport{TotalInsts: total, IntervalLen: s.intervalLen, Intervals: intervals}
+	total := art.totalInsts
+	report := &SampleReport{TotalInsts: total, IntervalLen: art.intervalLen, Intervals: art.intervals}
 	var (
 		wSum               float64
 		invW, mpkiW, condW float64
@@ -444,68 +450,25 @@ func measureAndWeigh(ctx context.Context, s *measSetup, pts []measPoint, total u
 		Mispredicts:  uint64(mpkiW / wSum * float64(total) / 1000.0),
 		QueuePreds:   uint64(qpW/wSum*float64(total) + 0.5),
 		QueueMisps:   uint64(qmW/wSum*float64(total) + 0.5),
-		Halted:       halted,
+		Halted:       art.halted,
 		Cache:        sumCache,
 		Sampled:      report,
 	}, nil
 }
 
-// newMeasSetup assembles the shared measurement context.
-func newMeasSetup(spec Spec, p *isa.Program, cfg Config, sc SampleConfig, intervalLen uint64, nIv int) *measSetup {
-	cfg.Obs = nil
-	return &measSetup{
-		name:        spec.Name,
-		prog:        p,
-		cfg:         cfg,
-		intervalLen: intervalLen,
-		coldIv:      coldIntervals(nIv),
-		workers:     sc.Workers,
-		crashDir:    sc.CrashDir,
-		label:       sc.label,
-	}
-}
-
-// measureArtifact is the cached path: phases 4–5 driven from an artifact,
-// cached or just built. Each point decodes its state blobs into its
-// measuring machine, taken from the cache's pool for this predictor kind
-// and cache configuration, and resumes its checkpoint copy-on-write, so the
-// (immutable) artifact is safely shared by concurrent workers and
-// concurrent runs. A full-run marker (a workload below minIntervals) is
-// answered by one complete cycle-accurate run of a fresh build instead.
-func measureArtifact(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, art *ckptArtifact) (Result, error) {
-	if art.fullRun {
-		res, err := RunCtx(ctx, spec.Build(), cfg)
-		res.Sampled = &SampleReport{FullRun: true, TotalInsts: art.totalInsts, IntervalLen: art.intervalLen, Intervals: art.intervals}
-		return res, err
-	}
-	s := newMeasSetup(spec, p, cfg, sc, art.intervalLen, art.intervals)
-	s.warm = sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache)
-	pts := make([]measPoint, len(art.points))
-	for i := range art.points {
-		ap := &art.points[i]
-		pts[i] = measPoint{
-			interval: ap.interval,
-			weight:   ap.weight,
-			warm:     ap.warm,
-			ck:       art.cks[i],
-			src:      ap,
-		}
-	}
-	return measureAndWeigh(ctx, s, pts, art.totalInsts, art.intervals, art.halted)
-}
-
 // storeAndMeasure measures an artifact the functional passes just built.
 // With the cache on it first stores the artifact, encoded for disk and kept
-// as built in memory, then measures the artifact as built: a warm run
-// decodes the stored bytes to an equal artifact (the codecs are exact), so
-// cold and warm results are bit-identical.
-func storeAndMeasure(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, key CkptKey, art *ckptArtifact) (Result, error) {
+// as built in memory; with it off the artifact is dropped after the
+// measurement. Either way the points are measured from the artifact as
+// built: a warm run decodes the stored bytes to an equal artifact (the
+// codecs are exact), so cache-off, cold and warm results are bit-identical.
+func storeAndMeasure(ctx context.Context, spec Spec, p *isa.Program, cfg Config, sc SampleConfig, key CkptKey, pool *warmPool, art *ckptArtifact) (Result, error) {
 	if sc.Ckpts != nil {
 		if serr := sc.Ckpts.Store(ctx, key, art, appendArtifact(nil, key, art)); serr != nil {
 			return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
 		}
 	}
-	return measureArtifact(ctx, spec, p, cfg, sc, art)
+	return measureArtifact(ctx, spec, p, cfg, sc, pool, art)
 }
 
 // profilePass is phase 1: a functional pass over w (which it consumes)
@@ -579,7 +542,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			return Result{}, fmt.Errorf("sim: %s (checkpoint load): %w: %v", spec.Name, ErrCanceled, lerr)
 		}
 		if art != nil {
-			return measureArtifact(ctx, spec, w.Prog, cfg, sc, art)
+			return measureArtifact(ctx, spec, w.Prog, cfg, sc, sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache), art)
 		}
 		prof = sc.Ckpts.profile(key.profileKey())
 	}
@@ -608,7 +571,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		// Too short to sample: a full run is cheaper than the machinery. The
 		// cached verdict sends warm runs straight to the full run.
 		marker := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: prof.halted}
-		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, marker)
+		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, nil, marker)
 	}
 
 	// --- 2. pick SimPoints ---
@@ -637,28 +600,23 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 
 	// --- 3. checkpoint pass: fast-forward once, warming microarch state ---
 	// One predictor and hierarchy train on the whole prefix, on a
-	// pseudo-clock, and are encoded (cache on) or cloned at each checkpoint
-	// so every point starts from the state a full run would have
-	// accumulated. Quiesce clears the clock-relative MSHR bookkeeping; the
-	// tag, replacement, and prefetcher state is what carries over. The live
-	// hierarchy is quiesced and its stats zeroed in place: neither feeds
-	// tag, replacement or prefetcher state, so later warming is unchanged.
-	// With a cache the pair comes from the pool points decode into, reset to
-	// a fresh pair's state, and goes back after the pass.
+	// pseudo-clock, and are encoded at each checkpoint so every point starts
+	// from the state a full run would have accumulated. Quiesce clears the
+	// clock-relative MSHR bookkeeping; the tag, replacement, and prefetcher
+	// state is what carries over. The live hierarchy is quiesced and its
+	// stats zeroed in place: neither feeds tag, replacement or prefetcher
+	// state, so later warming is unchanged. The pair comes from the pool
+	// points decode into (the cache's, or with the cache off one for this
+	// run alone), reset to a fresh pair's state, and goes back after the
+	// pass.
 	if profiled {
 		w = spec.Build()
 	}
 	e := emu.New(w.Prog, w.Mem)
-	var pool *warmPool
-	warm := &warmState{}
-	if sc.Ckpts != nil {
-		pool = sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache)
-		var werr error
-		if warm, werr = pool.getFresh(); werr != nil {
-			return Result{}, fmt.Errorf("sim: %s: fresh warming state: %v", spec.Name, werr)
-		}
-	} else {
-		warm.pred, warm.hier = makePredictor(cfg.Predictor), cache.New(cfg.Cache)
+	pool := sc.Ckpts.warmPool(cfg.Predictor, cfg.Cache)
+	warm, werr := pool.getFresh()
+	if werr != nil {
+		return Result{}, fmt.Errorf("sim: %s: fresh warming state: %v", spec.Name, werr)
 	}
 	warmPred, warmHier := warm.pred, warm.hier
 	var tclk uint64
@@ -682,7 +640,6 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 	}
 	predWindow := 2 * intervalLen
 	art := &ckptArtifact{totalInsts: total, intervalLen: intervalLen, intervals: nIv, halted: prof.halted}
-	pts := make([]measPoint, 0, len(byStart))
 	pos := uint64(0) // instructions executed so far in this pass
 	for _, sp := range byStart {
 		start := uint64(sp.Interval) * intervalLen
@@ -716,22 +673,14 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: %s: checkpoint at inst %d: %v", spec.Name, pos, err)
 		}
-		if sc.Ckpts != nil {
-			art.points = append(art.points, ckptPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
-				pred: stateBlob(warmPred), hier: stateBlob(warmHier)})
-			art.cks = append(art.cks, ck)
-			continue
-		}
-		pts = append(pts, measPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
-			ck: ck, pred: warmPred.ClonePredictor(), hier: warmHier.Clone()})
+		art.points = append(art.points, ckptPoint{interval: sp.Interval, weight: sp.Weight, warm: start - ckAt,
+			pred: stateBlob(warmPred), hier: stateBlob(warmHier)})
+		art.cks = append(art.cks, ck)
 	}
+	pool.Put(warm)
 
-	// --- 4+5. measure and weigh ---
-	if sc.Ckpts != nil {
-		pool.Put(warm)
-		return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, art)
-	}
-	return measureAndWeigh(ctx, newMeasSetup(spec, w.Prog, cfg, sc, intervalLen, nIv), pts, total, nIv, prof.halted)
+	// --- 4+5. store, measure and weigh ---
+	return storeAndMeasure(ctx, spec, w.Prog, cfg, sc, key, pool, art)
 }
 
 // addCacheStats accumulates b into a field-by-field.

@@ -52,7 +52,7 @@ func TestSampledParallelCancel(t *testing.T) {
 		Name:  "long",
 		Build: func() *prog.Workload { return prog.PredictableLoop(20_000_000) },
 	}
-	sc := SampleConfig{Workers: 8, Ckpts: NewCkptCache(t.TempDir()), CrashDir: t.TempDir()}
+	sc := SampleConfig{Workers: 8, Ckpts: NewCkptCache(t.TempDir()), crashDir: t.TempDir()}
 	for _, delay := range []time.Duration{0, 5 * time.Millisecond, 50 * time.Millisecond} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -94,7 +94,7 @@ func TestSampledParallelPanicContainment(t *testing.T) {
 	}
 	crashDir := t.TempDir()
 	cfg.Faults = &cpu.FaultInjection{PanicAtSeq: last.StartInst + 100}
-	_, err := SampledRun(spec, cfg, SampleConfig{Workers: 8, CrashDir: crashDir})
+	_, err := SampledRun(spec, cfg, SampleConfig{Workers: 8, crashDir: crashDir})
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("injected panic not contained: %v", err)
 	}

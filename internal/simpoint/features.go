@@ -47,8 +47,8 @@ func (f Features) Vector() []float64 {
 	}
 }
 
-// IntervalFeatures summarizes interval BBVs (as collected by BBVCollector or
-// ChunkBlocks) into a Features vector. Empty input returns the zero value.
+// IntervalFeatures summarizes interval BBVs (as collected by BBVCollector)
+// into a Features vector. Empty input returns the zero value.
 func IntervalFeatures(ivs []map[uint64]float64) Features {
 	var f Features
 	f.Intervals = len(ivs)

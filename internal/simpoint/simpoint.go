@@ -79,26 +79,6 @@ func (c *BBVCollector) ObserveBlock(pc, n uint64) {
 // Intervals returns the collected BBVs.
 func (c *BBVCollector) Intervals() []map[uint64]float64 { return c.intervals }
 
-// Block is one retired basic block: head PC and instruction count. A flat
-// []Block is the cheapest profile a functional pass can record (append-only,
-// no map work per block); ChunkBlocks turns it into interval BBVs afterward.
-type Block struct {
-	Head uint64
-	N    uint64
-}
-
-// ChunkBlocks chunks a block stream into interval BBVs of exactly
-// intervalLen instructions each (the final partial interval is kept if it
-// covers at least half the interval, as in Flush).
-func ChunkBlocks(blocks []Block, intervalLen uint64) []map[uint64]float64 {
-	c := NewBBVCollector(intervalLen)
-	for _, b := range blocks {
-		c.ObserveBlock(b.Head, b.N)
-	}
-	c.Flush()
-	return c.Intervals()
-}
-
 // MergeIntervals coalesces each group of g consecutive interval BBVs into
 // one (summing vectors). A final partial group is kept only if it covers at
 // least half a merged interval, mirroring Flush. It lets a profiling pass

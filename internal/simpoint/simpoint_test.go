@@ -176,16 +176,22 @@ func TestObserveBlockSplitsAtBoundaries(t *testing.T) {
 	}
 }
 
-func TestChunkBlocks(t *testing.T) {
-	blocks := []Block{{0x1000, 150}, {0x9000, 150}, {0x1000, 80}}
-	ivs := ChunkBlocks(blocks, 100)
+func TestObserveBlockFlushKeepsHalfTail(t *testing.T) {
+	c := NewBBVCollector(100)
+	c.ObserveBlock(0x1000, 150)
+	c.ObserveBlock(0x9000, 150)
+	c.ObserveBlock(0x1000, 80)
+	c.Flush()
 	// 380 insts -> 3 full intervals + an 80-inst tail (kept: >= half).
+	ivs := c.Intervals()
 	if len(ivs) != 4 {
 		t.Fatalf("intervals = %d, want 4", len(ivs))
 	}
 	if ivs[0][0x1000>>5] != 100 {
 		t.Fatalf("interval 0: %+v", ivs[0])
 	}
+	// The first block's last 50 insts and the second block's first 50
+	// share interval 1.
 	if ivs[1][0x1000>>5] != 50 || ivs[1][0x9000>>5] != 50 {
 		t.Fatalf("interval 1 split wrong: %+v", ivs[1])
 	}

@@ -1,43 +1,12 @@
-// Package stats provides the aggregation used by the paper's methodology:
-// weighted harmonic means of per-SimPoint IPCs, speedup/reduction helpers,
-// and small descriptive statistics for the harness.
+// Package stats provides the small descriptive statistics the harness
+// reports: geometric and arithmetic means, and the error and rank
+// correlation the explore model is judged by.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// WeightedHarmonicMeanIPC combines per-region IPCs with region weights, as
-// the paper does across SimPoints ("compute the weighted harmonic mean of
-// IPCs over a benchmark's SimPoints"). Weights need not be normalized.
-func WeightedHarmonicMeanIPC(ipcs, weights []float64) float64 {
-	if len(ipcs) != len(weights) || len(ipcs) == 0 {
-		return 0
-	}
-	var wsum, denom float64
-	for i, ipc := range ipcs {
-		if ipc <= 0 {
-			continue
-		}
-		wsum += weights[i]
-		denom += weights[i] / ipc
-	}
-	if denom == 0 {
-		return 0
-	}
-	return wsum / denom
-}
-
-// HarmonicMean is the unweighted harmonic mean.
-func HarmonicMean(xs []float64) float64 {
-	ws := make([]float64, len(xs))
-	for i := range ws {
-		ws[i] = 1
-	}
-	return WeightedHarmonicMeanIPC(xs, ws)
-}
 
 // GeoMean is the geometric mean (used for speedup summaries).
 func GeoMean(xs []float64) float64 {
@@ -64,25 +33,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	// Nearest-rank: rank = ceil(p/100 * n). Rounding instead of ceiling
-	// underestimates at small n (e.g. p30 of 4 values picked rank 1, not 2).
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // MAPE is the mean absolute percentage error of predictions against
@@ -152,17 +102,4 @@ func ranks(xs []float64) []float64 {
 		lo = hi
 	}
 	return out
-}
-
-// Reduction returns the relative reduction (before-after)/before in percent.
-func Reduction(before, after float64) float64 {
-	if before == 0 {
-		return 0
-	}
-	return (before - after) / before * 100
-}
-
-// Speedup formats a ratio as a human-readable speedup/slowdown string.
-func Speedup(ratio float64) string {
-	return fmt.Sprintf("%.2fx", ratio)
 }

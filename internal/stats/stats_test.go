@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b, tol float64) bool {
@@ -12,47 +11,6 @@ func approx(a, b, tol float64) bool {
 		d = -d
 	}
 	return d <= tol
-}
-
-func TestWeightedHarmonicMeanIPC(t *testing.T) {
-	// Equal weights, equal values.
-	if got := WeightedHarmonicMeanIPC([]float64{2, 2}, []float64{1, 1}); !approx(got, 2, 1e-9) {
-		t.Errorf("got %v", got)
-	}
-	// Harmonic mean of 1 and 3 is 1.5.
-	if got := WeightedHarmonicMeanIPC([]float64{1, 3}, []float64{1, 1}); !approx(got, 1.5, 1e-9) {
-		t.Errorf("got %v", got)
-	}
-	// Weighting toward the slow region pulls the mean down.
-	w := WeightedHarmonicMeanIPC([]float64{1, 3}, []float64{3, 1})
-	if w >= 1.5 {
-		t.Errorf("weighted mean %v should be below 1.5", w)
-	}
-	// Degenerate inputs.
-	if WeightedHarmonicMeanIPC(nil, nil) != 0 {
-		t.Error("nil inputs")
-	}
-	if WeightedHarmonicMeanIPC([]float64{1}, []float64{1, 2}) != 0 {
-		t.Error("mismatched lengths")
-	}
-}
-
-func TestHarmonicLessThanMean_Property(t *testing.T) {
-	f := func(raw []uint16) bool {
-		var xs []float64
-		for _, r := range raw {
-			xs = append(xs, float64(r%1000)+1)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		h := HarmonicMean(xs)
-		m := Mean(xs)
-		return h <= m+1e-9 && h > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestGeoMean(t *testing.T) {
@@ -64,49 +22,6 @@ func TestGeoMean(t *testing.T) {
 	}
 	if GeoMean(nil) != 0 || GeoMean([]float64{0}) != 0 {
 		t.Error("degenerate geomean")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		xs   []float64
-		p    float64
-		want float64
-	}{
-		{"p50 of 10", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 50, 5},
-		{"p100 of 10", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 100, 10},
-		{"p0 of 10", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0, 1},
-		// Nearest-rank at small n: rank = ceil(p/100 * n).
-		{"p25 of 4", []float64{1, 2, 3, 4}, 25, 1},
-		{"p30 of 4", []float64{1, 2, 3, 4}, 30, 2}, // ceil(1.2)=2; rounding gave rank 1
-		{"p50 of 4", []float64{1, 2, 3, 4}, 50, 2},
-		{"p51 of 4", []float64{1, 2, 3, 4}, 51, 3},
-		{"p75 of 4", []float64{1, 2, 3, 4}, 75, 3},
-		{"p100 of 4", []float64{1, 2, 3, 4}, 100, 4},
-		{"p99 of 3", []float64{5, 1, 9}, 99, 9},
-		{"p34 of 3", []float64{5, 1, 9}, 34, 5}, // unsorted input is sorted first
-		{"single", []float64{7}, 50, 7},
-		{"empty", nil, 50, 0},
-	} {
-		if got := Percentile(tc.xs, tc.p); got != tc.want {
-			t.Errorf("%s: Percentile(%v, %v) = %v, want %v", tc.name, tc.xs, tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestReduction(t *testing.T) {
-	if got := Reduction(10, 2.5); !approx(got, 75, 1e-9) {
-		t.Errorf("reduction = %v", got)
-	}
-	if Reduction(0, 5) != 0 {
-		t.Error("zero before")
-	}
-}
-
-func TestSpeedupFormat(t *testing.T) {
-	if Speedup(1.5) != "1.50x" {
-		t.Errorf("got %s", Speedup(1.5))
 	}
 }
 

@@ -63,9 +63,10 @@ status=0
 [ "$status" = 1 ]
 grep -q '"error": ' "$smoke_dir/failed.json"
 # Checkpoint cache on or off, through the binary: a sampled run without a
-# cache (measuring the live warmed clones), a cold run that stores the
-# artifact and a warm run that decodes it print byte-identical JSON, and the
-# cache directory holds exactly one artifact file.
+# cache (which builds and measures an artifact it never stores), a cold run
+# that stores the artifact and a warm run that decodes it from disk print
+# byte-identical JSON, and the cache directory holds exactly one artifact
+# file.
 "$smoke_dir/phelps" -workload bfs -config phelps -quick -sampled -seed 7 \
     -json >"$smoke_dir/ckpt-off.json"
 for run in cold warm; do
