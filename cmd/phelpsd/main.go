@@ -4,9 +4,10 @@
 //	phelpsd -addr 127.0.0.1:8077 -cache /var/tmp/phelpsd.cache
 //	phelps -submit -workloads astar,bfs -configs base,phelps -quick
 //
-// SIGTERM (or SIGINT) drains gracefully: new submissions get 503, running
-// cells finish (up to -drain-timeout, then their contexts are canceled), and
-// the results cache is persisted for the next boot.
+// Each finished cell is appended to the -cache results log, so the next boot
+// starts warm even after a SIGKILL. SIGTERM (or SIGINT) drains gracefully:
+// new submissions get 503, running cells finish (up to -drain-timeout, then
+// their contexts are canceled), and the log is synced and closed.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 		addrFile = flag.String("addr-file", "", "write the actual listen address to this file (for scripts using port 0)")
 		workers  = flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 1024, "admission queue capacity in cells")
-		cache    = flag.String("cache", "", "results cache file (loaded at boot, persisted at drain)")
+		cache    = flag.String("cache", "", "results log file (replayed at boot, appended to as each cell finishes)")
 		ckptDir  = flag.String("ckpt-dir", os.Getenv("PHELPS_CKPT_DIR"), "persistent checkpoint-cache directory for sampled cells (default $PHELPS_CKPT_DIR; empty = no cache)")
 		crashDir = flag.String("crash-dir", "", "crash dump directory for panicking cells (default $PHELPS_CRASH_DIR or crashes)")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline after SIGTERM")
@@ -58,7 +59,7 @@ func main() {
 		Retry:      serve.RetryPolicy{MaxRetries: *retries, CellDeadline: *cellDL},
 	})
 	if err := srv.CacheLoadErr(); err != nil {
-		fmt.Fprintf(os.Stderr, "phelpsd: cache load: %v (starting cold)\n", err)
+		fmt.Fprintf(os.Stderr, "phelpsd: cache load: %v\n", err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -91,7 +92,7 @@ func main() {
 	}
 
 	// Stop accepting HTTP first so in-flight requests finish, then drain the
-	// simulation workers and persist the cache.
+	// simulation workers and close the results log.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

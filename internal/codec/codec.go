@@ -5,7 +5,7 @@
 // half: it is sticky-error and bounds-checked, so a truncated or corrupted
 // byte stream decodes to an error — never a panic — which the checkpoint
 // cache turns into a plain cache miss. Seal and Unseal add and check the
-// FNV-1a-64 trailer every on-disk format (PSC1, PJW1) ends its blobs
+// FNV-1a-64 trailer every on-disk format (PSC1, PJW1, PRC1) ends its blobs
 // or records with.
 package codec
 

@@ -1,6 +1,7 @@
 // Package fsio is the file-I/O seam shared by every persistence layer in the
-// simulator: the phelpsd results cache, the sampled-simulation checkpoint
-// cache, and the daemon's write-ahead job journal. Each of those stores
+// simulator: the phelpsd results log, the sampled-simulation checkpoint
+// cache, and the daemon's write-ahead job journal (the logs append through
+// OpenAppend; whole files are replaced through WriteFileAtomic). Each store
 // promises to degrade gracefully — a torn write, a full disk, or a flipped
 // bit must become a counted miss or a counted error, never a crash and never
 // a wrong result. That promise is only testable if the disk can be made to
@@ -41,7 +42,6 @@ type File interface {
 // use. Implementations must be safe for concurrent use.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	// OpenAppend opens name for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
@@ -55,10 +55,10 @@ type FS interface {
 // concurrent writer can ever observe a torn file under path: it writes a
 // unique temp file in path's directory, fsyncs it when sync is set, and
 // renames it into place. The temp file is removed on any failure. It is the
-// one writer behind every persisted store: the results cache and journal
-// compaction pass sync=true (an acknowledged job must survive power loss);
-// the checkpoint cache passes false (its artifacts are checksummed and
-// recomputable).
+// one way a persisted store replaces a file: journal compaction and the
+// results log's repair at open pass sync=true (an acknowledged job and a
+// finished result must survive power loss); the checkpoint cache passes
+// false (its artifacts are checksummed and recomputable).
 func WriteFileAtomic(fs FS, path string, data []byte, sync bool) error {
 	tmp, err := fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -86,9 +86,6 @@ var OS FS = osFS{}
 type osFS struct{}
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
 func (osFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
@@ -111,7 +108,7 @@ type FaultFS struct {
 	torn     bool  // writes report success but persist only a prefix
 	bitRot   bool  // reads flip one byte
 
-	writes, tornWrites, failedOps, rottenReads atomic.Uint64
+	tornWrites, failedOps, rottenReads atomic.Uint64
 }
 
 // ErrNoSpace is the canonical injected write failure (ENOSPC).
@@ -125,17 +122,17 @@ func (f *FaultFS) under() FS {
 }
 
 // FailWrites arms (err != nil) or disarms (err == nil) hard write failures:
-// WriteFile, OpenAppend, CreateTemp, Rename, MkdirAll, and File.Write all
-// return err while armed.
+// OpenAppend, CreateTemp, Rename, MkdirAll, and File.Write all return err
+// while armed.
 func (f *FaultFS) FailWrites(err error) {
 	f.mu.Lock()
 	f.writeErr = err
 	f.mu.Unlock()
 }
 
-// TornWrites arms or disarms torn writes: while armed, WriteFile and
-// File.Write report full success but persist only the first half of the
-// payload — the on-disk shape of a crash mid-write.
+// TornWrites arms or disarms torn writes: while armed, File.Write reports
+// full success but persists only the first half of the payload — the
+// on-disk shape of a crash mid-write.
 func (f *FaultFS) TornWrites(on bool) {
 	f.mu.Lock()
 	f.torn = on
@@ -182,19 +179,6 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 		data[len(data)/2] ^= 0x40
 	}
 	return data, nil
-}
-
-func (f *FaultFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	err, torn := f.writeFault()
-	if err != nil {
-		return err
-	}
-	f.writes.Add(1)
-	if torn {
-		f.tornWrites.Add(1)
-		return f.under().WriteFile(name, data[:len(data)/2], perm)
-	}
-	return f.under().WriteFile(name, data, perm)
 }
 
 func (f *FaultFS) OpenAppend(name string) (File, error) {
@@ -251,7 +235,6 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.fs.writes.Add(1)
 	if torn {
 		f.fs.tornWrites.Add(1)
 		if _, werr := f.File.Write(p[:len(p)/2]); werr != nil {

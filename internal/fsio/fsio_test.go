@@ -11,7 +11,7 @@ import (
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a")
-	if err := OS.WriteFile(path, []byte("hello"), 0o644); err != nil {
+	if err := WriteFileAtomic(OS, path, []byte("hello"), true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := OS.ReadFile(path)
@@ -40,11 +40,16 @@ func TestOSRoundTrip(t *testing.T) {
 func TestFaultFSFailWrites(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &FaultFS{}
+	path := filepath.Join(dir, "a")
+	f, err := ffs.OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	ffs.FailWrites(ErrNoSpace)
 
-	path := filepath.Join(dir, "a")
-	if err := ffs.WriteFile(path, []byte("x"), 0o644); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("WriteFile err = %v, want ENOSPC", err)
+	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("File.Write err = %v, want ENOSPC", err)
 	}
 	if _, err := ffs.OpenAppend(path); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("OpenAppend err = %v, want ENOSPC", err)
@@ -52,17 +57,23 @@ func TestFaultFSFailWrites(t *testing.T) {
 	if _, err := ffs.CreateTemp(dir, "t*"); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("CreateTemp err = %v, want ENOSPC", err)
 	}
+	if err := ffs.Rename(path, path+".moved"); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Rename err = %v, want ENOSPC", err)
+	}
 	if err := ffs.MkdirAll(filepath.Join(dir, "sub"), 0o755); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("MkdirAll err = %v, want ENOSPC", err)
 	}
-	if got := ffs.FailedOps(); got != 4 {
-		t.Errorf("FailedOps = %d, want 4", got)
+	if got := ffs.FailedOps(); got != 5 {
+		t.Errorf("FailedOps = %d, want 5", got)
 	}
 
 	// Disarm: everything works again.
 	ffs.FailWrites(nil)
-	if err := ffs.WriteFile(path, []byte("x"), 0o644); err != nil {
-		t.Fatalf("after disarm: %v", err)
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatalf("append after disarm: %v", err)
+	}
+	if err := WriteFileAtomic(ffs, path, []byte("y"), true); err != nil {
+		t.Fatalf("atomic write after disarm: %v", err)
 	}
 }
 
@@ -71,14 +82,15 @@ func TestFaultFSTornWrites(t *testing.T) {
 	ffs := &FaultFS{}
 	ffs.TornWrites(true)
 
-	// WriteFile reports success but persists only a prefix.
+	// An atomic write's temp file tears like any stream write: the rename
+	// lands a half file, which is why stores seal what they write.
 	path := filepath.Join(dir, "a")
-	if err := ffs.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
-		t.Fatalf("torn WriteFile should report success, got %v", err)
+	if err := WriteFileAtomic(ffs, path, []byte("0123456789"), true); err != nil {
+		t.Fatalf("torn WriteFileAtomic should report success, got %v", err)
 	}
 	got, _ := os.ReadFile(path)
 	if string(got) != "01234" {
-		t.Fatalf("torn WriteFile persisted %q, want half", got)
+		t.Fatalf("torn WriteFileAtomic persisted %q, want half", got)
 	}
 
 	// Streamed appends tear the same way while reporting full length.
@@ -144,7 +156,11 @@ func TestFaultFSConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				_ = ffs.WriteFile(path, []byte("data"), 0o644)
+				_ = WriteFileAtomic(ffs, path, []byte("data"), false)
+				if f, err := ffs.OpenAppend(path); err == nil {
+					_, _ = f.Write([]byte("more"))
+					f.Close()
+				}
 				_, _ = ffs.ReadFile(path)
 			}
 		}(i)

@@ -12,10 +12,10 @@
 //   - identical in-flight cells are batched onto one execution (every
 //     submitter subscribes to the same flight), and completed cells land in
 //     a results cache keyed by (workload hash, config name, seed,
-//     sample-mode), so repeated sweeps are mostly warm;
+//     sample-mode) and logged, so repeated sweeps are warm across restarts;
 //   - one crashing or wedged cell fails only itself (the per-cell recover
 //     and watchdog turn it into ErrPanic/ErrStall), never the daemon;
-//   - SIGTERM drains running cells and persists the cache.
+//   - SIGTERM drains running cells and closes the results log.
 //
 // See DESIGN.md · phelpsd service for the full semantics, cmd/phelpsd for
 // the binary, and cmd/phelps -submit for the client.

@@ -1,13 +1,15 @@
 package serve
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 	"phelps/internal/sim"
 )
@@ -26,30 +28,33 @@ type CellKey struct {
 	Flags        string `json:"flags,omitempty"`
 }
 
-// cacheSchema versions the persisted cache file; a mismatch discards the
-// file (results are always recomputable).
-const cacheSchema = 1
+const (
+	// resultsMagic identifies results logs ("PRC1").
+	resultsMagic uint32 = 0x50524331
+	// resultsSchema versions the record layout; a mismatched file is
+	// replaced by an empty log (results are always recomputable).
+	resultsSchema uint32 = 1
+)
 
 // ResultCache is the daemon's completed-cell store: key -> verified
 // sim.Result. Entries are treated as immutable once inserted — readers share
-// the stored pointer. Safe for concurrent use.
+// the stored pointer. Safe for concurrent use. Opened on a file, it keeps a
+// results log: the journal's frames under a PRC1 header, one per Put.
 type ResultCache struct {
 	fs      fsio.FS
 	mu      sync.Mutex
 	entries map[CellKey]*sim.Result
 
-	hits, misses, puts        atomic.Uint64
+	logMu sync.Mutex
+	log   fsio.File // nil without a log, after Close, or if Open failed to open it
+
+	hits, misses              atomic.Uint64
 	loadErrs, saves, saveErrs atomic.Uint64
-	lastSize                  atomic.Int64 // bytes of the last encoded file
 }
 
-// NewResultCache returns an empty cache backed by the real filesystem.
-func NewResultCache() *ResultCache {
-	return NewResultCacheFS(fsio.OS)
-}
-
-// NewResultCacheFS returns an empty cache persisting through fs — the disk-
-// fault injection seam shared with the journal and the checkpoint cache.
+// NewResultCacheFS returns an empty in-memory cache whose log, once Open
+// names one, is written through fs — the disk-fault injection seam shared
+// with the journal and the checkpoint cache (nil = the real filesystem).
 func NewResultCacheFS(fs fsio.FS) *ResultCache {
 	if fs == nil {
 		fs = fsio.OS
@@ -80,12 +85,29 @@ func (c *ResultCache) Peek(key CellKey) bool {
 	return ok
 }
 
-// Put stores a completed cell. The caller hands over ownership of res.
+// Put stores a completed cell and appends its record to the log, in one
+// Write, before it returns. The caller hands over ownership of res. A failed
+// append is counted (SaveErrors) and the entry is still served from memory.
 func (c *ResultCache) Put(key CellKey, res *sim.Result) {
 	c.mu.Lock()
 	c.entries[key] = res
 	c.mu.Unlock()
-	c.puts.Add(1)
+
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	if c.log == nil {
+		return
+	}
+	frame := appendFrame(nil, &cacheEntry{Key: key, Result: res})
+	if len(frame) == 0 {
+		c.saveErrs.Add(1)
+		return
+	}
+	if _, err := c.log.Write(frame); err != nil {
+		c.saveErrs.Add(1)
+		return
+	}
+	c.saves.Add(1)
 }
 
 // Len returns the number of cached cells.
@@ -99,99 +121,92 @@ func (c *ResultCache) Len() int {
 func (c *ResultCache) Hits() uint64   { return c.hits.Load() }
 func (c *ResultCache) Misses() uint64 { return c.misses.Load() }
 
-// LoadErrors counts corrupt, schema-skewed, or unreadable persisted cache
-// files that degraded to an empty load; Saves and SaveErrors count persist
-// attempts and their failures.
+// LoadErrors counts damaged, foreign, schema-skewed or unreadable results
+// logs found at Open; Saves counts appended records, and SaveErrors failed
+// appends, syncs and repairs.
 func (c *ResultCache) LoadErrors() uint64 { return c.loadErrs.Load() }
 func (c *ResultCache) Saves() uint64      { return c.saves.Load() }
 func (c *ResultCache) SaveErrors() uint64 { return c.saveErrs.Load() }
 
-// cacheFile is the persisted JSON layout.
-type cacheFile struct {
-	Schema  int          `json:"schema"`
-	Entries []cacheEntry `json:"entries"`
-}
-
+// cacheEntry is one record's JSON payload.
 type cacheEntry struct {
 	Key    CellKey     `json:"key"`
 	Result *sim.Result `json:"result"`
 }
 
-// SaveFile persists the cache as JSON (fsio.WriteFileAtomic with fsync, so
-// concurrent savers and a crash mid-write can never leave a half-written
-// cache under the live name), so a drained daemon's successor starts warm.
-// Failures are counted (SaveErrors) as well as returned.
-func (c *ResultCache) SaveFile(path string) error {
-	c.saves.Add(1)
-	c.mu.Lock()
-	entries := make([]cacheEntry, 0, len(c.entries))
-	for k, r := range c.entries {
-		entries = append(entries, cacheEntry{Key: k, Result: r})
+// Open replays the results log at path into the cache and appends every
+// later Put to it. A missing or empty file starts a new log; a clean one is
+// appended to as it stands. A file that does not replay to its end is one
+// counted load error, returned: the records before the damage are kept, and
+// the file is rewritten to them (fsio.WriteFileAtomic, fsynced) before the
+// first append. Every failure leaves the cache serving from memory.
+func (c *ResultCache) Open(path string) error {
+	data, err := c.fs.ReadFile(path)
+	if os.IsNotExist(err) {
+		err = nil
 	}
-	c.mu.Unlock()
-	data, err := encodeCacheFile(entries, int(c.lastSize.Load()))
+	valid := 0
+	if err == nil {
+		c.mu.Lock()
+		valid, err = readFrames(data, resultsMagic, resultsSchema, func(payload []byte) error {
+			var e cacheEntry
+			if err := json.Unmarshal(payload, &e); err != nil {
+				return err
+			}
+			if e.Result == nil {
+				return errors.New("record has no result")
+			}
+			c.entries[e.Key] = e.Result
+			return nil
+		})
+		c.mu.Unlock()
+	}
 	if err != nil {
-		c.saveErrs.Add(1)
-		return fmt.Errorf("serve: encode cache: %w", err)
+		c.loadErrs.Add(1)
+		err = fmt.Errorf("serve: results log %s: %w (kept %d of %d bytes)", path, err, valid, len(data))
 	}
-	c.lastSize.Store(int64(len(data)))
-	if err = fsio.WriteFileAtomic(c.fs, path, data, true); err != nil {
-		c.saveErrs.Add(1)
+	if valid == 0 || valid < len(data) {
+		prefix := codec.U32(codec.U32(nil, resultsMagic), resultsSchema)
+		if valid > 0 {
+			prefix = data[:valid]
+		}
+		if werr := fsio.WriteFileAtomic(c.fs, path, prefix, true); werr != nil {
+			c.saveErrs.Add(1)
+			return cmp.Or(err, werr)
+		}
 	}
+	f, oerr := c.fs.OpenAppend(path)
+	if oerr != nil {
+		c.saveErrs.Add(1)
+		return cmp.Or(err, oerr)
+	}
+	c.logMu.Lock()
+	c.log = f
+	c.logMu.Unlock()
 	return err
 }
 
-// encodeCacheFile writes the bytes json.Marshal gives for a cacheFile of
-// entries, one entry at a time into a buffer sized from the previous file
-// (hint). Marshalling the whole file at once builds it in a pooled buffer
-// that doubles past the file's size, keeps that buffer after the call, and
-// copies the result out: two to three times the file in memory after every
-// job.
-func encodeCacheFile(entries []cacheEntry, hint int) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, hint+hint/8))
-	fmt.Fprintf(buf, `{"schema":%d,"entries":[`, cacheSchema)
-	enc := json.NewEncoder(buf)
-	for i := range entries {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		if err := enc.Encode(&entries[i]); err != nil {
-			return nil, err
-		}
-		buf.Truncate(buf.Len() - 1) // Encode ends each value with a newline
+// Sync flushes the log to stable storage, so every result Put so far
+// survives a host crash. A failure is counted (SaveErrors).
+func (c *ResultCache) Sync() {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	if c.log != nil && c.log.Sync() != nil {
+		c.saveErrs.Add(1)
 	}
-	buf.WriteString("]}")
-	return buf.Bytes(), nil
 }
 
-// LoadFile merges a persisted cache into this one. A missing file is not an
-// error (first boot); a corrupt, truncated, or schema-mismatched file is a
-// counted miss (LoadErrors) and an error return, leaving the cache usable —
-// every entry is recomputable, so degradation never blocks serving.
-func (c *ResultCache) LoadFile(path string) error {
-	data, err := c.fs.ReadFile(path)
+// Close syncs and closes the log; later Puts are kept in memory only.
+func (c *ResultCache) Close() error {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	if c.log == nil {
+		return nil
+	}
+	err := errors.Join(c.log.Sync(), c.log.Close())
+	c.log = nil
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		c.loadErrs.Add(1)
-		return err
+		c.saveErrs.Add(1)
 	}
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		c.loadErrs.Add(1)
-		return fmt.Errorf("serve: decode cache %s: %w", path, err)
-	}
-	if f.Schema != cacheSchema {
-		c.loadErrs.Add(1)
-		return fmt.Errorf("serve: cache %s has schema %d, want %d (discarded)", path, f.Schema, cacheSchema)
-	}
-	c.mu.Lock()
-	for _, e := range f.Entries {
-		if e.Result != nil {
-			c.entries[e.Key] = e.Result
-		}
-	}
-	c.mu.Unlock()
-	return nil
+	return err
 }

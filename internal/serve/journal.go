@@ -12,11 +12,13 @@ package serve
 //
 // Format: one file (journal.wal) holding a header (magic + schema) followed
 // by length-framed records, each a JSON payload sealed with a trailing
-// FNV-1a checksum (codec.Seal). A record is written with a single Write
-// call, so a torn write tears inside one record and the checksum catches it:
-// replay stops at the first bad frame and compaction drops the torn tail. Completed jobs are
-// compacted away — at boot, and inline whenever enough finished jobs
-// accumulate — by atomically rewriting the file with only live-job records.
+// FNV-1a checksum (codec.Seal); the results log (cache.go) shares it through
+// appendFrame and readFrames. A record is written with a single Write call,
+// so a torn write tears inside one record and the checksum catches it:
+// replay stops at the first bad frame and compaction drops the torn tail.
+// Completed jobs are compacted away — at boot, and inline whenever enough
+// finished jobs accumulate — by atomically rewriting the file with only
+// live-job records.
 //
 // Degradation: journal I/O failures (ENOSPC, torn writes, bit-rot) are
 // counted (serve.journal.errors) and never crash or block serving — the
@@ -28,6 +30,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,9 +51,9 @@ const (
 	// compactEvery triggers an inline compaction once this many completed
 	// jobs are sitting in the file.
 	compactEvery = 8
-	// maxJournalRecord bounds one record frame on replay (a JobRequest is at
-	// most a few KB of names; 4 MiB rejects garbage lengths from corruption).
-	maxJournalRecord = 4 << 20
+	// maxFrame bounds one frame of either framed file on replay (a record is
+	// at most a few KB; 4 MiB rejects garbage lengths from corruption).
+	maxFrame = 4 << 20
 )
 
 // Journal record kinds.
@@ -170,40 +173,25 @@ func OpenJournal(fs fsio.FS, dir string, maxCells int) *Journal {
 func (j *Journal) replay() {
 	data, err := j.fs.ReadFile(j.path)
 	if err != nil {
-		if !isNotExist(err) {
+		if !os.IsNotExist(err) {
 			j.errs.Add(1)
 		}
 		return
 	}
-	if len(data) < 8 {
-		if len(data) > 0 {
-			j.truncated.Add(1)
-		}
-		return
-	}
-	r := codec.NewReader(data)
-	if r.U32() != journalMagic || r.U32() != journalSchema {
-		j.errs.Add(1)
-		return
-	}
-	for r.Len() > 0 {
-		n := int(r.U32())
-		if r.Err() != nil || n <= 0 || n > maxJournalRecord || n+8 > r.Len() {
-			j.truncated.Add(1)
-			break
-		}
-		payload, err := codec.Unseal(r.Bytes(n + 8))
-		if err != nil {
-			j.truncated.Add(1)
-			break
-		}
+	_, err = readFrames(data, journalMagic, journalSchema, func(payload []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			j.truncated.Add(1)
-			break
+			return err
 		}
 		j.apply(&rec)
 		j.replayed.Add(1)
+		return nil
+	})
+	switch {
+	case errors.Is(err, errForeignFile):
+		j.errs.Add(1)
+	case err != nil:
+		j.truncated.Add(1)
 	}
 }
 
@@ -396,18 +384,56 @@ func (j *Journal) compactLocked() {
 	}
 }
 
-// appendFrame appends one framed record to buf: the payload length, the JSON
-// payload, and its codec.Seal trailer. Marshal errors cannot occur for
-// journalRecord — all fields are marshalable — but leave buf unchanged
-// defensively.
-func appendFrame(buf []byte, rec *journalRecord) []byte {
-	payload, err := json.Marshal(rec)
+// errForeignFile reports a framed file whose header names another format or
+// schema.
+var errForeignFile = errors.New("foreign or schema-skewed file header")
+
+// appendFrame appends one framed record to buf: the payload length, v's JSON
+// payload, and its codec.Seal trailer. A value that does not marshal (a
+// sim.Result holding a NaN) leaves buf unchanged.
+func appendFrame(buf []byte, v any) []byte {
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return buf
 	}
 	buf = codec.U32(buf, uint32(len(payload)))
 	start := len(buf)
 	return codec.Seal(append(buf, payload...), start)
+}
+
+// readFrames is the one reader of both framed files, the journal and the
+// results log: it checks data's header, hands each frame's payload to apply
+// in file order, and returns the length of the valid prefix (the header and
+// every frame apply accepted). The error says why it stopped short of the
+// end: errForeignFile for a wrong header, else the first frame that is torn,
+// fails its seal or is refused by apply. An empty file is an empty prefix.
+func readFrames(data []byte, magic, schema uint32, apply func(payload []byte) error) (int, error) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	if len(data) < 8 {
+		return 0, codec.ErrShort
+	}
+	r := codec.NewReader(data)
+	if r.U32() != magic || r.U32() != schema {
+		return 0, errForeignFile
+	}
+	valid := 8
+	for r.Len() > 0 {
+		n := int(r.U32())
+		if r.Err() != nil || n <= 0 || n > maxFrame || n+8 > r.Len() {
+			return valid, codec.ErrShort
+		}
+		payload, err := codec.Unseal(r.Bytes(n + 8))
+		if err != nil {
+			return valid, err
+		}
+		if err := apply(payload); err != nil {
+			return valid, err
+		}
+		valid = len(data) - r.Len()
+	}
+	return valid, nil
 }
 
 // Close flushes and closes the journal file.
@@ -417,13 +443,9 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	serr := j.f.Sync()
-	cerr := j.f.Close()
+	err := errors.Join(j.f.Sync(), j.f.Close())
 	j.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return err
 }
 
 // JournalStats is the journal's health view for /v1/healthz and obs gauges.
@@ -455,6 +477,3 @@ func (j *Journal) Compactions() uint64  { return j.compactions.Load() }
 func (j *Journal) Errors() uint64       { return j.errs.Load() }
 func (j *Journal) ResumedJobs() uint64  { return j.resumedJobs.Load() }
 func (j *Journal) ResumedCells() uint64 { return j.resumedCells.Load() }
-
-// isNotExist matches fs.ErrNotExist through fsio wrappers.
-func isNotExist(err error) bool { return os.IsNotExist(err) }

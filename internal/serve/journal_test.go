@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"phelps/internal/codec"
 	"phelps/internal/fsio"
 	"phelps/internal/sim"
 )
@@ -357,15 +356,7 @@ func TestJournalFormatPinned(t *testing.T) {
 // per payload, framed exactly as the journal appends them.
 func writeJournal(t *testing.T, dir string, payloads ...[]byte) {
 	t.Helper()
-	data := codec.U32(codec.U32(nil, journalMagic), journalSchema)
-	for _, p := range payloads {
-		data = codec.U32(data, uint32(len(p)))
-		start := len(data)
-		data = codec.Seal(append(data, p...), start)
-	}
-	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFrames(t, filepath.Join(dir, journalFile), journalMagic, journalSchema, payloads...)
 }
 
 // TestJournalOversizeAccept boots a daemon over a 320 KB journal holding one

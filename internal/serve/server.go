@@ -28,8 +28,8 @@ type Config struct {
 	// bounds one job's size: a job with more cells than this can never be
 	// admitted and is rejected with 400 rather than 429.
 	QueueCap int
-	// CachePath, when set, is loaded at NewServer and persisted by
-	// Drain/Close, so a restarted daemon starts warm.
+	// CachePath, when set, names the results log: replayed at NewServer and
+	// appended to as cells complete, so a restarted daemon starts warm.
 	CachePath string
 	// CrashDir receives minimized crash dumps for panicking cells (empty
 	// means $PHELPS_CRASH_DIR, falling back to "crashes"; see
@@ -84,7 +84,6 @@ type flight struct {
 // stop with Drain (or Close).
 type Server struct {
 	cfg     Config
-	fs      fsio.FS
 	sched   *sim.Pool
 	adm     *Admission
 	cache   *ResultCache
@@ -103,10 +102,6 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[CellKey]*flight
 
-	// saveMu serializes results-cache persistence (the per-job background
-	// save vs the final save at drain).
-	saveMu sync.Mutex
-
 	jobsSubmitted, jobsRejected, jobsCanceled    atomic.Uint64
 	cellsSubmitted, cellsDone, cellsFailed       atomic.Uint64
 	cellsCanceled, cellsFromCache, cellsDeduped  atomic.Uint64
@@ -115,21 +110,16 @@ type Server struct {
 	cacheLoadErr                                 error
 }
 
-// NewServer assembles a daemon. The cache file (if configured) is loaded
-// best-effort: a corrupt file leaves the cache empty and the error readable
-// via CacheLoadErr.
+// NewServer assembles a daemon. The results log (if configured) is replayed
+// best-effort: a damaged file keeps the records before the damage and leaves
+// the error readable via CacheLoadErr.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	fs := cfg.FS
-	if fs == nil {
-		fs = fsio.OS
-	}
 	s := &Server{
 		cfg:     cfg,
-		fs:      fs,
 		sched:   sim.NewPool(cfg.Workers),
 		adm:     NewAdmission(cfg.QueueCap, cfg.Workers),
-		cache:   NewResultCacheFS(fs),
+		cache:   NewResultCacheFS(cfg.FS),
 		retry:   cfg.Retry.withDefaults(),
 		store:   NewStore(),
 		res:     newResolver(),
@@ -138,13 +128,13 @@ func NewServer(cfg Config) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	if cfg.CachePath != "" {
-		s.cacheLoadErr = s.cache.LoadFile(cfg.CachePath)
+		s.cacheLoadErr = s.cache.Open(cfg.CachePath)
 	}
 	if cfg.CkptDir != "" {
-		s.ckpts = sim.NewCkptCacheFS(cfg.CkptDir, fs)
+		s.ckpts = sim.NewCkptCacheFS(cfg.CkptDir, cfg.FS)
 	}
 	if cfg.JournalDir != "" {
-		s.journal = OpenJournal(fs, cfg.JournalDir, cfg.QueueCap)
+		s.journal = OpenJournal(cfg.FS, cfg.JournalDir, cfg.QueueCap)
 	}
 	s.registerObs()
 	s.routes()
@@ -578,19 +568,13 @@ func (s *Server) journalCell(c *Cell, state string, attempt int, errMsg string, 
 	s.journal.Cell(c.job.ID, c.idx, state, attempt, errMsg, perm)
 }
 
-// jobFinished journals a job's terminal transition and kicks off a background
-// results-cache persist, bounding how much a later SIGKILL can force the
-// successor to re-simulate.
+// jobFinished fsyncs the results log, so a finished job's results survive a
+// host crash (each was appended before its cell resolved, so they already
+// survive a SIGKILL), then journals the job's terminal transition.
 func (s *Server) jobFinished(j *Job) {
+	s.cache.Sync()
 	if s.journal != nil {
 		s.journal.JobDone(j.ID)
-	}
-	if s.cfg.CachePath != "" {
-		go func() {
-			s.saveMu.Lock()
-			defer s.saveMu.Unlock()
-			_ = s.cache.SaveFile(s.cfg.CachePath) // failures are counted on the cache
-		}()
 	}
 }
 
@@ -824,10 +808,10 @@ func (s *Server) Healthz() Healthz {
 
 // Drain shuts the daemon down gracefully: new submissions get 503, every
 // already-admitted cell runs to completion (draining the pool), and the
-// results cache is persisted. If ctx expires first, the remaining cells'
-// contexts are canceled — they resolve as canceled within milliseconds — and
-// the drain completes anyway. Safe to call once; Close is Drain without a
-// deadline.
+// results log is synced and closed. If ctx expires first, the remaining
+// cells' contexts are canceled — they resolve as canceled within
+// milliseconds — and the drain completes anyway. Safe to call once; Close is
+// Drain without a deadline.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
@@ -845,12 +829,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if s.journal != nil {
 		_ = s.journal.Close()
 	}
-	if s.cfg.CachePath != "" {
-		s.saveMu.Lock()
-		defer s.saveMu.Unlock()
-		return s.cache.SaveFile(s.cfg.CachePath)
-	}
-	return nil
+	return s.cache.Close()
 }
 
 // Close drains with no deadline.

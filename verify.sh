@@ -125,9 +125,9 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q drained "$smoke_dir/phelpsd2.log"
 # Kill-restart chaos smoke: SIGKILL the daemon the instant a job is
-# acknowledged (no drain, no cache persist); a restart on the same journal
-# directory must finish the job under its original ID and surface journal
-# health in /v1/healthz.
+# acknowledged (no drain); a restart on the same journal directory must
+# finish the job under its original ID and surface journal health in
+# /v1/healthz.
 "$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr3" \
     -journal-dir "$smoke_dir/journal" -cache "$smoke_dir/results3.cache" \
     >"$smoke_dir/phelpsd3.log" 2>&1 &
@@ -159,6 +159,42 @@ curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.journal.resumed_jobs": 1'
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q drained "$smoke_dir/phelpsd4.log"
+# Results-log durability: a daemon with only -cache is SIGKILLed as soon as
+# its job reports done (no drain, no sync); each cell's record was appended
+# before the cell resolved, so a restart on the same file must answer the
+# same job entirely from the log, every cell cached and none executed.
+"$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr5" \
+    -cache "$smoke_dir/results5.cache" >"$smoke_dir/phelpsd5.log" 2>&1 &
+daemon_pid=$!
+for _ in $(seq 1 50); do [ -s "$smoke_dir/addr5" ] && break; sleep 0.1; done
+daemon_url="http://$(cat "$smoke_dir/addr5")"
+job_id=$(curl -fsS -X POST "$daemon_url/v1/jobs" \
+    -d '{"workloads":["guarded","delinquent"],"configs":["base","phelps"],"quick":true}' \
+    | sed -n 's/^  "id": "\([^"]*\)".*/\1/p')
+[ -n "$job_id" ]
+state=""
+for _ in $(seq 1 1000); do
+    state=$(curl -fsS "$daemon_url/v1/jobs/$job_id" \
+        | sed -n 's/^  "state": "\([^"]*\)".*/\1/p')
+    [ "$state" = done ] && break
+    sleep 0.05
+done
+[ "$state" = done ]
+kill -9 "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+"$smoke_dir/phelpsd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/addr6" \
+    -cache "$smoke_dir/results5.cache" >"$smoke_dir/phelpsd6.log" 2>&1 &
+daemon_pid=$!
+for _ in $(seq 1 50); do [ -s "$smoke_dir/addr6" ] && break; sleep 0.1; done
+daemon_url="http://$(cat "$smoke_dir/addr6")"
+"$smoke_dir/phelps" -submit -server "$daemon_url" \
+    -workloads guarded,delinquent -configs base,phelps -quick -json \
+    >"$smoke_dir/restart.json"
+[ "$(grep -c '"cached": true' "$smoke_dir/restart.json")" -eq 4 ]
+curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.sched.executed": 0'
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
+grep -q drained "$smoke_dir/phelpsd6.log"
 rm -rf "$smoke_dir"
 # Learned fast-path model: the gradient-boosted trainer and its versioned
 # serialization must be race-clean and byte-deterministic (the determinism
@@ -184,6 +220,10 @@ go test -run '^$' -fuzz '^FuzzDecodeArtifact$' -fuzztime 10s -fuzzminimizetime 0
 # Journal replay fuzz smoke: arbitrary (sealed) record payloads must replay or
 # be counted, never panic, and never size a job past the cell bound.
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+# Results-log fuzz smoke: arbitrary (sealed) record payloads must open without
+# a panic, keep exactly the leading valid records, count a load error exactly
+# when a frame did not replay, and take an append that replays.
+go test -run '^$' -fuzz '^FuzzResultCacheLoad$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 # Job-request fuzz smoke: arbitrary POST /v1/jobs bodies must get a JSON 202,
 # 400 or 429, never a panic, and a 202 only for exactly one JSON value.
 go test -run '^$' -fuzz '^FuzzSubmitBody$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
