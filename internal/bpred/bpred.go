@@ -62,6 +62,10 @@ type Predictor interface {
 // ctr2 is a 2-bit saturating counter; taken if >= 2.
 type ctr2 uint8
 
+// ctr2Fresh is every counter's value in a freshly built table: weakly
+// not-taken.
+const ctr2Fresh ctr2 = 1
+
 func (c ctr2) taken() bool { return c >= 2 }
 
 func (c ctr2) update(taken bool) ctr2 {
@@ -93,7 +97,7 @@ func NewBimodal(logSize uint) *Bimodal {
 	n := 1 << logSize
 	t := make([]ctr2, n)
 	for i := range t {
-		t[i] = 1
+		t[i] = ctr2Fresh
 	}
 	return &Bimodal{table: t, mask: uint64(n - 1)}
 }
@@ -124,7 +128,7 @@ func (b *Bimodal) Name() string { return "bimodal" }
 // ResetPC restores pc's counter to its freshly-constructed state (weakly
 // not-taken). A pooled predictor whose user trains a known set of PCs resets
 // just those counters (and its Stats) instead of the whole table.
-func (b *Bimodal) ResetPC(pc uint64) { b.table[b.index(pc)] = 1 }
+func (b *Bimodal) ResetPC(pc uint64) { b.table[b.index(pc)] = ctr2Fresh }
 
 // --- Gshare ---
 
@@ -143,7 +147,7 @@ func NewGshare(logSize, hbits uint) *Gshare {
 	n := 1 << logSize
 	t := make([]ctr2, n)
 	for i := range t {
-		t[i] = 1
+		t[i] = ctr2Fresh
 	}
 	return &Gshare{table: t, mask: uint64(n - 1), hbits: hbits}
 }

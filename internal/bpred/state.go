@@ -10,9 +10,23 @@
 // blob from a differently-sized predictor decodes to an error, not silent
 // corruption. The byte format is exact: a loaded predictor produces the same
 // prediction sequence, bit for bit, as the one it was saved from.
+//
+// Only trained entries are written. Every entry of a freshly built dense
+// table holds its constructor value (2-bit counters 1, tagged entries and
+// corrector weights 0), and functional warming over a run prefix trains few
+// of them, so each such table is its entry count, a run count, and each
+// maximal run of entries that differ from the constructor value as its
+// start (a varint gap after the previous run), its varint length and its
+// entries. LoadState resets the table to the constructor value and applies
+// the runs. The decoder accepts only the form AppendState writes — runs
+// ascending, at least one default entry between two runs, no default entry
+// inside a run, shortest varints — so a blob that decodes re-encodes to the
+// same bytes and equal predictors encode to equal bytes. The folded-history
+// registers, the outcome ring and the loop table (about 1.3 KB) stay dense.
 package bpred
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"phelps/internal/codec"
@@ -50,28 +64,123 @@ func loadStats(r *codec.Reader, s *Stats) {
 // statsSize is the encoded length of appendStats.
 const statsSize = 16
 
-// ctr2sSize is the encoded length of appendCtr2s.
-func ctr2sSize(t []ctr2) int { return 4 + len(t) }
+// entryCodec encodes one dense table's entry type in a fixed width, and
+// names the value every entry of a freshly built table of that type holds.
+type entryCodec[E comparable] struct {
+	fresh E
+	width int
+	put   func(b []byte, e E) []byte
+	get   func(b []byte) E
+}
 
-func appendCtr2s(b []byte, t []ctr2) []byte {
-	b = codec.U32(b, uint32(len(t)))
-	for _, c := range t {
-		b = append(b, byte(c))
+var (
+	ctr2Codec = entryCodec[ctr2]{
+		fresh: ctr2Fresh,
+		width: 1,
+		put:   func(b []byte, c ctr2) []byte { return append(b, byte(c)) },
+		get:   func(b []byte) ctr2 { return ctr2(b[0]) },
 	}
+	tageCodec = entryCodec[tageEntry]{
+		width: 4,
+		put: func(b []byte, e tageEntry) []byte {
+			return append(b, byte(e.tag), byte(e.tag>>8), uint8(e.ctr), e.u)
+		},
+		get: func(b []byte) tageEntry {
+			return tageEntry{tag: uint16(b[0]) | uint16(b[1])<<8, ctr: int8(b[2]), u: b[3]}
+		},
+	}
+	weightCodec = entryCodec[int8]{
+		width: 1,
+		put:   func(b []byte, v int8) []byte { return append(b, uint8(v)) },
+		get:   func(b []byte) int8 { return int8(b[0]) },
+	}
+)
+
+// nextRun returns the first maximal run [start, end) of entries that differ
+// from fresh at or after i; start is len(t) when there is none.
+func nextRun[E comparable](t []E, fresh E, i int) (start, end int) {
+	for i < len(t) && t[i] == fresh {
+		i++
+	}
+	start = i
+	for i < len(t) && t[i] != fresh {
+		i++
+	}
+	return start, i
+}
+
+// runsSize is the encoded length of appendRuns.
+func runsSize[E comparable](t []E, c entryCodec[E]) int {
+	n, prev := 4+4, 0
+	for start, end := nextRun(t, c.fresh, 0); start < len(t); start, end = nextRun(t, c.fresh, end) {
+		n += codec.UvarintSize(uint64(start-prev)) + codec.UvarintSize(uint64(end-start)) + c.width*(end-start)
+		prev = end
+	}
+	return n
+}
+
+// appendRuns appends table t as its entry count, a run count, and each run
+// of entries that differ from c.fresh as its gap (the default entries since
+// the previous run, or since the table's start), its length and its
+// entries.
+func appendRuns[E comparable](b []byte, t []E, c entryCodec[E]) []byte {
+	b = codec.U32(b, uint32(len(t)))
+	at := len(b)
+	b = codec.U32(b, 0)
+	runs, prev := uint32(0), 0
+	for start, end := nextRun(t, c.fresh, 0); start < len(t); start, end = nextRun(t, c.fresh, end) {
+		b = codec.Uvarint(b, uint64(start-prev))
+		b = codec.Uvarint(b, uint64(end-start))
+		for _, e := range t[start:end] {
+			b = c.put(b, e)
+		}
+		runs++
+		prev = end
+	}
+	binary.LittleEndian.PutUint32(b[at:], runs)
 	return b
 }
 
-func loadCtr2s(r *codec.Reader, t []ctr2, what string) error {
+// loadRuns resets table t to c.fresh and applies the runs appendRuns wrote,
+// accepting only that canonical form: every run but the first follows a
+// gap of at least one entry, and no run is empty, overruns the table or
+// holds a default entry.
+func loadRuns[E comparable](r *codec.Reader, t []E, c entryCodec[E], what string) error {
 	n := int(r.U32())
 	if r.Err() == nil && n != len(t) {
 		return fmt.Errorf("bpred: %s has %d entries, state has %d", what, len(t), n)
 	}
-	raw := r.Bytes(n)
-	if raw == nil {
-		return r.Err()
+	runs := int(r.U32())
+	if err := r.Err(); err != nil {
+		return err
 	}
-	for i, v := range raw {
-		t[i] = ctr2(v)
+	for i := range t {
+		t[i] = c.fresh
+	}
+	end := 0
+	for k := 0; k < runs; k++ {
+		gap, length := r.Uvarint(), r.Uvarint()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		left := uint64(len(t) - end)
+		if (gap == 0 && k > 0) || length == 0 || gap > left || length > left-gap {
+			return fmt.Errorf("bpred: %s run %d (gap %d, length %d after entry %d) is not a separate run within %d entries",
+				what, k, gap, length, end, len(t))
+		}
+		start := end + int(gap)
+		end = start + int(length)
+		raw := r.Bytes(c.width * int(length))
+		if raw == nil {
+			return r.Err()
+		}
+		for i := range t[start:end] {
+			e := c.get(raw[c.width*i:])
+			if e == c.fresh {
+				return fmt.Errorf("bpred: %s run %d holds a default entry at %d", what, k, start+i)
+			}
+			t[start+i] = e
+		}
 	}
 	return nil
 }
@@ -82,11 +191,11 @@ func loadCtr2s(r *codec.Reader, t []ctr2, what string) error {
 func (b *Bimodal) AppendState(buf []byte) []byte {
 	buf = codec.U8(buf, stateBimodal)
 	buf = appendStats(buf, &b.Stats)
-	return appendCtr2s(buf, b.table)
+	return appendRuns(buf, b.table, ctr2Codec)
 }
 
 // StateSize implements Predictor.
-func (b *Bimodal) StateSize() int { return 1 + statsSize + ctr2sSize(b.table) }
+func (b *Bimodal) StateSize() int { return 1 + statsSize + runsSize(b.table, ctr2Codec) }
 
 // LoadState implements Predictor.
 func (b *Bimodal) LoadState(r *codec.Reader) error {
@@ -94,7 +203,7 @@ func (b *Bimodal) LoadState(r *codec.Reader) error {
 		return err
 	}
 	loadStats(r, &b.Stats)
-	if err := loadCtr2s(r, b.table, "bimodal table"); err != nil {
+	if err := loadRuns(r, b.table, ctr2Codec, "bimodal table"); err != nil {
 		return err
 	}
 	return r.Err()
@@ -106,12 +215,12 @@ func (b *Bimodal) LoadState(r *codec.Reader) error {
 func (g *Gshare) AppendState(buf []byte) []byte {
 	buf = codec.U8(buf, stateGshare)
 	buf = appendStats(buf, &g.Stats)
-	buf = appendCtr2s(buf, g.table)
+	buf = appendRuns(buf, g.table, ctr2Codec)
 	return codec.U64(buf, g.hist)
 }
 
 // StateSize implements Predictor.
-func (g *Gshare) StateSize() int { return 1 + statsSize + ctr2sSize(g.table) + 8 }
+func (g *Gshare) StateSize() int { return 1 + statsSize + runsSize(g.table, ctr2Codec) + 8 }
 
 // LoadState implements Predictor.
 func (g *Gshare) LoadState(r *codec.Reader) error {
@@ -119,7 +228,7 @@ func (g *Gshare) LoadState(r *codec.Reader) error {
 		return err
 	}
 	loadStats(r, &g.Stats)
-	if err := loadCtr2s(r, g.table, "gshare table"); err != nil {
+	if err := loadRuns(r, g.table, ctr2Codec, "gshare table"); err != nil {
 		return err
 	}
 	g.hist = r.U64()
@@ -146,13 +255,10 @@ func (Perfect) LoadState(r *codec.Reader) error { return checkKind(r, statePerfe
 func (t *TAGE) AppendState(buf []byte) []byte {
 	buf = codec.U8(buf, stateTAGE)
 	buf = appendStats(buf, &t.Stats)
-	buf = appendCtr2s(buf, t.base)
+	buf = appendRuns(buf, t.base, ctr2Codec)
 	for i := range t.tables {
 		tt := &t.tables[i]
-		buf = codec.U32(buf, uint32(len(tt.entries)))
-		for _, e := range tt.entries {
-			buf = append(buf, byte(e.tag), byte(e.tag>>8), uint8(e.ctr), e.u)
-		}
+		buf = appendRuns(buf, tt.entries, tageCodec)
 		buf = codec.U64(buf, tt.foldIdx.comp)
 		buf = codec.U64(buf, tt.foldTag0.comp)
 		buf = codec.U64(buf, tt.foldTag1.comp)
@@ -174,22 +280,17 @@ func (t *TAGE) AppendState(buf []byte) []byte {
 	}
 	buf = codec.Bool(buf, t.sc != nil)
 	if t.sc != nil {
-		buf = codec.U32(buf, uint32(len(t.sc.bias)))
-		for _, v := range t.sc.bias {
-			buf = codec.U8(buf, uint8(v))
-		}
-		for _, v := range t.sc.hist {
-			buf = codec.U8(buf, uint8(v))
-		}
+		buf = appendRuns(buf, t.sc.bias, weightCodec)
+		buf = appendRuns(buf, t.sc.hist, weightCodec)
 	}
 	return buf
 }
 
 // StateSize implements Predictor.
 func (t *TAGE) StateSize() int {
-	n := 1 + statsSize + ctr2sSize(t.base)
+	n := 1 + statsSize + runsSize(t.base, ctr2Codec)
 	for i := range t.tables {
-		n += 4 + 4*len(t.tables[i].entries) + 3*8
+		n += runsSize(t.tables[i].entries, tageCodec) + 3*8
 	}
 	n += len(t.ghist) + 4 + 1 + 8 + 1
 	if t.loop != nil {
@@ -197,10 +298,19 @@ func (t *TAGE) StateSize() int {
 	}
 	n++
 	if t.sc != nil {
-		n += 4 + len(t.sc.bias) + len(t.sc.hist)
+		n += runsSize(t.sc.bias, weightCodec) + runsSize(t.sc.hist, weightCodec)
 	}
 	return n
 }
+
+// tageTableNames label the tagged tables in LoadState errors, so a load
+// that succeeds formats none.
+var tageTableNames = func() (names [tageTables]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("tage table %d", i)
+	}
+	return names
+}()
 
 // LoadState implements Predictor.
 func (t *TAGE) LoadState(r *codec.Reader) error {
@@ -208,24 +318,13 @@ func (t *TAGE) LoadState(r *codec.Reader) error {
 		return err
 	}
 	loadStats(r, &t.Stats)
-	if err := loadCtr2s(r, t.base, "tage base"); err != nil {
+	if err := loadRuns(r, t.base, ctr2Codec, "tage base"); err != nil {
 		return err
 	}
 	for i := range t.tables {
 		tt := &t.tables[i]
-		n := int(r.U32())
-		if r.Err() == nil && n != len(tt.entries) {
-			return fmt.Errorf("bpred: tage table %d has %d entries, state has %d", i, len(tt.entries), n)
-		}
-		raw := r.Bytes(n * 4)
-		if raw == nil {
-			return r.Err()
-		}
-		for j := range tt.entries {
-			e := &tt.entries[j]
-			e.tag = uint16(raw[j*4]) | uint16(raw[j*4+1])<<8
-			e.ctr = int8(raw[j*4+2])
-			e.u = raw[j*4+3]
+		if err := loadRuns(r, tt.entries, tageCodec, tageTableNames[i]); err != nil {
+			return err
 		}
 		tt.foldIdx.comp = r.U64()
 		tt.foldTag0.comp = r.U64()
@@ -263,19 +362,11 @@ func (t *TAGE) LoadState(r *codec.Reader) error {
 		return fmt.Errorf("bpred: tage statistical-corrector presence mismatch (state %v, config %v)", hasSC, t.sc != nil)
 	}
 	if hasSC && t.sc != nil {
-		n := int(r.U32())
-		if r.Err() == nil && n != len(t.sc.bias) {
-			return fmt.Errorf("bpred: tage sc tables have %d entries, state has %d", len(t.sc.bias), n)
+		if err := loadRuns(r, t.sc.bias, weightCodec, "tage sc bias table"); err != nil {
+			return err
 		}
-		if raw := r.Bytes(n); raw != nil {
-			for j, v := range raw {
-				t.sc.bias[j] = int8(v)
-			}
-		}
-		if raw := r.Bytes(n); raw != nil {
-			for j, v := range raw {
-				t.sc.hist[j] = int8(v)
-			}
+		if err := loadRuns(r, t.sc.hist, weightCodec, "tage sc history table"); err != nil {
+			return err
 		}
 	}
 	return r.Err()

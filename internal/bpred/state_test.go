@@ -165,3 +165,65 @@ func TestStateErrors(t *testing.T) {
 		}
 	})
 }
+
+// TestStateCanonicalOnly: a table's runs decode only in the form AppendState
+// writes them; every other arrangement of the same entries is an error.
+func TestStateCanonicalOnly(t *testing.T) {
+	// An 8-counter bimodal blob whose table holds the given runs.
+	blob := func(runs uint32, body ...byte) []byte {
+		b := NewBimodal(3).AppendState(nil)[:1+statsSize]
+		b = codec.U32(codec.U32(b, 8), runs)
+		return append(b, body...)
+	}
+	good := blob(2, 1, 2, 3, 0, 1, 1, 2) // counters 3 and 0 at 1-2, 2 at 4
+	p := NewBimodal(3)
+	if err := p.LoadState(codec.NewReader(good)); err != nil || !bytes.Equal(p.AppendState(nil), good) {
+		t.Fatalf("canonical blob: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"adjacent runs":      blob(2, 1, 1, 3, 0, 1, 0),
+		"default in run":     blob(1, 0, 2, 3, 1),
+		"empty run":          blob(1, 2, 0),
+		"run overruns table": blob(1, 6, 3, 3, 3, 3),
+		"gap past table":     blob(1, 9, 1, 3),
+		"too many runs":      blob(5, 0, 1, 3, 1, 1, 3, 1, 1, 3, 1, 1, 3, 1, 1, 3),
+		"long varint gap":    blob(1, 0x81, 0x00, 1, 3),
+		"run count short":    blob(2, 1, 1, 3),
+	} {
+		if err := NewBimodal(3).LoadState(codec.NewReader(b)); err == nil {
+			t.Errorf("%s: LoadState accepted a non-canonical table", name)
+		}
+	}
+}
+
+// fuzzConfig is a small TAGE: 64 base counters and 16 entries per tagged
+// table, so fuzz inputs stay near the 1.4 KB of dense registers, outcome
+// ring and loop table. The run, loop and corrector paths are the same as at
+// the default sizes.
+func fuzzConfig() TAGEConfig {
+	return TAGEConfig{LogBase: 6, LogTagged: 4, MinHist: 4, MaxHist: 64, WithLoop: true, WithSC: true}
+}
+
+// FuzzPredictorLoadState: arbitrary bytes either fail LoadState (or leave
+// trailing bytes) or load a state that re-encodes to exactly those bytes and
+// then predicts branches without panicking. One predictor is reused across
+// inputs, which keeps executions cheap and checks that a successful
+// LoadState replaces every bit of the previous state. The committed corpus
+// holds fresh and trained fuzzConfig states and one whose run overruns its
+// table.
+func FuzzPredictorLoadState(f *testing.F) {
+	p := NewTAGE(fuzzConfig())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := codec.NewReader(b)
+		if p.LoadState(r) != nil || r.Expect(0) != nil {
+			return
+		}
+		if re := p.AppendState(nil); !bytes.Equal(re, b) {
+			t.Fatalf("loaded state re-encodes to %d different bytes (input %d)", len(re), len(b))
+		}
+		g := lcg{s: 1}
+		for i := 0; i < 500; i++ {
+			p.PredictAndTrain(g.branch())
+		}
+	})
+}

@@ -92,7 +92,7 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	n := 1 << cfg.LogBase
 	t.base = make([]ctr2, n)
 	for i := range t.base {
-		t.base[i] = 1
+		t.base[i] = ctr2Fresh
 	}
 	t.bMask = uint64(n - 1)
 

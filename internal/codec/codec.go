@@ -77,6 +77,18 @@ func I64(b []byte, v int64) []byte { return U64(b, uint64(v)) }
 // across a serialize/deserialize cycle.
 func F64(b []byte, v float64) []byte { return U64(b, math.Float64bits(v)) }
 
+// Uvarint appends v as an unsigned varint (binary.AppendUvarint).
+func Uvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// UvarintSize is the encoded length of Uvarint(nil, v).
+func UvarintSize(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Bool appends a 0/1 byte.
 func Bool(b []byte, v bool) []byte {
 	if v {
@@ -165,6 +177,23 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // F64 reads IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Uvarint reads an unsigned varint in its shortest encoding, the one
+// Uvarint writes. A longer encoding of the same value, like a truncated or
+// overflowing one, is a malformed buffer, so every value decodes from one
+// byte sequence only.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.err = ErrShort
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
 
 // Bool reads a 0/1 byte; any other value is a malformed buffer.
 func (r *Reader) Bool() bool {

@@ -32,3 +32,30 @@ func TestSealUnseal(t *testing.T) {
 		t.Errorf("Sum64(nil) = %#x", Sum64(nil))
 	}
 }
+
+// TestUvarint: values round-trip at their UvarintSize, and a non-shortest,
+// truncated or overflowing encoding fails the reader.
+func TestUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<63 - 1, 1<<64 - 1} {
+		b := Uvarint(nil, v)
+		if len(b) != UvarintSize(v) {
+			t.Errorf("Uvarint(%d) wrote %d bytes, UvarintSize says %d", v, len(b), UvarintSize(v))
+		}
+		r := NewReader(b)
+		if got := r.Uvarint(); got != v || r.Expect(0) != nil {
+			t.Errorf("Uvarint(%d) read back %d (err %v)", v, got, r.Err())
+		}
+	}
+	for name, b := range map[string][]byte{
+		"zero in two bytes":  {0x80, 0x00},
+		"one in three bytes": {0x81, 0x80, 0x00},
+		"truncated":          {0x80},
+		"empty":              {},
+		"overflow":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		r := NewReader(b)
+		if v := r.Uvarint(); !errors.Is(r.Err(), ErrShort) {
+			t.Errorf("%s: read %d, err %v, want ErrShort", name, v, r.Err())
+		}
+	}
+}

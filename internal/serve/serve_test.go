@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +97,25 @@ func jobResult(t *testing.T, ts *httptest.Server, id string) JobResult {
 		t.Fatalf("GET result %s: %s", id, resp.Status)
 	}
 	return jr
+}
+
+// deleteJob cancels a job over HTTP and returns the status DELETE reports.
+func deleteJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+API+"/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // blockWorkers parks every pool worker on a channel, so admitted cells
@@ -332,19 +353,7 @@ func TestCancel(t *testing.T) {
 	defer release()
 
 	st, _ := postJob(t, ts, JobRequest{Workloads: []string{"guarded", "delinquent"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true})
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+API+"/jobs/"+st.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fin JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&fin); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	fin := deleteJob(t, ts, st.ID)
 	if fin.State != JobCanceled {
 		t.Fatalf("state after DELETE = %s, want canceled", fin.State)
 	}
@@ -363,6 +372,76 @@ func TestCancel(t *testing.T) {
 	case <-j.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled job never finished resolving")
+	}
+}
+
+// TestFinishedJobReleasesContexts: once a job finishes, its context and the
+// contexts of the flights its cells ran on are done, so the daemon's base
+// context keeps no child for it. Two identical jobs share each flight; their
+// cells, results and journal records are those of any finished job, and a
+// later DELETE marks a finished job canceled without touching its cells.
+func TestFinishedJobReleasesContexts(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Config{Workers: 2, JournalDir: t.TempDir()})
+	release := blockWorkers(s)
+	req := JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true}
+	st1, _ := postJob(t, ts, req)
+	st2, _ := postJob(t, ts, req)
+	release()
+	var jobs []*Job
+	for _, id := range []string{st1.ID, st2.ID} {
+		if fin := waitJob(t, ts, id); fin.State != JobDone || fin.Done != 2 {
+			t.Fatalf("job %s: state %s with %d cells done, want done with 2", id, fin.State, fin.Done)
+		}
+		j, _ := s.store.Get(id)
+		jobs = append(jobs, j)
+	}
+	// A job's context is released just after its terminal transition is
+	// journaled, and a flight's just after all of its cells have resolved.
+	wait, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	released := func(ctx context.Context) bool {
+		select {
+		case <-ctx.Done():
+			return errors.Is(context.Cause(ctx), errFinished)
+		case <-wait.Done():
+			return false
+		}
+	}
+	for _, j := range jobs {
+		if !released(j.ctx) {
+			t.Errorf("job %s context: cause %v, want %v", j.ID, context.Cause(j.ctx), errFinished)
+		}
+		for i, c := range j.Cells {
+			if c.fl == nil || !released(c.fl.ctx) {
+				t.Errorf("job %s cell %d: flight context not released", j.ID, i)
+			}
+			if c.fl != jobs[0].Cells[i].fl {
+				t.Errorf("job %s cell %d ran on its own flight, want the first job's", j.ID, i)
+			}
+		}
+	}
+	r1, r2 := jobResult(t, ts, st1.ID), jobResult(t, ts, st2.ID)
+	for i := range r1.Cells {
+		a, b := r1.Cells[i], r2.Cells[i]
+		if a.State != CellDone || a.Result == nil || b.Result == nil || !reflect.DeepEqual(a.Result, b.Result) {
+			t.Errorf("cell %d: %s, results differ or missing", i, a.State)
+		}
+	}
+	// Two accepts, a running and a done record for each of the four cells,
+	// and two job-done records.
+	const records = 2 + 4*2 + 2
+	if n := s.journal.Appends(); n != records {
+		t.Errorf("journal appends = %d, want %d", n, records)
+	}
+
+	del := deleteJob(t, ts, st1.ID)
+	if del.State != JobCanceled || del.Done != 2 || s.jobsCanceled.Load() != 1 || s.cellsCanceled.Load() != 0 {
+		t.Errorf("DELETE of a finished job: state %s, %d done, %d jobs and %d cells canceled; want canceled, 2, 1, 0",
+			del.State, del.Done, s.jobsCanceled.Load(), s.cellsCanceled.Load())
+	}
+	if n := s.journal.Appends(); n != records {
+		t.Errorf("journal appends after DELETE = %d, want %d", n, records)
 	}
 }
 

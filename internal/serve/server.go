@@ -67,7 +67,8 @@ func (c Config) withDefaults() Config {
 // flight is one deduplicated cell execution: every job cell with the same
 // CellKey subscribes to the same flight, and the flight runs once. Flights
 // are refcounted by interested cells; when every subscriber's job cancels,
-// the flight's context is canceled too (nobody wants the answer anymore).
+// the flight's context is canceled too (nobody wants the answer anymore),
+// and a completed flight's context is canceled with errFinished.
 type flight struct {
 	key     CellKey
 	ctx     context.Context
@@ -488,9 +489,16 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 	}
 }
 
-// completeFlight resolves every subscribed cell and retires the flight. The
-// attempt outcome fans out to every subscriber: a shared execution's retry
-// provenance belongs to each cell that waited on it.
+// errFinished is the cause a job's or flight's context is canceled with
+// once it has finished. A context derived from the daemon's base context
+// stays in the base context's children until it is canceled, so one left
+// live would be kept for the life of the daemon.
+var errFinished = errors.New("serve: finished")
+
+// completeFlight resolves every subscribed cell and retires the flight,
+// releasing its context. The attempt outcome fans out to every subscriber:
+// a shared execution's retry provenance belongs to each cell that waited on
+// it.
 func (s *Server) completeFlight(fl *flight, res *sim.Result, err error, out attemptOutcome) {
 	s.flightMu.Lock()
 	fl.done = true
@@ -507,6 +515,7 @@ func (s *Server) completeFlight(fl *flight, res *sim.Result, err error, out atte
 		}
 		s.finishCell(c, res, err, false)
 	}
+	fl.cancel(errFinished)
 }
 
 // unrefFlight drops one cell's interest; the last cancellation aborts the
@@ -570,12 +579,14 @@ func (s *Server) journalCell(c *Cell, state string, attempt int, errMsg string, 
 
 // jobFinished fsyncs the results log, so a finished job's results survive a
 // host crash (each was appended before its cell resolved, so they already
-// survive a SIGKILL), then journals the job's terminal transition.
+// survive a SIGKILL), journals the job's terminal transition, and releases
+// the job's context.
 func (s *Server) jobFinished(j *Job) {
 	s.cache.Sync()
 	if s.journal != nil {
 		s.journal.JobDone(j.ID)
 	}
+	j.cancel(errFinished)
 }
 
 // finishCell resolves a cell exactly once, releasing its admission slot and

@@ -149,6 +149,8 @@ type Job struct {
 	Created time.Time
 	Cells   []*Cell
 
+	// ctx runs the job's fault-injected cells; DELETE cancels it, and
+	// jobFinished releases it once every cell has resolved.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 

@@ -53,8 +53,9 @@ import (
 // ckptSchema versions the artifact file format; bump on any layout change
 // and old files become misses. Schema 2 carries live-lines-only hierarchy
 // state blobs (see internal/cache/state.go); schema 3 drops two sampling
-// knobs from the key, leaving eight words.
-const ckptSchema = 3
+// knobs from the key, leaving eight words; schema 4 carries predictor blobs
+// that write only trained table entries (see internal/bpred/state.go).
+const ckptSchema = 4
 
 // ckptPointBytes is the smallest encoded point record: interval, weight,
 // warm and the two state-blob lengths.
@@ -285,9 +286,9 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 }
 
 // ckptMemEntries bounds the in-memory artifact layer (an artifact costs
-// about its encoded size, 0.7–1.3 MB for a quick GAP workload: per point, a
-// 75 KB predictor blob and 13–80 KB of live-lines-only hierarchy state, plus
-// the checkpoint pages).
+// about its encoded size, 0.18–0.77 MB for a quick GAP workload: per point,
+// a 1.4–5.7 KB predictor blob of trained entries and 13–80 KB of
+// live-lines-only hierarchy state, plus the checkpoint pages).
 const ckptMemEntries = 8
 
 // ckptProfileEntries bounds the in-memory profile layer. A profile holds

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,6 +195,8 @@ func TestCkptCacheCorruption(t *testing.T) {
 			copy(b[4:8], codec.U32(nil, 1))
 			return codec.Seal(b, 0)
 		}(),
+		// A schema-3 file (dense predictor state) left by an older binary.
+		"schema-3": schema3Artifact(t, spec, cfg, orig),
 		// A validly sealed artifact under the right key whose point count
 		// (2^31, under its claimed 2^32-1 intervals) far exceeds the bytes
 		// present: sizing the point slice from it would kill the process.
@@ -229,6 +232,92 @@ func TestCkptCacheCorruption(t *testing.T) {
 				t.Errorf("recovered artifact did not hit: %d", c2.Hits())
 			}
 		})
+	}
+}
+
+// denseTAGEBytes is the length of a default TAGE's predictor blob through
+// PSC1 schema 3, which wrote every table entry.
+const denseTAGEBytes = 75_092
+
+// schema3Artifact rewrites a TAGE artifact as PSC1 schema 3 wrote it: each
+// point's predictor blob dense, every table entry written (the constructor
+// value where no run covers it) and the two corrector tables under one
+// count.
+func schema3Artifact(t *testing.T, spec Spec, cfg Config, blob []byte) []byte {
+	t.Helper()
+	key := ckptKeyFor(HashWorkload(spec.Build()), cfg, SampleConfig{}.withDefaults(), maxProfileInsts)
+	art, err := decodeArtifact(blob, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := slices.Clone(art.points)
+	for i := range points {
+		r := codec.NewReader(points[i].pred)
+		b := append([]byte(nil), r.Bytes(1+16)...) // kind, stats
+		entries := func(width int, fresh byte) []byte {
+			tab := bytes.Repeat([]byte{fresh}, width*int(r.U32()))
+			end := 0
+			for runs := r.U32(); runs > 0 && r.Err() == nil; runs-- {
+				start := end + int(r.Uvarint())
+				end = start + int(r.Uvarint())
+				copy(tab[width*start:], r.Bytes(width*(end-start)))
+			}
+			return tab
+		}
+		table := func(width int, fresh byte) {
+			tab := entries(width, fresh)
+			b = append(codec.U32(b, uint32(len(tab)/width)), tab...)
+		}
+		table(1, 1) // base counters
+		for range 6 {
+			table(4, 0) // tagged entries
+			b = append(b, r.Bytes(3*8)...)
+		}
+		b = append(b, r.Bytes(640+4+1+8+1)...) // outcome ring, registers, loop flag
+		nl := r.U32()
+		b = append(codec.U32(b, nl), r.Bytes(8*int(nl))...)
+		b = append(b, r.Bytes(1)...) // corrector flag
+		bias, hist := entries(1, 0), entries(1, 0)
+		b = append(append(codec.U32(b, uint32(len(bias))), bias...), hist...)
+		if err := r.Expect(0); err != nil || len(b) != denseTAGEBytes {
+			t.Fatalf("point %d: expanding predictor blob: %v, %d dense bytes", i, err, len(b))
+		}
+		points[i].pred = b
+	}
+	dense := *art
+	dense.points = points
+	b := appendArtifact(nil, key, &dense)
+	b = b[:len(b)-8]
+	copy(b[4:8], codec.U32(nil, 3))
+	return codec.Seal(b, 0)
+}
+
+// TestCkptPredictorBlobSize: a predictor blob carries only trained table
+// entries. A fresh TAGE's blob is its dense registers, outcome ring and loop
+// table, and every point of the eight quick GAP artifacts at seed 7 stays
+// within a tenth of the dense blob of PSC1 schema 3.
+func TestCkptPredictorBlobSize(t *testing.T) {
+	if n := len(stateBlob(bpred.NewTAGE(bpred.DefaultTAGEConfig()))); n != 1404 {
+		t.Errorf("fresh TAGE blob is %d bytes, want 1404", n)
+	}
+	dir := t.TempDir()
+	cfg, sc := DefaultConfig(), SampleConfig{Seed: 7}
+	for _, spec := range GapSpecs(true) {
+		mustSampled(t, spec, cfg, SampleConfig{Seed: sc.Seed, Ckpts: NewCkptCache(dir)})
+		key := ckptKeyFor(HashWorkload(spec.Build()), cfg, sc.withDefaults(), maxProfileInsts)
+		blob, err := os.ReadFile(filepath.Join(dir, key.fileName()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := decodeArtifact(blob, key)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for _, p := range art.points {
+			if len(p.pred) > denseTAGEBytes/10 {
+				t.Errorf("%s interval %d: predictor blob %d bytes, want at most %d", spec.Name, p.interval, len(p.pred), denseTAGEBytes/10)
+			}
+		}
 	}
 }
 
@@ -430,10 +519,11 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 // TestCkptArtifactFormatPinned pins the PSC1 artifact bytes — the key,
 // header, point records, checkpoint section and FNV-1a trailer — by length
 // and FNV-1a-64 sum, for a fixed hand-built artifact and a full-run marker.
-// The sums were recorded at schema 3 (the eight-word key); each artifact is
+// The sums were recorded at schema 4 (sparse predictor blobs). The point
+// blobs here are opaque bytes, so schemas 3 and 4 differ only in the schema
+// word, as schemas 1 and 2 did; schema 3's eight-word key made each artifact
 // exactly 16 bytes shorter than at schema 2, whose key carried two more
-// words. Schemas 1 and 2 differed only in the schema word because the point
-// blobs here are opaque bytes.
+// words.
 func TestCkptArtifactFormatPinned(t *testing.T) {
 	w := prog.PredictableLoop(200)
 	e := emu.New(w.Prog, w.Mem)
@@ -454,8 +544,8 @@ func TestCkptArtifactFormatPinned(t *testing.T) {
 		n    int
 		sum  uint64
 	}{
-		{"points", art, 437, 0xb1f80aa3de566440},
-		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 102, 0x5da9d8365753e3a5},
+		{"points", art, 437, 0xe219d25970e79a65},
+		{"full-run", &ckptArtifact{fullRun: true, totalInsts: 77, intervals: 2}, 102, 0x17f005ec4ef1457f},
 	} {
 		blob := appendArtifact(nil, key, tc.art)
 		if sum := codec.Sum64(blob); len(blob) != tc.n || sum != tc.sum {

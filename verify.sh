@@ -66,7 +66,9 @@ grep -q '"error": ' "$smoke_dir/failed.json"
 # cache (which builds and measures an artifact it never stores), a cold run
 # that stores the artifact and a warm run that decodes it from disk print
 # byte-identical JSON, and the cache directory holds exactly one artifact
-# file.
+# file. Artifact bytes are deterministic: that file stays under 1,000,000
+# bytes (771,292 with predictor blobs of trained entries, 1,271,303 when
+# they were dense).
 "$smoke_dir/phelps" -workload bfs -config phelps -quick -sampled -seed 7 \
     -json >"$smoke_dir/ckpt-off.json"
 for run in cold warm; do
@@ -76,6 +78,7 @@ for run in cold warm; do
 done
 [ "$(ls "$smoke_dir/cli-ckpts" | wc -l)" -eq 1 ]
 ls "$smoke_dir"/cli-ckpts/*.ckpt
+[ "$(cat "$smoke_dir"/cli-ckpts/*.ckpt | wc -c)" -lt 1000000 ]
 # -cpuprofile: a quick cell, and the first smoke daemon below (its profile
 # stops after the drain), each write a non-empty CPU profile that
 # go tool pprof reads.
@@ -210,11 +213,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # Differential fuzz smoke: 30 s of random guarded-loop kernels, each run
 # under all three timing mechanisms with the lockstep oracle watching.
 go test -run '^$' -fuzz 'FuzzDifferential' -fuzztime 30s ./internal/sim
-# Checkpoint-artifact reader fuzz smokes: arbitrary hierarchy-state bytes and
-# (sealed) artifact bodies must fail or decode to something that re-encodes
-# to the same bytes. Their seed inputs are KB-sized and the engine's
-# minimization of a new input is quadratic in its length, so it is off for
-# these short runs (a failure is still reported and saved, just unminimized).
+# Checkpoint-artifact reader fuzz smokes: arbitrary predictor-state bytes,
+# hierarchy-state bytes and (sealed) artifact bodies must fail or decode to
+# something that re-encodes to the same bytes. Their seed inputs are
+# KB-sized and the engine's minimization of a new input is quadratic in its
+# length, so it is off for these short runs (a failure is still reported and
+# saved, just unminimized).
+go test -run '^$' -fuzz '^FuzzPredictorLoadState$' -fuzztime 10s -fuzzminimizetime 0 ./internal/bpred
 go test -run '^$' -fuzz '^FuzzHierarchyLoadState$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cache
 go test -run '^$' -fuzz '^FuzzDecodeArtifact$' -fuzztime 10s -fuzzminimizetime 0 ./internal/sim
 # Journal replay fuzz smoke: arbitrary (sealed) record payloads must replay or
