@@ -9,7 +9,8 @@
 //
 //   - a bounded admission-control queue rejects overload with 429 and a
 //     Retry-After estimate instead of queueing unboundedly;
-//   - identical in-flight cells are batched onto one execution (every
+//   - a cell is either answered by the results cache or run as a flight:
+//     identical in-flight cells are batched onto one execution (every
 //     submitter subscribes to the same flight), and completed cells land in
 //     a results cache keyed by (workload hash, config name, seed,
 //     sample-mode) and logged, so repeated sweeps are warm across restarts;
@@ -32,15 +33,15 @@ import (
 const API = "/v1"
 
 // Version is the daemon build version reported by GET /v1/version.
-const Version = "0.10.0"
+const Version = "0.11.0"
 
 // Every /v1 endpoint replies with a documented status code, and every
 // non-2xx body is an ErrorReply JSON envelope:
 //
 //	POST   /v1/jobs             202 Accepted (Location: /v1/jobs/{id})
-//	                            400 bad_request  (malformed body or bytes
-//	                                after it, unknown workload/config/fault
-//	                                name, oversized job)
+//	                            400 bad_request  (malformed body, unknown
+//	                                field or bytes after it, unknown
+//	                                workload/config name, oversized job)
 //	                            429 overloaded   (admission queue full;
 //	                                Retry-After header + retry_after_sec)
 //	                            503 unavailable  (daemon draining)
@@ -89,24 +90,6 @@ type JobRequest struct {
 	// oracle on every cell (see sim.Config).
 	Checks   bool `json:"checks,omitempty"`
 	Lockstep bool `json:"lockstep,omitempty"`
-	// Faults injects deliberate bugs into matching cells (containment tests
-	// only). Faulted cells are never deduplicated or cached.
-	Faults []CellFault `json:"faults,omitempty"`
-}
-
-// CellFault targets one (workload, config) cell with an injected fault.
-type CellFault struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	// Kind is one of "panic", "corrupt-rd", "skip-retire", "leak-prf",
-	// "sticky-issue" (see cpu.FaultInjection).
-	Kind string `json:"kind"`
-	// Seq is the dynamic sequence number to strike (0 = 1000).
-	Seq uint64 `json:"seq,omitempty"`
-	// Times bounds the injection to the cell's first N attempts (0 = every
-	// attempt). With Times=1 and a transient fault kind the first execution
-	// fails and the retry succeeds — the shape of a true transient.
-	Times int `json:"times,omitempty"`
 }
 
 // Cell states reported by the API.

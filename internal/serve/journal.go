@@ -74,8 +74,6 @@ type journalRecord struct {
 	State   string `json:"state,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Perm marks a deterministic (non-retryable) failure; sticky on resume.
-	Perm bool `json:"perm,omitempty"`
 }
 
 // jcell is the journal's latest view of one cell.
@@ -83,7 +81,6 @@ type jcell struct {
 	state   string
 	attempt int
 	err     string
-	perm    bool
 }
 
 // jjob is the journal's view of one job.
@@ -115,7 +112,6 @@ type ResumedCell struct {
 	State   string
 	Attempt int
 	Error   string
-	Perm    bool
 }
 
 // ResumedJob is an incomplete journaled job the restarted daemon must finish.
@@ -230,7 +226,6 @@ func (j *Journal) apply(rec *journalRecord) {
 			c.attempt = rec.Attempt
 		}
 		c.err = rec.Error
-		c.perm = rec.Perm
 	case recJob:
 		if jb := j.live[rec.Job]; jb != nil {
 			jb.terminal = true
@@ -252,7 +247,7 @@ func (j *Journal) Resumed() []ResumedJob {
 		rj := ResumedJob{ID: jb.id, Req: jb.req, Cells: make([]ResumedCell, len(jb.cells))}
 		resumedCells := 0
 		for i, c := range jb.cells {
-			rj.Cells[i] = ResumedCell{State: c.state, Attempt: c.attempt, Error: c.err, Perm: c.perm}
+			rj.Cells[i] = ResumedCell{State: c.state, Attempt: c.attempt, Error: c.err}
 			switch c.state {
 			case CellFailed, CellCanceled:
 			default:
@@ -312,9 +307,9 @@ func (j *Journal) Accept(jobID string, req JobRequest) {
 // Cell journals one cell state transition. attempt counts executions of this
 // cell in this daemon's lifetime (1 = first). Unsynced: a transition lost to
 // an OS crash merely re-runs an idempotent cell.
-func (j *Journal) Cell(jobID string, cell int, state string, attempt int, errMsg string, perm bool) {
+func (j *Journal) Cell(jobID string, cell int, state string, attempt int, errMsg string) {
 	j.append(&journalRecord{Kind: recCell, Job: jobID, Cell: cell, State: state,
-		Attempt: attempt, Error: errMsg, Perm: perm}, false)
+		Attempt: attempt, Error: errMsg}, false)
 }
 
 // JobDone journals a job reaching a terminal state, making it eligible for
@@ -350,7 +345,7 @@ func (j *Journal) compactLocked() {
 				continue
 			}
 			buf = appendFrame(buf, &journalRecord{Kind: recCell, Job: id, Cell: i,
-				State: c.state, Attempt: c.attempt, Error: c.err, Perm: c.perm})
+				State: c.state, Attempt: c.attempt, Error: c.err})
 			records++
 		}
 	}

@@ -32,9 +32,9 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000007", req)
-	j.Cell("j-000007", 0, CellRunning, 1, "", false)
-	j.Cell("j-000007", 0, CellDone, 1, "", false)
-	j.Cell("j-000007", 1, CellRunning, 3, "", false)
+	j.Cell("j-000007", 0, CellRunning, 1, "")
+	j.Cell("j-000007", 0, CellDone, 1, "")
+	j.Cell("j-000007", 1, CellRunning, 3, "")
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Finishing the job makes it compactable: the next boot sees nothing.
-	j2.Cell("j-000007", 1, CellDone, 4, "", false)
+	j2.Cell("j-000007", 1, CellDone, 4, "")
 	j2.JobDone("j-000007")
 	if err := j2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -76,7 +76,7 @@ func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
-	j.Cell("j-000001", 0, CellRunning, 1, "", false)
+	j.Cell("j-000001", 0, CellRunning, 1, "")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestJournalDiskFaults(t *testing.T) {
 	ffs.FailWrites(fsio.ErrNoSpace)
 	j := OpenJournal(ffs, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
-	j.Cell("j-000001", 0, CellDone, 1, "", false)
+	j.Cell("j-000001", 0, CellDone, 1, "")
 	if j.Errors() == 0 {
 		t.Error("ENOSPC appends not counted")
 	}
@@ -177,8 +177,8 @@ func TestServerResumesJournaledJob(t *testing.T) {
 
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000003", req)
-	j.Cell("j-000003", 0, CellRunning, 1, "", false)
-	j.Cell("j-000003", 1, CellFailed, 1, "sim: verification failed", true)
+	j.Cell("j-000003", 0, CellRunning, 1, "")
+	j.Cell("j-000003", 1, CellFailed, 1, "sim: verification failed")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestResumeInvalidRequest(t *testing.T) {
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000005", JobRequest{Workloads: []string{"guarded", "no-such", "delinquent"}, Configs: []string{sim.CfgBase}, Quick: true})
-	j.Cell("j-000005", 0, CellFailed, 1, "sim: verification failed", true)
+	j.Cell("j-000005", 0, CellFailed, 1, "sim: verification failed")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestJournalFormatPinned(t *testing.T) {
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000042", JobRequest{Workloads: []string{"bfs"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true, Seed: 9})
-	j.Cell("j-000042", 1, CellRunning, 1, "", false)
+	j.Cell("j-000042", 1, CellRunning, 1, "")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

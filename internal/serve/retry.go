@@ -6,27 +6,21 @@ import (
 	"fmt"
 	"time"
 
-	"phelps/internal/cpu"
 	"phelps/internal/sim"
 )
 
 // RetryPolicy bounds how the daemon re-executes failing cells. Transient
 // failures (sim.IsTransient: stalls and recovered panics) are retried up to
-// MaxRetries times with exponential backoff; deterministic failures
-// (livelock, verification, oracle divergence, cancellation) fail fast and
-// are journaled as permanent. CellDeadline, when set, bounds each attempt
-// via the context threaded through sim.RunCellCtx; a deadline hit is treated
-// as permanent (a deterministic simulation that ran out of time once will
-// run out of time every time).
+// MaxRetries times with capped exponential backoff (backoffFor);
+// deterministic failures (livelock, verification, oracle divergence,
+// cancellation) fail fast. CellDeadline, when set, bounds each attempt via
+// the context threaded through sim.RunCellCtx; a deadline hit is treated as
+// permanent (a deterministic simulation that ran out of time once will run
+// out of time every time).
 type RetryPolicy struct {
 	// MaxRetries is the number of re-executions after the first attempt for
 	// transient failures (0 = default 2; negative = no retries).
 	MaxRetries int
-	// Backoff is the sleep before the first retry, doubling per retry
-	// (0 = default 50ms).
-	Backoff time.Duration
-	// MaxBackoff caps the doubled backoff (0 = default 2s).
-	MaxBackoff time.Duration
 	// CellDeadline bounds one attempt's wall-clock time (0 = unbounded).
 	CellDeadline time.Duration
 }
@@ -38,14 +32,14 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0
 	}
-	if p.Backoff <= 0 {
-		p.Backoff = 50 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
 	return p
 }
+
+// The sleep before the first retry doubles per retry, capped at maxBackoff.
+const (
+	firstBackoff = 50 * time.Millisecond
+	maxBackoff   = 2 * time.Second
+)
 
 // errCellDeadline is the cancellation cause installed by the per-cell
 // deadline, distinguishing it from a job cancel or daemon shutdown.
@@ -61,11 +55,8 @@ type attemptOutcome struct {
 // runWithRetry executes one cell under the server's retry/deadline policy.
 // onAttempt fires before each execution (attempt numbering starts at 1) so
 // the caller can journal the transition and mark subscribed cells running.
-// fault, when non-nil, is injected into the first faultTimes attempts only
-// (0 = every attempt), which lets containment tests exercise a fault that
-// strikes once and then clears — the shape of a true transient.
 func (s *Server) runWithRetry(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest,
-	fault *cpu.FaultInjection, faultTimes int, onAttempt func(attempt int)) (sim.Result, error, attemptOutcome) {
+	onAttempt func(attempt int)) (sim.Result, error, attemptOutcome) {
 
 	p := s.retry
 	out := attemptOutcome{}
@@ -78,11 +69,7 @@ func (s *Server) runWithRetry(ctx context.Context, spec sim.Spec, cfgName string
 		if p.CellDeadline > 0 {
 			actx, cancel = context.WithTimeoutCause(ctx, p.CellDeadline, errCellDeadline)
 		}
-		f := fault
-		if f != nil && faultTimes > 0 && attempt > faultTimes {
-			f = nil
-		}
-		res, err := s.execCell(actx, spec, cfgName, req, f)
+		res, err := s.execCell(actx, spec, cfgName, req, attempt)
 		deadlined := p.CellDeadline > 0 && actx.Err() != nil && ctx.Err() == nil
 		cancel()
 		if err == nil {
@@ -108,7 +95,7 @@ func (s *Server) runWithRetry(ctx context.Context, spec sim.Spec, cfgName string
 		}
 		out.retryErrs = append(out.retryErrs, err.Error())
 		s.retryRetried.Add(1)
-		if !sleepCtx(ctx, backoffFor(p, attempt)) {
+		if !sleepCtx(ctx, backoffFor(attempt)) {
 			return res, fmt.Errorf("%w: %v", sim.ErrCanceled, context.Cause(ctx)), out
 		}
 	}
@@ -116,22 +103,16 @@ func (s *Server) runWithRetry(ctx context.Context, spec sim.Spec, cfgName string
 
 // backoffFor computes the capped exponential backoff before retry n
 // (n = the attempt that just failed, starting at 1).
-func backoffFor(p RetryPolicy, n int) time.Duration {
-	d := p.Backoff
-	for i := 1; i < n && d < p.MaxBackoff; i++ {
+func backoffFor(n int) time.Duration {
+	d := firstBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // sleepCtx sleeps for d, reporting false if ctx was canceled first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

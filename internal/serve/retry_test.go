@@ -2,28 +2,41 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"phelps/internal/cpu"
 	"phelps/internal/sim"
 )
 
-// TestRetryRecoversTransient injects a panic into a cell's first attempt only
-// (Times: 1): the retry policy must re-run it, succeed on attempt two, and
-// surface the provenance — attempts, the first attempt's error, and the
-// recovered counter.
+// faultOn returns a Server.faults hook that injects fi into the first times
+// attempts (0 = every attempt) of the (workload, config) cell it names, and
+// into nothing else. With times 1, a transient fault strikes once and
+// clears, the shape of a true transient.
+func faultOn(workload, config string, fi cpu.FaultInjection, times int) func(string, string, int) *cpu.FaultInjection {
+	return func(w, c string, attempt int) *cpu.FaultInjection {
+		if w != workload || c != config || (times > 0 && attempt > times) {
+			return nil
+		}
+		f := fi
+		return &f
+	}
+}
+
+// TestRetryRecoversTransient injects a panic into a cell's first attempt
+// only: the retry policy must re-run it, succeed on attempt two, and surface
+// the provenance — attempts, the first attempt's error, and the recovered
+// counter.
 func TestRetryRecoversTransient(t *testing.T) {
 	t.Parallel()
-	s, ts := newTestServer(t, Config{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	s, ts := newTestServer(t, Config{Workers: 2, Retry: RetryPolicy{MaxRetries: 2}})
+	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{PanicAtSeq: 1000}, 1)
 	st, resp := postJob(t, ts, JobRequest{
 		Workloads: []string{"guarded"},
 		Configs:   []string{sim.CfgBase},
 		Quick:     true,
-		Faults:    []CellFault{{Workload: "guarded", Config: sim.CfgBase, Kind: "panic", Times: 1}},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
@@ -50,20 +63,58 @@ func TestRetryRecoversTransient(t *testing.T) {
 	}
 }
 
+// TestRecoveredCellIsCached: a cell whose first attempt panics runs as a
+// flight like any other, so once its retry succeeds its result equals a
+// clean daemon's, it lands in the results cache, and an identical
+// resubmission is answered from the cache without executing anything.
+func TestRecoveredCellIsCached(t *testing.T) {
+	t.Parallel()
+	req := JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase}, Quick: true}
+	_, clean := newTestServer(t, Config{Workers: 1})
+	st, _ := postJob(t, clean, req)
+	if fin := waitJob(t, clean, st.ID); fin.State != JobDone {
+		t.Fatalf("clean job state = %s, want done", fin.State)
+	}
+	want := jobResult(t, clean, st.ID).Cells[0]
+
+	s, ts := newTestServer(t, Config{Workers: 1, Retry: RetryPolicy{MaxRetries: 2}})
+	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{PanicAtSeq: 1000}, 1)
+	st, _ = postJob(t, ts, req)
+	if fin := waitJob(t, ts, st.ID); fin.State != JobDone {
+		t.Fatalf("faulted job state = %s, want done (retry should recover)", fin.State)
+	}
+	got := jobResult(t, ts, st.ID).Cells[0]
+	if got.Attempts != 2 || got.Result == nil || !reflect.DeepEqual(got.Result, want.Result) {
+		t.Errorf("recovered cell: %d attempts, result %+v; want 2 attempts and the clean result %+v",
+			got.Attempts, got.Result, want.Result)
+	}
+
+	// The pool counts a task once it returns, just after its cells resolve.
+	for deadline := time.Now().Add(10 * time.Second); s.sched.Executed() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve.sched.executed = %d, want 1", s.sched.Executed())
+		}
+	}
+	st2, _ := postJob(t, ts, req)
+	if fin := waitJob(t, ts, st2.ID); fin.State != JobDone || fin.Cached != 1 {
+		t.Errorf("resubmission: state %s with %d cells cached, want done with 1", fin.State, fin.Cached)
+	}
+	if got := s.sched.Executed(); got != 1 {
+		t.Errorf("serve.sched.executed = %d after the resubmission, want 1", got)
+	}
+}
+
 // TestRetryExhausted injects a panic into every attempt: the budget must be
 // spent (1 + MaxRetries attempts), the cell must fail with the exhaustion
 // wrapper, and the exhausted counter must fire.
 func TestRetryExhausted(t *testing.T) {
 	t.Parallel()
-	s, ts := newTestServer(t, Config{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	s, ts := newTestServer(t, Config{Workers: 2, Retry: RetryPolicy{MaxRetries: 2}})
+	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{PanicAtSeq: 1000}, 0)
 	st, resp := postJob(t, ts, JobRequest{
 		Workloads: []string{"guarded"},
 		Configs:   []string{sim.CfgBase},
 		Quick:     true,
-		Faults:    []CellFault{{Workload: "guarded", Config: sim.CfgBase, Kind: "panic"}},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
@@ -88,16 +139,13 @@ func TestRetryExhausted(t *testing.T) {
 // the invariant checker: no retries, one attempt, permanent counter.
 func TestPermanentFailureFailsFast(t *testing.T) {
 	t.Parallel()
-	s, ts := newTestServer(t, Config{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	s, ts := newTestServer(t, Config{Workers: 2, Retry: RetryPolicy{MaxRetries: 2}})
+	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{CorruptRdSeq: 1000}, 0)
 	st, resp := postJob(t, ts, JobRequest{
 		Workloads: []string{"guarded"},
 		Configs:   []string{sim.CfgBase},
 		Quick:     true,
 		Lockstep:  true,
-		Faults:    []CellFault{{Workload: "guarded", Config: sim.CfgBase, Kind: "corrupt-rd"}},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
@@ -150,10 +198,10 @@ func TestCellDeadline(t *testing.T) {
 	}
 }
 
-// TestBackoffFor pins the capped exponential schedule.
+// TestBackoffFor pins the capped exponential schedule: 50 ms doubling per
+// retry, capped at 2 s.
 func TestBackoffFor(t *testing.T) {
 	t.Parallel()
-	p := RetryPolicy{Backoff: 50 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
 	for _, tc := range []struct {
 		n    int
 		want time.Duration
@@ -161,10 +209,13 @@ func TestBackoffFor(t *testing.T) {
 		{1, 50 * time.Millisecond},
 		{2, 100 * time.Millisecond},
 		{3, 200 * time.Millisecond},
-		{4, 300 * time.Millisecond}, // capped
-		{9, 300 * time.Millisecond},
+		{4, 400 * time.Millisecond},
+		{5, 800 * time.Millisecond},
+		{6, 1600 * time.Millisecond},
+		{7, 2 * time.Second}, // capped
+		{40, 2 * time.Second},
 	} {
-		if got := backoffFor(p, tc.n); got != tc.want {
+		if got := backoffFor(tc.n); got != tc.want {
 			t.Errorf("backoffFor(%d) = %v, want %v", tc.n, got, tc.want)
 		}
 	}

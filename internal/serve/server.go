@@ -64,11 +64,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one deduplicated cell execution: every job cell with the same
-// CellKey subscribes to the same flight, and the flight runs once. Flights
-// are refcounted by interested cells; when every subscriber's job cancels,
-// the flight's context is canceled too (nobody wants the answer anymore),
-// and a completed flight's context is canceled with errFinished.
+// flight is one deduplicated cell execution, and the only way a cell the
+// results cache cannot answer runs: every job cell with the same CellKey
+// subscribes to the same flight, and the flight runs once under its own
+// context. Flights are refcounted by interested cells; when every
+// subscriber's job cancels, the flight's context is canceled too (nobody
+// wants the answer anymore), and a completed flight's context is canceled
+// with errFinished.
 type flight struct {
 	key     CellKey
 	ctx     context.Context
@@ -99,6 +101,11 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 	draining   atomic.Bool
+
+	// faults, when set, picks the bug injected into one attempt of a
+	// (workload, config) cell; tests set it before the first submission
+	// to exercise containment and retry.
+	faults func(workload, config string, attempt int) *cpu.FaultInjection
 
 	flightMu sync.Mutex
 	flights  map[CellKey]*flight
@@ -236,43 +243,12 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-// faultSpec pairs a parsed fault injection with its attempt bound.
-type faultSpec struct {
-	fi    *cpu.FaultInjection
-	times int
-}
-
-// parseFault translates a CellFault into a cpu.FaultInjection.
-func parseFault(f CellFault) (*cpu.FaultInjection, error) {
-	seq := f.Seq
-	if seq == 0 {
-		seq = 1000
-	}
-	fi := &cpu.FaultInjection{}
-	switch f.Kind {
-	case "panic":
-		fi.PanicAtSeq = seq
-	case "corrupt-rd":
-		fi.CorruptRdSeq = seq
-	case "skip-retire":
-		fi.SkipRetireSeq = seq
-	case "leak-prf":
-		fi.LeakPRFSeq = seq
-	case "sticky-issue":
-		fi.StickySeq = seq
-	default:
-		return nil, fmt.Errorf("unknown fault kind %q (have panic, corrupt-rd, skip-retire, leak-prf, sticky-issue)", f.Kind)
-	}
-	return fi, nil
-}
-
-// plan validates a job request against the workload, config and fault
-// registries and builds its cells in the workloads × configs cross-product
-// order that journal records index by, each with its CellKey and injected
-// fault; specs maps each workload name to its spec. A request naming an
-// unknown workload, config or fault kind still gets its cells, unkeyed,
-// alongside the error, so a resumed job can fail each one in place; an empty
-// or oversized request gets none.
+// plan validates a job request against the workload and config registries
+// and builds its cells in the workloads × configs cross-product order that
+// journal records index by, each with its CellKey; specs maps each workload
+// name to its spec. A request naming an unknown workload or config still
+// gets its cells, unkeyed, alongside the error, so a resumed job can fail
+// each one in place; an empty or oversized request gets none.
 func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 	total := len(req.Workloads) * len(req.Configs)
 	if total == 0 {
@@ -306,14 +282,6 @@ func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 			return nil, cells, err
 		}
 	}
-	faults := make(map[[2]string]faultSpec, len(req.Faults))
-	for _, f := range req.Faults {
-		fi, err := parseFault(f)
-		if err != nil {
-			return nil, cells, err
-		}
-		faults[[2]string{f.Workload, f.Config}] = faultSpec{fi: fi, times: f.Times}
-	}
 
 	flags := ""
 	if req.Checks {
@@ -330,20 +298,18 @@ func (s *Server) plan(req JobRequest) (map[string]sim.Spec, []*Cell, error) {
 	}
 	for _, c := range cells {
 		c.Key = CellKey{WorkloadHash: hashes[c.Workload], Config: c.Config, Seed: seed, Sampled: req.Sampled, Flags: flags}
-		f := faults[[2]string{c.Workload, c.Config}]
-		c.fault, c.faultTimes = f.fi, f.times
 	}
 	return specs, cells, nil
 }
 
 // claimSlots gives an admission slot to each unresolved cell the results
-// cache cannot answer (a faulted cell never can) and returns how many it
-// gave. Admission is all-or-nothing on this cold count, so a warm
-// resubmission of a huge sweep sails through while a cold one waits its turn.
+// cache cannot answer and returns how many it gave. Admission is
+// all-or-nothing on this cold count, so a warm resubmission of a huge sweep
+// sails through while a cold one waits its turn.
 func (s *Server) claimSlots(cells []*Cell) int {
 	n := 0
 	for _, c := range cells {
-		if !c.resolved && (c.fault != nil || !s.cache.Peek(c.Key)) {
+		if !c.resolved && !s.cache.Peek(c.Key) {
 			c.slot = true
 			n++
 		}
@@ -352,9 +318,10 @@ func (s *Server) claimSlots(cells []*Cell) int {
 }
 
 // Submit validates a request against the workload and config registries,
-// admits it against the queue, and schedules its cells. It returns the
-// created job, or an apiError carrying the HTTP status (400 invalid, 429
-// over capacity, 503 draining).
+// admits it against the queue, schedules its cells, and only then publishes
+// the job, so a DELETE can never reach a cell before its flight is set. It
+// returns the created job, or an apiError carrying the HTTP status (400
+// invalid, 429 over capacity, 503 draining).
 func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 	if s.draining.Load() {
 		return nil, &apiError{code: http.StatusServiceUnavailable, kind: KindUnavailable, msg: "daemon is draining"}
@@ -376,7 +343,7 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 		}
 	}
 
-	job := s.store.Register(s.baseCtx, "", req, cells)
+	job := s.store.Register("", req, cells)
 	if s.journal != nil {
 		// Journaled (and synced) before the 202 goes out: once the client
 		// holds an acknowledgment, the job survives a daemon kill.
@@ -386,17 +353,17 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 	s.cellsSubmitted.Add(uint64(len(cells)))
 
 	s.schedule(job, specs)
+	s.store.Publish(job)
 	return job, nil
 }
 
 // schedule queues a new or resumed job's unresolved cells on the pool. A
-// results-cache hit resolves at once, a fault-injected cell runs privately
-// under its job's context, and every other cell joins (or opens) the flight
-// of its key. A sampled job on a daemon with a checkpoint cache queues each
-// workload's cell tasks as one pool task running them in request order, so
-// the later configs measure from the checkpoint artifact the first one
-// stored instead of rebuilding it on another worker. Flights, retry,
-// deadlines, journal records and admission stay per cell.
+// results-cache hit resolves at once, and every other cell joins (or opens)
+// the flight of its key. A sampled job on a daemon with a checkpoint cache
+// queues each workload's cell tasks as one pool task running them in
+// request order, so the later configs measure from the checkpoint artifact
+// the first one stored instead of rebuilding it on another worker. Flights,
+// retry, deadlines, journal records and admission stay per cell.
 func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 	rows := job.Req.Sampled && s.ckpts != nil
 	var tasks []func()
@@ -416,22 +383,18 @@ func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 		c.mu.Lock()
 		resolved := c.resolved
 		c.mu.Unlock()
-		switch {
-		case resolved:
-		case c.fault != nil:
-			// Faulted cells are private to their job: no dedup, no cache.
-			add(c.Workload, s.faultTask(job, c, specs[c.Workload]))
-		default:
-			if r, ok := s.cache.Get(c.Key); ok {
-				s.cellsFromCache.Add(1)
-				s.finishCell(c, r, nil, true)
-				continue
-			}
-			if task := s.joinFlight(c, specs[c.Workload], job.Req); task != nil {
-				add(c.Workload, task)
-			} else {
-				s.cellsDeduped.Add(1)
-			}
+		if resolved {
+			continue
+		}
+		if r, ok := s.cache.Get(c.Key); ok {
+			s.cellsFromCache.Add(1)
+			s.finishCell(c, r, nil, true)
+			continue
+		}
+		if task := s.joinFlight(c, specs[c.Workload], job.Req); task != nil {
+			add(c.Workload, task)
+		} else {
+			s.cellsDeduped.Add(1)
 		}
 	}
 	if err := s.sched.Submit(tasks...); err != nil {
@@ -458,9 +421,9 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 	}
 	fl.refs++
 	fl.cells = append(fl.cells, c)
+	c.fl = fl
 	started := fl.started
 	s.flightMu.Unlock()
-	c.fl = fl
 	if started {
 		c.setRunning()
 	}
@@ -476,11 +439,11 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 			for _, rc := range running {
 				rc.setRunning()
 				rc.noteAttempt(attempt)
-				s.journalCell(rc, CellRunning, attempt, "", false)
+				s.journalCell(rc, CellRunning, attempt, "")
 			}
 		}
 		start := time.Now()
-		res, err, out := s.runWithRetry(fl.ctx, spec, fl.key.Config, req, nil, 0, onAttempt)
+		res, err, out := s.runWithRetry(fl.ctx, spec, fl.key.Config, req, onAttempt)
 		s.adm.Observe(time.Since(start))
 		if err == nil {
 			s.cache.Put(fl.key, &res)
@@ -489,10 +452,10 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 	}
 }
 
-// errFinished is the cause a job's or flight's context is canceled with
-// once it has finished. A context derived from the daemon's base context
-// stays in the base context's children until it is canceled, so one left
-// live would be kept for the life of the daemon.
+// errFinished is the cause a flight's context is canceled with once it has
+// finished. A context derived from the daemon's base context stays in the
+// base context's children until it is canceled, so one left live would be
+// kept for the life of the daemon.
 var errFinished = errors.New("serve: finished")
 
 // completeFlight resolves every subscribed cell and retires the flight,
@@ -533,30 +496,15 @@ func (s *Server) unrefFlight(fl *flight) {
 	}
 }
 
-// faultTask runs a fault-injected cell privately under its job's context.
-func (s *Server) faultTask(j *Job, c *Cell, spec sim.Spec) func() {
-	return func() {
-		onAttempt := func(attempt int) {
-			c.setRunning()
-			c.noteAttempt(attempt)
-			s.journalCell(c, CellRunning, attempt, "", false)
-		}
-		start := time.Now()
-		res, err, out := s.runWithRetry(j.ctx, spec, c.Config, j.Req, c.fault, c.faultTimes, onAttempt)
-		s.adm.Observe(time.Since(start))
-		if len(out.retryErrs) > 0 {
-			c.setRetryErrs(out.retryErrs)
-		}
-		s.finishCell(c, &res, err, false)
-	}
-}
-
 // execCell is the one place a daemon cell meets the sim library: the full
 // cycle-accurate per-cell runner (bit-identical to a RunMatrixOpt cell) or
-// the SimPoint-sampled pipeline, both under the flight/job context and with
+// the SimPoint-sampled pipeline, both under the flight's context and with
 // per-cell panic/stall containment.
-func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest, fault *cpu.FaultInjection) (sim.Result, error) {
-	opt := sim.MatrixOptions{Checks: req.Checks, Lockstep: req.Lockstep, CrashDir: s.cfg.CrashDir, Faults: fault}
+func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest, attempt int) (sim.Result, error) {
+	opt := sim.MatrixOptions{Checks: req.Checks, Lockstep: req.Lockstep, CrashDir: s.cfg.CrashDir}
+	if s.faults != nil {
+		opt.Faults = s.faults(spec.Name, cfgName, attempt)
+	}
 	if req.Sampled {
 		// Point measurement stays serial per cell — the pool already
 		// keeps every core busy across cells — but the checkpoint cache is
@@ -570,27 +518,25 @@ func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, re
 
 // journalCell appends one cell transition when the journal is on; the cell's
 // journal identity is (job ID, cross-product index).
-func (s *Server) journalCell(c *Cell, state string, attempt int, errMsg string, perm bool) {
+func (s *Server) journalCell(c *Cell, state string, attempt int, errMsg string) {
 	if s.journal == nil {
 		return
 	}
-	s.journal.Cell(c.job.ID, c.idx, state, attempt, errMsg, perm)
+	s.journal.Cell(c.job.ID, c.idx, state, attempt, errMsg)
 }
 
 // jobFinished fsyncs the results log, so a finished job's results survive a
 // host crash (each was appended before its cell resolved, so they already
-// survive a SIGKILL), journals the job's terminal transition, and releases
-// the job's context.
+// survive a SIGKILL), and journals the job's terminal transition.
 func (s *Server) jobFinished(j *Job) {
 	s.cache.Sync()
 	if s.journal != nil {
 		s.journal.JobDone(j.ID)
 	}
-	j.cancel(errFinished)
 }
 
-// finishCell resolves a cell exactly once, releasing its admission slot and
-// advancing its job's completion count.
+// finishCell resolves a cell with the outcome of its run, or its cache hit:
+// done, or failed or canceled by err.
 func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
 	state := CellDone
 	if err != nil {
@@ -600,19 +546,22 @@ func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
 			state = CellFailed
 		}
 	}
+	s.resolveCell(c, state, res, err, cached)
+}
+
+// resolveCell resolves a cell exactly once: it journals the transition,
+// releases the cell's admission slot, counts it, and finishes its job on the
+// last one. It reports whether this call resolved the cell.
+func (s *Server) resolveCell(c *Cell, state string, res *sim.Result, err error, cached bool) bool {
 	first, hadSlot := c.resolve(state, res, err, cached)
 	if !first {
-		return
+		return false
 	}
 	var emsg string
-	perm := false
 	if err != nil {
 		emsg = err.Error()
-		// A failed cell whose error is not transient is deterministically
-		// doomed: journaled permanent, sticky across restarts.
-		perm = state == CellFailed && !sim.IsTransient(err)
 	}
-	s.journalCell(c, state, c.attemptCount(), emsg, perm)
+	s.journalCell(c, state, c.attemptCount(), emsg)
 	if hadSlot {
 		s.adm.Release(1)
 	}
@@ -627,34 +576,21 @@ func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
 	if c.job.cellResolved() {
 		s.jobFinished(c.job)
 	}
+	return true
 }
 
 // Cancel cancels a job: unresolved cells resolve as canceled immediately,
-// the job context is canceled (stopping fault cells), and each affected
-// flight loses one subscriber — a flight whose every subscriber canceled is
-// aborted mid-run. Returns false if the job had already been canceled.
+// and each one's flight loses a subscriber — a flight whose every
+// subscriber canceled is aborted mid-run. Returns false if the job had
+// already been canceled.
 func (s *Server) Cancel(j *Job) bool {
 	if !j.markCanceled() {
 		return false
 	}
 	s.jobsCanceled.Add(1)
-	j.cancel(errors.New("serve: job canceled"))
 	for _, c := range j.Cells {
-		fl := c.fl
-		first, hadSlot := c.resolve(CellCanceled, nil, nil, false)
-		if !first {
-			continue
-		}
-		s.journalCell(c, CellCanceled, c.attemptCount(), "", false)
-		if hadSlot {
-			s.adm.Release(1)
-		}
-		s.cellsCanceled.Add(1)
-		if c.job.cellResolved() {
-			s.jobFinished(c.job)
-		}
-		if fl != nil {
-			s.unrefFlight(fl)
+		if s.resolveCell(c, CellCanceled, nil, nil, false) && c.fl != nil {
+			s.unrefFlight(c.fl)
 		}
 	}
 	return true
@@ -690,17 +626,16 @@ func (s *Server) resumeJob(rj ResumedJob) {
 		}
 	}
 	s.adm.ForceAdmit(s.claimSlots(cells))
-	job := s.store.Register(s.baseCtx, rj.ID, rj.Req, cells)
+	job := s.store.Register(rj.ID, rj.Req, cells)
 	select {
 	case <-job.Done():
 		// Every cell was already terminal (or the resume failed validation):
 		// journal the terminal transition so compaction retires the job.
 		s.jobFinished(job)
-		return
 	default:
+		s.schedule(job, specs)
 	}
-
-	s.schedule(job, specs)
+	s.store.Publish(job)
 }
 
 // Report builds the BENCH_report-schema view of every completed cell the

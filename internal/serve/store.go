@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
-	"phelps/internal/cpu"
 	"phelps/internal/sim"
 )
 
@@ -24,17 +22,11 @@ type Cell struct {
 	// cross-product order (identical at submit and at replay).
 	idx int
 
-	// fault, when non-nil, is this cell's injected bug; faulted cells are
-	// never deduplicated against other jobs or cached. faultTimes bounds the
-	// injection to the first N attempts (0 = every attempt), so containment
-	// tests can model a transient fault that clears on retry.
-	fault      *cpu.FaultInjection
-	faultTimes int
-
 	// job and fl are back-references wired at submission: the owning job
-	// (set by Store.Register) and the shared flight this cell subscribed to
-	// (nil for cached and faulted cells). Written before the cell is
-	// reachable by any other goroutine, read-only afterwards.
+	// (set by Store.Register) and the flight this cell subscribed to (nil
+	// for a cell the results cache answered). Both are written before the
+	// job is published, so before DELETE can reach the cell, and fl under
+	// the flight lock before the flight can; read-only afterwards.
 	job *Job
 	fl  *flight
 
@@ -149,11 +141,6 @@ type Job struct {
 	Created time.Time
 	Cells   []*Cell
 
-	// ctx runs the job's fault-injected cells; DELETE cancels it, and
-	// jobFinished releases it once every cell has resolved.
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-
 	mu         sync.Mutex
 	unresolved int
 	canceled   bool
@@ -260,19 +247,17 @@ func NewStore() *Store {
 	return &Store{jobs: make(map[string]*Job)}
 }
 
-// Register registers a job over cells that no other goroutine can reach
-// yet. An empty id allocates the next one; a given id (a journaled job
-// resumed after a restart) moves the sequence past it, so new submissions
-// never collide with it. Cells arrive pending, or already resolved with a
-// sticky journaled outcome; only unresolved cells count toward completion.
-func (s *Store) Register(parent context.Context, id string, req JobRequest, cells []*Cell) *Job {
-	ctx, cancel := context.WithCancelCause(parent)
+// Register builds a job over cells that no other goroutine can reach yet
+// and gives it an ID; Get and Jobs see it only once Publish adds it. An
+// empty id allocates the next one; a given id (a journaled job resumed
+// after a restart) moves the sequence past it, so new submissions never
+// collide with it. Cells arrive pending, or already resolved with a sticky
+// journaled outcome; only unresolved cells count toward completion.
+func (s *Store) Register(id string, req JobRequest, cells []*Cell) *Job {
 	j := &Job{
 		Req:     req,
 		Created: time.Now().UTC(),
 		Cells:   cells,
-		ctx:     ctx,
-		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
 	for _, c := range cells {
@@ -298,9 +283,15 @@ func (s *Store) Register(parent context.Context, id string, req JobRequest, cell
 		s.seq = n
 	}
 	j.ID = id
-	s.jobs[id] = j
-	s.order = append(s.order, id)
 	return j
+}
+
+// Publish makes a registered job visible to Get and Jobs.
+func (s *Store) Publish(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 }
 
 // Get looks a job up by ID.

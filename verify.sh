@@ -105,6 +105,12 @@ curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.ckpt.stores": 1'
 obs=$(curl -fsS "$daemon_url/v1/obs")
 echo "$obs" | grep -q '"serve.ckpt.profile_hits": 1'
 echo "$obs" | grep -q '"serve.ckpt.stores": 2'
+# The daemon takes no fault injection from the network: a job body with a
+# "faults" field is a 400 bad_request.
+code=$(curl -sS -o "$smoke_dir/faults.json" -w '%{http_code}' -X POST "$daemon_url/v1/jobs" \
+    -d '{"workloads":["guarded"],"configs":["base"],"quick":true,"faults":[{"workload":"guarded","config":"base","kind":"panic"}]}')
+[ "$code" = 400 ]
+grep -q '"kind": "bad_request"' "$smoke_dir/faults.json"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q drained "$smoke_dir/phelpsd.log"
