@@ -132,34 +132,10 @@ func main() {
 		ep = *epoch
 	}
 
-	// -mode picks a registered configuration by its older name; -config
-	// names one directly and overrides -mode and -pred.
-	modeLabel, name := *mode, *cfgName
-	if name != "" {
-		modeLabel = name
-	} else if name = modeConfigs[*mode]; name == "" {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(1)
-	}
-	cfg, err := sim.ConfigByName(name, ep)
+	modeLabel, cfg, err := resolveConfig(*mode, *cfgName, *predName, ep)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
-	}
-	if *cfgName == "" {
-		switch *predName {
-		case "tage":
-			cfg.Predictor = sim.PredTAGE
-		case "perfect":
-			cfg.Predictor = sim.PredPerfect
-		case "bimodal":
-			cfg.Predictor = sim.PredBimodal
-		case "gshare":
-			cfg.Predictor = sim.PredGshare
-		default:
-			fmt.Fprintf(os.Stderr, "unknown predictor %q\n", *predName)
-			os.Exit(1)
-		}
 	}
 	cfg.Checks = *checks
 	cfg.Lockstep = *lockstep
@@ -245,7 +221,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := emitJSON(os.Stdout, spec.Name, modeLabel, *predName, ep, &res, runErr, coll); err != nil {
+		if err := emitJSON(os.Stdout, spec.Name, modeLabel, cfg.Predictor.String(), ep, &res, runErr, coll); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
@@ -253,7 +229,7 @@ func main() {
 	}
 
 	fmt.Printf("workload       %s\n", spec.Name)
-	fmt.Printf("mode           %s (predictor %s, epoch %d)\n", modeLabel, *predName, ep)
+	fmt.Printf("mode           %s (predictor %s, epoch %d)\n", modeLabel, cfg.Predictor, ep)
 	fmt.Printf("instructions   %d\n", res.Retired)
 	fmt.Printf("cycles         %d\n", res.Cycles)
 	fmt.Printf("IPC            %.3f\n", res.IPC())
@@ -306,6 +282,26 @@ func main() {
 			fmt.Printf("  rejected loop %#x: %s\n", loop, why)
 		}
 	}
+}
+
+// resolveConfig picks the run's configuration and the mode label printed
+// with it: -config names a registered configuration, predictor included, and
+// overrides -mode and -pred; otherwise -mode picks one by its older name and
+// -pred sets its predictor.
+func resolveConfig(mode, cfgName, predName string, epoch uint64) (string, sim.Config, error) {
+	if cfgName != "" {
+		cfg, err := sim.ConfigByName(cfgName, epoch)
+		return cfgName, cfg, err
+	}
+	name := modeConfigs[mode]
+	if name == "" {
+		return "", sim.Config{}, fmt.Errorf("unknown mode %q", mode)
+	}
+	cfg, err := sim.ConfigByName(name, epoch)
+	if err == nil {
+		cfg.Predictor, err = sim.PredictorByName(predName)
+	}
+	return mode, cfg, err
 }
 
 // exitCode is the exit status for a run's error, in text and JSON mode

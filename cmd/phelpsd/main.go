@@ -37,8 +37,7 @@ func main() {
 		crashDir = flag.String("crash-dir", "", "crash dump directory for panicking cells (default $PHELPS_CRASH_DIR or crashes)")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline after SIGTERM")
 		journal  = flag.String("journal-dir", os.Getenv("PHELPS_JOURNAL_DIR"), "write-ahead job journal directory; a restarted daemon resumes incomplete jobs from it (default $PHELPS_JOURNAL_DIR; empty = no journal)")
-		retries  = flag.Int("retries", 0, "per-cell retries for transient failures (0 = default 2, negative = none)")
-		cellDL   = flag.Duration("cell-deadline", 0, "per-attempt wall-clock deadline per cell (0 = unbounded)")
+		cellDL   = flag.Duration("cell-deadline", 0, "wall-clock deadline per cell; a cell that misses it fails (0 = unbounded)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile from boot to the end of the drain to this file (diagnostic; read it with go tool pprof)")
 	)
 	flag.Parse()
@@ -50,13 +49,13 @@ func main() {
 	}
 
 	srv := serve.NewServer(serve.Config{
-		Workers:    *workers,
-		QueueCap:   *queue,
-		CachePath:  *cache,
-		CkptDir:    *ckptDir,
-		CrashDir:   *crashDir,
-		JournalDir: *journal,
-		Retry:      serve.RetryPolicy{MaxRetries: *retries, CellDeadline: *cellDL},
+		Workers:      *workers,
+		QueueCap:     *queue,
+		CachePath:    *cache,
+		CkptDir:      *ckptDir,
+		CrashDir:     *crashDir,
+		JournalDir:   *journal,
+		CellDeadline: *cellDL,
 	})
 	if err := srv.CacheLoadErr(); err != nil {
 		fmt.Fprintf(os.Stderr, "phelpsd: cache load: %v\n", err)

@@ -4,9 +4,10 @@
 // wrappers over encoding/binary's append forms; the Reader is the important
 // half: it is sticky-error and bounds-checked, so a truncated or corrupted
 // byte stream decodes to an error — never a panic — which the checkpoint
-// cache turns into a plain cache miss. Seal and Unseal add and check the
-// FNV-1a-64 trailer every on-disk format (PSC1, PJW1, PRC1) ends its blobs
-// or records with.
+// cache turns into a plain cache miss. Header writes and Reader.Header
+// checks the magic + schema words that PSC1, PJW1, PRC1 and the perfmodel
+// blob begin with; Seal and Unseal add and check the FNV-1a-64 trailer every
+// on-disk format (PSC1, PJW1, PRC1) ends its blobs or records with.
 package codec
 
 import (
@@ -22,6 +23,16 @@ var ErrShort = errors.New("codec: short or malformed buffer")
 // ErrChecksum reports a sealed blob whose FNV-1a trailer does not match its
 // body.
 var ErrChecksum = errors.New("codec: checksum mismatch")
+
+// ErrForeignFile reports a header that names another format or schema.
+var ErrForeignFile = errors.New("codec: foreign or schema-skewed header")
+
+// HeaderSize is the encoded length of a Header.
+const HeaderSize = 8
+
+// Header appends the header a versioned format begins with: its magic, then
+// its schema version.
+func Header(b []byte, magic, schema uint32) []byte { return U32(U32(b, magic), schema) }
 
 // FNV-1a 64-bit parameters, shared by the seal trailer and the simulator's
 // content hashes.
@@ -202,6 +213,16 @@ func (r *Reader) Bool() bool {
 		r.err = ErrShort
 	}
 	return v == 1
+}
+
+// Header reads a header that Header wrote and fails the reader unless it
+// names magic and schema: ErrShort if the buffer ends first, ErrForeignFile
+// if it names another format or schema version.
+func (r *Reader) Header(magic, schema uint32) error {
+	if m, v := r.U32(), r.U32(); r.err == nil && (m != magic || v != schema) {
+		r.err = ErrForeignFile
+	}
+	return r.err
 }
 
 // Bytes reads exactly n bytes, aliasing the underlying buffer (callers that

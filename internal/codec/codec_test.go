@@ -59,3 +59,36 @@ func TestUvarint(t *testing.T) {
 		}
 	}
 }
+
+// TestHeader: a header round-trips as its magic then its schema word, and a
+// short buffer or another magic or schema fails the reader, latching the
+// error for every later read.
+func TestHeader(t *testing.T) {
+	const magic, schema = 0x50524331, 1 // "PRC1"
+	b := Header([]byte("x"), magic, schema)
+	if got := string(b); got != "x1CRP\x01\x00\x00\x00" || len(b) != 1+HeaderSize {
+		t.Fatalf("Header wrote %q", got)
+	}
+	r := NewReader(b[1:])
+	if err := r.Header(magic, schema); err != nil || r.Len() != 0 {
+		t.Fatalf("Header read: err %v, %d bytes left", err, r.Len())
+	}
+	for name, tc := range map[string]struct {
+		b    []byte
+		want error
+	}{
+		"short":       {b[1:7], ErrShort},
+		"empty":       {nil, ErrShort},
+		"other magic": {Header(nil, magic+1, schema), ErrForeignFile},
+		"skewed":      {Header(nil, magic, schema+1), ErrForeignFile},
+	} {
+		// One byte after the header proves the error latches.
+		r := NewReader(append(append([]byte(nil), tc.b...), 7))
+		if err := r.Header(magic, schema); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err %v, want %v", name, err, tc.want)
+		}
+		if v := r.U8(); v != 0 || !errors.Is(r.Err(), tc.want) {
+			t.Errorf("%s: a later read returned %d with err %v", name, v, r.Err())
+		}
+	}
+}

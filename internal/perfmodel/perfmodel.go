@@ -379,8 +379,7 @@ func bestSplit(xs [][]float64, resid []float64, rows []int, minLeaf int) (feat i
 // ensembles, trailing whole-blob FNV-1a checksum).
 func (m *Model) Append(b []byte) []byte {
 	start := len(b)
-	b = codec.U32(b, modelMagic)
-	b = codec.U32(b, modelSchema)
+	b = codec.Header(b, modelMagic, modelSchema)
 	b = codec.U32(b, uint32(m.cfg.Rounds))
 	b = codec.U32(b, uint32(m.cfg.Depth))
 	b = codec.F64(b, m.cfg.LearnRate)

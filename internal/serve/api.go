@@ -15,7 +15,9 @@
 //     a results cache keyed by (workload hash, config name, seed,
 //     sample-mode) and logged, so repeated sweeps are warm across restarts;
 //   - one crashing or wedged cell fails only itself (the per-cell recover
-//     and watchdog turn it into ErrPanic/ErrStall), never the daemon;
+//     and watchdog turn it into ErrPanic/ErrStall), never the daemon, and
+//     it is not rerun: a cell is a pure function of its key, so a second
+//     run would fail the same way;
 //   - SIGTERM drains running cells and closes the results log.
 //
 // See DESIGN.md · phelpsd service for the full semantics, cmd/phelpsd for
@@ -33,7 +35,7 @@ import (
 const API = "/v1"
 
 // Version is the daemon build version reported by GET /v1/version.
-const Version = "0.11.0"
+const Version = "0.12.0"
 
 // Every /v1 endpoint replies with a documented status code, and every
 // non-2xx body is an ErrorReply JSON envelope:
@@ -111,29 +113,24 @@ const (
 
 // JobStatus is the GET /v1/jobs/{id} reply (and the POST /v1/jobs reply).
 type JobStatus struct {
-	ID      string    `json:"id"`
-	State   string    `json:"state"`
-	Created time.Time `json:"created"`
-	Quick   bool      `json:"quick,omitempty"`
-	Sampled bool      `json:"sampled,omitempty"`
-	Total   int       `json:"total_cells"`
-	Done    int       `json:"done_cells"`
-	Cached  int       `json:"cached_cells"`
-	Failed  int       `json:"failed_cells"`
-	// Retried counts cells that needed more than one execution attempt.
-	Retried int          `json:"retried_cells,omitempty"`
+	ID      string       `json:"id"`
+	State   string       `json:"state"`
+	Created time.Time    `json:"created"`
+	Quick   bool         `json:"quick,omitempty"`
+	Sampled bool         `json:"sampled,omitempty"`
+	Total   int          `json:"total_cells"`
+	Done    int          `json:"done_cells"`
+	Cached  int          `json:"cached_cells"`
+	Failed  int          `json:"failed_cells"`
 	Cells   []CellStatus `json:"cells"`
 }
 
 // CellStatus is one cell's live view inside a JobStatus.
 type CellStatus struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	State    string `json:"state"`
-	Cached   bool   `json:"cached,omitempty"`
-	// Attempts counts this cell's executions (retry provenance; 0 until the
-	// first attempt starts, >1 means the retry policy re-ran it).
-	Attempts int     `json:"attempts,omitempty"`
+	Workload string  `json:"workload"`
+	Config   string  `json:"config"`
+	State    string  `json:"state"`
+	Cached   bool    `json:"cached,omitempty"`
 	Error    string  `json:"error,omitempty"`
 	Cycles   uint64  `json:"cycles,omitempty"`
 	Retired  uint64  `json:"retired,omitempty"`
@@ -151,16 +148,12 @@ type JobResult struct {
 
 // CellResult carries one cell's full simulation result.
 type CellResult struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	State    string `json:"state"`
-	Cached   bool   `json:"cached,omitempty"`
-	// Attempts and RetryErrors are the cell's retry provenance: how many
-	// executions it took and what each pre-final attempt returned.
-	Attempts    int         `json:"attempts,omitempty"`
-	RetryErrors []string    `json:"retry_errors,omitempty"`
-	Error       string      `json:"error,omitempty"`
-	Result      *sim.Result `json:"result,omitempty"`
+	Workload string      `json:"workload"`
+	Config   string      `json:"config"`
+	State    string      `json:"state"`
+	Cached   bool        `json:"cached,omitempty"`
+	Error    string      `json:"error,omitempty"`
+	Result   *sim.Result `json:"result,omitempty"`
 }
 
 // ErrorReply is the JSON body of every non-2xx response.
@@ -202,21 +195,6 @@ type Healthz struct {
 	// Journal reports the write-ahead journal's size and health (nil when the
 	// daemon runs without -journal-dir).
 	Journal *JournalStats `json:"journal,omitempty"`
-	// Retry summarizes the retry policy's activity since boot.
-	Retry RetryStats `json:"retry"`
-}
-
-// RetryStats is the daemon-wide retry activity inside Healthz.
-type RetryStats struct {
-	// Retried counts re-executions scheduled after a transient failure.
-	Retried uint64 `json:"retried"`
-	// Recovered counts cells that succeeded on a retry attempt.
-	Recovered uint64 `json:"recovered"`
-	// Exhausted counts cells that failed after spending the retry budget.
-	Exhausted uint64 `json:"exhausted"`
-	// Transient and Permanent classify observed attempt failures.
-	Transient uint64 `json:"transient_failures"`
-	Permanent uint64 `json:"permanent_failures"`
 }
 
 // ReportReply is the GET /v1/report reply: BENCH_report-schema figures over

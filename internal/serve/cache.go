@@ -166,7 +166,7 @@ func (c *ResultCache) Open(path string) error {
 		err = fmt.Errorf("serve: results log %s: %w (kept %d of %d bytes)", path, err, valid, len(data))
 	}
 	if valid == 0 || valid < len(data) {
-		prefix := codec.U32(codec.U32(nil, resultsMagic), resultsSchema)
+		prefix := codec.Header(nil, resultsMagic, resultsSchema)
 		if valid > 0 {
 			prefix = data[:valid]
 		}

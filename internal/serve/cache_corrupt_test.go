@@ -353,7 +353,7 @@ func TestResultCacheSaveFaults(t *testing.T) {
 // per payload, framed exactly as appendFrame writes them.
 func writeFrames(t *testing.T, path string, magic, schema uint32, payloads ...[]byte) {
 	t.Helper()
-	data := codec.U32(codec.U32(nil, magic), schema)
+	data := codec.Header(nil, magic, schema)
 	for _, p := range payloads {
 		data = codec.U32(data, uint32(len(p)))
 		start := len(data)

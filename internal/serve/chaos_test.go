@@ -105,8 +105,8 @@ func (d *chaosDaemon) get(path string, v any) (int, error) {
 // job is submitted to a real phelpsd subprocess, the daemon is SIGKILLed at a
 // randomized point mid-flight, and a restarted daemon on the same directories
 // must finish the job under its original ID with results bit-identical to an
-// uninterrupted direct run, spending at most 1 + retry-budget attempts per
-// cell. Three randomized kill points per run; the seed is logged for replay.
+// uninterrupted direct run. Three randomized kill points per run; the seed is
+// logged for replay.
 func TestChaosKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill-restart chaos harness skipped in -short mode")
@@ -204,7 +204,6 @@ func TestChaosKillRestart(t *testing.T) {
 			if len(jr.Cells) != len(workloads)*len(configs) {
 				t.Fatalf("resumed job has %d cells, want %d", len(jr.Cells), len(workloads)*len(configs))
 			}
-			const retryBudget = 2 // daemon default MaxRetries
 			for _, c := range jr.Cells {
 				w := want[c.Workload][c.Config]
 				if c.Result == nil {
@@ -212,9 +211,6 @@ func TestChaosKillRestart(t *testing.T) {
 				}
 				if c.Result.Cycles != w.Cycles || c.Result.Retired != w.Retired || c.Result.Mispredicts != w.Mispredicts {
 					t.Errorf("%s/%s: resumed result not bit-identical to uninterrupted run", c.Workload, c.Config)
-				}
-				if c.Attempts > 1+retryBudget {
-					t.Errorf("%s/%s: %d attempts exceeds 1+retry budget", c.Workload, c.Config, c.Attempts)
 				}
 			}
 

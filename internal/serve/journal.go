@@ -2,13 +2,15 @@ package serve
 
 // Write-ahead job journal (see DESIGN.md · Durability & self-healing). Every
 // job the daemon acknowledges is appended here before the 202 goes out, and
-// every per-cell state transition (running → done/failed/canceled, with its
-// attempt number) follows, so a SIGKILL at any instant leaves enough on disk
-// to reconstruct the daemon's obligations: on the next boot the journal is
-// replayed, incomplete jobs are re-registered under their original IDs, and
-// their unresolved cells are re-enqueued. Re-execution is idempotent because
-// results are cache-keyed — a resumed cell either hits the persisted results
-// cache or deterministically recomputes the same numbers.
+// every cell's terminal transition (done, failed or canceled) follows, so a
+// SIGKILL at any instant leaves enough on disk to reconstruct the daemon's
+// obligations: on the next boot the journal is replayed, incomplete jobs are
+// re-registered under their original IDs, and their unresolved cells are
+// re-enqueued. A cell that was running at the kill is re-enqueued like a
+// pending one, so the daemon journals no running transitions. Re-execution
+// is idempotent because results are cache-keyed — a resumed cell either hits
+// the persisted results cache or deterministically recomputes the same
+// numbers.
 //
 // Format: one file (journal.wal) holding a header (magic + schema) followed
 // by length-framed records, each a JSON payload sealed with a trailing
@@ -59,7 +61,7 @@ const (
 // Journal record kinds.
 const (
 	recAccept = "accept" // job admitted: ID + full request
-	recCell   = "cell"   // one cell's state transition
+	recCell   = "cell"   // one cell's transition: terminal, or running from older builds
 	recJob    = "job"    // job reached a terminal state
 )
 
@@ -69,18 +71,17 @@ type journalRecord struct {
 	Job  string `json:"job"`
 	// Accept fields.
 	Req *JobRequest `json:"req,omitempty"`
-	// Cell fields.
-	Cell    int    `json:"cell,omitempty"`
-	State   string `json:"state,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
+	// Cell fields. Records written by older builds also carry an
+	// "attempt" count, which replay ignores.
+	Cell  int    `json:"cell,omitempty"`
+	State string `json:"state,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // jcell is the journal's latest view of one cell.
 type jcell struct {
-	state   string
-	attempt int
-	err     string
+	state string
+	err   string
 }
 
 // jjob is the journal's view of one job.
@@ -109,9 +110,8 @@ func (j *jjob) complete() bool {
 // boot: terminal failures and cancellations are sticky, everything else is
 // re-enqueued.
 type ResumedCell struct {
-	State   string
-	Attempt int
-	Error   string
+	State string
+	Error string
 }
 
 // ResumedJob is an incomplete journaled job the restarted daemon must finish.
@@ -184,7 +184,7 @@ func (j *Journal) replay() {
 		return nil
 	})
 	switch {
-	case errors.Is(err, errForeignFile):
+	case errors.Is(err, codec.ErrForeignFile):
 		j.errs.Add(1)
 	case err != nil:
 		j.truncated.Add(1)
@@ -220,12 +220,7 @@ func (j *Journal) apply(rec *journalRecord) {
 		if jb == nil || rec.Cell < 0 || rec.Cell >= len(jb.cells) {
 			return
 		}
-		c := &jb.cells[rec.Cell]
-		c.state = rec.State
-		if rec.Attempt > c.attempt {
-			c.attempt = rec.Attempt
-		}
-		c.err = rec.Error
+		jb.cells[rec.Cell] = jcell{state: rec.State, err: rec.Error}
 	case recJob:
 		if jb := j.live[rec.Job]; jb != nil {
 			jb.terminal = true
@@ -247,7 +242,7 @@ func (j *Journal) Resumed() []ResumedJob {
 		rj := ResumedJob{ID: jb.id, Req: jb.req, Cells: make([]ResumedCell, len(jb.cells))}
 		resumedCells := 0
 		for i, c := range jb.cells {
-			rj.Cells[i] = ResumedCell{State: c.state, Attempt: c.attempt, Error: c.err}
+			rj.Cells[i] = ResumedCell{State: c.state, Error: c.err}
 			switch c.state {
 			case CellFailed, CellCanceled:
 			default:
@@ -304,12 +299,10 @@ func (j *Journal) Accept(jobID string, req JobRequest) {
 	j.append(&journalRecord{Kind: recAccept, Job: jobID, Req: &req}, true)
 }
 
-// Cell journals one cell state transition. attempt counts executions of this
-// cell in this daemon's lifetime (1 = first). Unsynced: a transition lost to
+// Cell journals one cell state transition. Unsynced: a transition lost to
 // an OS crash merely re-runs an idempotent cell.
-func (j *Journal) Cell(jobID string, cell int, state string, attempt int, errMsg string) {
-	j.append(&journalRecord{Kind: recCell, Job: jobID, Cell: cell, State: state,
-		Attempt: attempt, Error: errMsg}, false)
+func (j *Journal) Cell(jobID string, cell int, state, errMsg string) {
+	j.append(&journalRecord{Kind: recCell, Job: jobID, Cell: cell, State: state, Error: errMsg}, false)
 }
 
 // JobDone journals a job reaching a terminal state, making it eligible for
@@ -323,8 +316,7 @@ func (j *Journal) JobDone(jobID string) {
 // (fsio.WriteFileAtomic with fsync), then reopens the append handle. Called
 // with j.mu held.
 func (j *Journal) compactLocked() {
-	buf := codec.U32(nil, journalMagic)
-	buf = codec.U32(buf, journalSchema)
+	buf := codec.Header(nil, journalMagic, journalSchema)
 	records := 0
 	keep := j.order[:0]
 	for _, id := range j.order {
@@ -344,8 +336,7 @@ func (j *Journal) compactLocked() {
 			if c.state == CellPending || c.state == "" {
 				continue
 			}
-			buf = appendFrame(buf, &journalRecord{Kind: recCell, Job: id, Cell: i,
-				State: c.state, Attempt: c.attempt, Error: c.err})
+			buf = appendFrame(buf, &journalRecord{Kind: recCell, Job: id, Cell: i, State: c.state, Error: c.err})
 			records++
 		}
 	}
@@ -379,10 +370,6 @@ func (j *Journal) compactLocked() {
 	}
 }
 
-// errForeignFile reports a framed file whose header names another format or
-// schema.
-var errForeignFile = errors.New("foreign or schema-skewed file header")
-
 // appendFrame appends one framed record to buf: the payload length, v's JSON
 // payload, and its codec.Seal trailer. A value that does not marshal (a
 // sim.Result holding a NaN) leaves buf unchanged.
@@ -400,20 +387,18 @@ func appendFrame(buf []byte, v any) []byte {
 // results log: it checks data's header, hands each frame's payload to apply
 // in file order, and returns the length of the valid prefix (the header and
 // every frame apply accepted). The error says why it stopped short of the
-// end: errForeignFile for a wrong header, else the first frame that is torn,
-// fails its seal or is refused by apply. An empty file is an empty prefix.
+// end: codec.ErrForeignFile for a wrong header, codec.ErrShort for a file
+// shorter than one, else the first frame that is torn, fails its seal or is
+// refused by apply. An empty file is an empty prefix.
 func readFrames(data []byte, magic, schema uint32, apply func(payload []byte) error) (int, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}
-	if len(data) < 8 {
-		return 0, codec.ErrShort
-	}
 	r := codec.NewReader(data)
-	if r.U32() != magic || r.U32() != schema {
-		return 0, errForeignFile
+	if err := r.Header(magic, schema); err != nil {
+		return 0, err
 	}
-	valid := 8
+	valid := codec.HeaderSize
 	for r.Len() > 0 {
 		n := int(r.U32())
 		if r.Err() != nil || n <= 0 || n > maxFrame || n+8 > r.Len() {

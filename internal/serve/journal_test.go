@@ -32,9 +32,9 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000007", req)
-	j.Cell("j-000007", 0, CellRunning, 1, "")
-	j.Cell("j-000007", 0, CellDone, 1, "")
-	j.Cell("j-000007", 1, CellRunning, 3, "")
+	j.Cell("j-000007", 0, CellRunning, "")
+	j.Cell("j-000007", 0, CellDone, "")
+	j.Cell("j-000007", 1, CellRunning, "")
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -48,15 +48,15 @@ func TestJournalRoundTrip(t *testing.T) {
 	if rj.ID != "j-000007" || len(rj.Cells) != 2 {
 		t.Fatalf("resumed job = %+v", rj)
 	}
-	if c := rj.Cells[0]; c.State != CellDone || c.Attempt != 1 {
-		t.Errorf("cell 0 = %+v, want done/attempt 1", c)
+	if c := rj.Cells[0]; c.State != CellDone {
+		t.Errorf("cell 0 = %+v, want done", c)
 	}
-	if c := rj.Cells[1]; c.State != CellRunning || c.Attempt != 3 {
-		t.Errorf("cell 1 = %+v, want running/attempt 3", c)
+	if c := rj.Cells[1]; c.State != CellRunning {
+		t.Errorf("cell 1 = %+v, want running", c)
 	}
 
 	// Finishing the job makes it compactable: the next boot sees nothing.
-	j2.Cell("j-000007", 1, CellDone, 4, "")
+	j2.Cell("j-000007", 1, CellDone, "")
 	j2.JobDone("j-000007")
 	if err := j2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -76,7 +76,7 @@ func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
-	j.Cell("j-000001", 0, CellRunning, 1, "")
+	j.Cell("j-000001", 0, CellRunning, "")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestJournalDiskFaults(t *testing.T) {
 	ffs.FailWrites(fsio.ErrNoSpace)
 	j := OpenJournal(ffs, dir, testMaxCells)
 	j.Accept("j-000001", twoCellReq())
-	j.Cell("j-000001", 0, CellDone, 1, "")
+	j.Cell("j-000001", 0, CellDone, "")
 	if j.Errors() == 0 {
 		t.Error("ENOSPC appends not counted")
 	}
@@ -177,8 +177,8 @@ func TestServerResumesJournaledJob(t *testing.T) {
 
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000003", req)
-	j.Cell("j-000003", 0, CellRunning, 1, "")
-	j.Cell("j-000003", 1, CellFailed, 1, "sim: verification failed")
+	j.Cell("j-000003", 0, CellRunning, "")
+	j.Cell("j-000003", 1, CellFailed, "sim: verification failed")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestResumeInvalidRequest(t *testing.T) {
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000005", JobRequest{Workloads: []string{"guarded", "no-such", "delinquent"}, Configs: []string{sim.CfgBase}, Quick: true})
-	j.Cell("j-000005", 0, CellFailed, 1, "sim: verification failed")
+	j.Cell("j-000005", 0, CellFailed, "sim: verification failed")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +308,55 @@ func TestResumedJobBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeOlderJournal boots a daemon over a journal in the format older
+// builds wrote: every cell record carries an attempt count, and the daemon
+// journaled running transitions, so one cell's last record says running. The
+// job resumes under its ID, re-runs both cells, and finishes bit-identical to
+// a direct library run.
+func TestResumeOlderJournal(t *testing.T) {
+	t.Parallel()
+	workloads := []string{"guarded", "delinquent"}
+	var specs []sim.Spec
+	for _, w := range workloads {
+		sp, err := sim.SpecByName(w, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	want, err := sim.RunMatrixOpt(specs, []string{sim.CfgBase}, sim.MatrixOptions{CrashDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	writeJournal(t, dir,
+		[]byte(`{"kind":"accept","job":"j-000009","req":{"workloads":["guarded","delinquent"],"configs":["base"],"quick":true}}`),
+		[]byte(`{"kind":"cell","job":"j-000009","cell":0,"state":"running","attempt":1}`),
+		[]byte(`{"kind":"cell","job":"j-000009","cell":0,"state":"done","attempt":1}`),
+		[]byte(`{"kind":"cell","job":"j-000009","cell":1,"state":"running","attempt":2}`))
+
+	s, ts := newTestServer(t, Config{Workers: 2, JournalDir: dir})
+	if fin := waitJob(t, ts, "j-000009"); fin.State != JobDone {
+		t.Fatalf("resumed job state = %s: %+v", fin.State, fin)
+	}
+	if got := s.journal.ResumedCells(); got != 2 {
+		t.Errorf("resumed_cells = %d, want 2", got)
+	}
+	for _, c := range jobResult(t, ts, "j-000009").Cells {
+		w := want[c.Workload][sim.CfgBase]
+		if c.Result == nil || c.Result.Cycles != w.Cycles || c.Result.Retired != w.Retired || c.Result.Mispredicts != w.Mispredicts {
+			t.Errorf("%s/%s: resumed run not bit-identical to direct run", c.Workload, c.Config)
+		}
+	}
+}
+
 // TestJournalFormatPinned pins the PJW1 on-disk bytes — header, framing and
 // FNV-1a trailers — against values recorded before the journal moved onto
 // the shared codec seal and atomic writer: a fresh journal holding one
 // accept and one cell transition, and the same journal after a reopen
-// rewrote it through compaction.
+// rewrote it through compaction. The cell frame was re-recorded when cell
+// records dropped their attempt count.
 func TestJournalFormatPinned(t *testing.T) {
 	t.Parallel()
 	const want = "" +
@@ -324,13 +368,13 @@ func TestJournalFormatPinned(t *testing.T) {
 		"69636b223a747275652c2273616d706c6564223a747275652c2273656564223a" +
 		"397d7de3f7e353e5a56a77" +
 		// cell frame
-		"470000007b226b696e64223a2263656c6c222c226a6f62223a226a2d30303030" +
-		"3432222c2263656c6c223a312c227374617465223a2272756e6e696e67222c22" +
-		"617474656d7074223a317de0c2dededf5dfa72"
+		"3b0000007b226b696e64223a2263656c6c222c226a6f62223a226a2d30303030" +
+		"3432222c2263656c6c223a312c227374617465223a2272756e6e696e67227dfe" +
+		"c58ec65e962cff"
 	dir := t.TempDir()
 	j := OpenJournal(fsio.OS, dir, testMaxCells)
 	j.Accept("j-000042", JobRequest{Workloads: []string{"bfs"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true, Sampled: true, Seed: 9})
-	j.Cell("j-000042", 1, CellRunning, 1, "")
+	j.Cell("j-000042", 1, CellRunning, "")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

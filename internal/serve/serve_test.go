@@ -265,7 +265,7 @@ func TestFullQuickMatrixOverHTTP(t *testing.T) {
 func TestFaultContainment(t *testing.T) {
 	t.Parallel()
 	s, ts := newTestServer(t, Config{Workers: 2})
-	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{PanicAtSeq: 1000}, 0)
+	s.faults = faultOn("guarded", sim.CfgBase, cpu.FaultInjection{PanicAtSeq: 1000})
 	st, resp := postJob(t, ts, JobRequest{
 		Workloads: []string{"guarded", "delinquent"},
 		Configs:   []string{sim.CfgBase},
@@ -342,6 +342,44 @@ func TestQueueOverflow(t *testing.T) {
 	_, resp4 := postJob(t, ts, JobRequest{Workloads: []string{"nested"}, Configs: []string{sim.CfgBase}, Quick: true})
 	if resp4.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-cancel job: %s, want 202", resp4.Status)
+	}
+}
+
+// TestAdmissionColdStartRetryAfter pins the EWMA seed: a 429 issued before
+// any cell has ever completed must still carry a nonzero, conservative
+// Retry-After hint, and later observations blend normally.
+func TestAdmissionColdStartRetryAfter(t *testing.T) {
+	t.Parallel()
+	a := NewAdmission(2, 1)
+	if !a.TryAdmit(2) {
+		t.Fatal("admit failed")
+	}
+	if ra := a.RetryAfter(1); ra < time.Second {
+		t.Errorf("cold-start RetryAfter = %v, want >= 1s", ra)
+	}
+	// One slow observation raises the estimate above the seed.
+	a.Observe(9 * time.Second)
+	if ra := a.RetryAfter(1); ra <= time.Second {
+		t.Errorf("post-observe RetryAfter = %v, want > 1s", ra)
+	}
+}
+
+// TestColdStart429OverHTTP is the end-to-end version: the very first 429 the
+// daemon ever sends carries a usable hint in both the header and the body.
+func TestColdStart429OverHTTP(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	release := blockWorkers(s)
+	defer release()
+	if _, resp := postJob(t, ts, JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase}, Quick: true}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first job: %s", resp.Status)
+	}
+	_, resp := postJob(t, ts, JobRequest{Workloads: []string{"delinquent"}, Configs: []string{sim.CfgBase}, Quick: true})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow: %s, want 429", resp.Status)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
+		t.Errorf("cold-start 429 Retry-After header = %q, want nonzero", ra)
 	}
 }
 
@@ -476,9 +514,9 @@ func TestFinishedJobReleasesContexts(t *testing.T) {
 			t.Errorf("cell %d: %s, results differ or missing", i, a.State)
 		}
 	}
-	// Two accepts, a running and a done record for each of the four cells,
-	// and two job-done records.
-	const records = 2 + 4*2 + 2
+	// Two accepts, a done record for each of the four cells, and two
+	// job-done records.
+	const records = 2 + 4 + 2
 	if n := s.journal.Appends(); n != records {
 		t.Errorf("journal appends = %d, want %d", n, records)
 	}

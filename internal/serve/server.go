@@ -43,9 +43,9 @@ type Config struct {
 	// are journaled before the 202 goes out, and a restarted daemon replays
 	// the journal and finishes incomplete jobs under their original IDs.
 	JournalDir string
-	// Retry bounds per-cell re-execution of transient failures (zero values
-	// select the defaults; see RetryPolicy).
-	Retry RetryPolicy
+	// CellDeadline, when set, bounds each cell's run in wall-clock time; a
+	// cell that misses it fails (0 = unbounded).
+	CellDeadline time.Duration
 	// FS is the filesystem seam shared by the results cache, the checkpoint
 	// cache, and the journal (nil = the real filesystem). Tests inject an
 	// fsio.FaultFS here to prove disk faults degrade to counted misses.
@@ -92,7 +92,6 @@ type Server struct {
 	cache   *ResultCache
 	ckpts   *sim.CkptCache // nil unless Config.CkptDir is set
 	journal *Journal       // nil unless Config.JournalDir is set
-	retry   RetryPolicy
 	store   *Store
 	res     *resolver
 	reg     *obs.Registry
@@ -102,20 +101,18 @@ type Server struct {
 	baseCancel context.CancelCauseFunc
 	draining   atomic.Bool
 
-	// faults, when set, picks the bug injected into one attempt of a
+	// faults, when set, picks the bug injected into each run of a
 	// (workload, config) cell; tests set it before the first submission
-	// to exercise containment and retry.
-	faults func(workload, config string, attempt int) *cpu.FaultInjection
+	// to exercise containment.
+	faults func(workload, config string) *cpu.FaultInjection
 
 	flightMu sync.Mutex
 	flights  map[CellKey]*flight
 
-	jobsSubmitted, jobsRejected, jobsCanceled    atomic.Uint64
-	cellsSubmitted, cellsDone, cellsFailed       atomic.Uint64
-	cellsCanceled, cellsFromCache, cellsDeduped  atomic.Uint64
-	retryRetried, retryRecovered, retryExhausted atomic.Uint64
-	retryTransient, retryPermanent               atomic.Uint64
-	cacheLoadErr                                 error
+	jobsSubmitted, jobsRejected, jobsCanceled   atomic.Uint64
+	cellsSubmitted, cellsDone, cellsFailed      atomic.Uint64
+	cellsCanceled, cellsFromCache, cellsDeduped atomic.Uint64
+	cacheLoadErr                                error
 }
 
 // NewServer assembles a daemon. The results log (if configured) is replayed
@@ -128,7 +125,6 @@ func NewServer(cfg Config) *Server {
 		sched:   sim.NewPool(cfg.Workers),
 		adm:     NewAdmission(cfg.QueueCap, cfg.Workers),
 		cache:   NewResultCacheFS(cfg.FS),
-		retry:   cfg.Retry.withDefaults(),
 		store:   NewStore(),
 		res:     newResolver(),
 		reg:     obs.NewRegistry(),
@@ -189,13 +185,6 @@ func (s *Server) registerObs() {
 	cache.Counter("saves", s.cache.Saves)
 	cache.Counter("save_errors", s.cache.SaveErrors)
 	cache.Gauge("entries", func() float64 { return float64(s.cache.Len()) })
-
-	retry := s.reg.Scope("serve.retry")
-	retry.Counter("retried", s.retryRetried.Load)
-	retry.Counter("recovered", s.retryRecovered.Load)
-	retry.Counter("exhausted", s.retryExhausted.Load)
-	retry.Counter("transient", s.retryTransient.Load)
-	retry.Counter("permanent", s.retryPermanent.Load)
 
 	if s.journal != nil {
 		jn := s.reg.Scope("serve.journal")
@@ -363,7 +352,7 @@ func (s *Server) Submit(req JobRequest) (*Job, *apiError) {
 // queues each workload's cell tasks as one pool task running them in
 // request order, so the later configs measure from the checkpoint artifact
 // the first one stored instead of rebuilding it on another worker. Flights,
-// retry, deadlines, journal records and admission stay per cell.
+// deadlines, journal records and admission stay per cell.
 func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 	rows := job.Req.Sampled && s.ckpts != nil
 	var tasks []func()
@@ -431,24 +420,19 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 		return nil
 	}
 	return func() {
-		onAttempt := func(attempt int) {
-			s.flightMu.Lock()
-			fl.started = true
-			running := append([]*Cell(nil), fl.cells...)
-			s.flightMu.Unlock()
-			for _, rc := range running {
-				rc.setRunning()
-				rc.noteAttempt(attempt)
-				s.journalCell(rc, CellRunning, attempt, "")
-			}
+		s.flightMu.Lock()
+		fl.started = true
+		for _, rc := range fl.cells {
+			rc.setRunning()
 		}
+		s.flightMu.Unlock()
 		start := time.Now()
-		res, err, out := s.runWithRetry(fl.ctx, spec, fl.key.Config, req, onAttempt)
+		res, err := s.execCell(fl.ctx, spec, fl.key.Config, req)
 		s.adm.Observe(time.Since(start))
 		if err == nil {
 			s.cache.Put(fl.key, &res)
 		}
-		s.completeFlight(fl, &res, err, out)
+		s.completeFlight(fl, &res, err)
 	}
 }
 
@@ -458,11 +442,9 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 // kept for the life of the daemon.
 var errFinished = errors.New("serve: finished")
 
-// completeFlight resolves every subscribed cell and retires the flight,
-// releasing its context. The attempt outcome fans out to every subscriber:
-// a shared execution's retry provenance belongs to each cell that waited on
-// it.
-func (s *Server) completeFlight(fl *flight, res *sim.Result, err error, out attemptOutcome) {
+// completeFlight resolves every subscribed cell with the flight's outcome
+// and retires the flight, releasing its context.
+func (s *Server) completeFlight(fl *flight, res *sim.Result, err error) {
 	s.flightMu.Lock()
 	fl.done = true
 	if s.flights[fl.key] == fl {
@@ -472,10 +454,6 @@ func (s *Server) completeFlight(fl *flight, res *sim.Result, err error, out atte
 	fl.cells = nil
 	s.flightMu.Unlock()
 	for _, c := range cells {
-		c.noteAttempt(out.attempts)
-		if len(out.retryErrs) > 0 {
-			c.setRetryErrs(out.retryErrs)
-		}
 		s.finishCell(c, res, err, false)
 	}
 	fl.cancel(errFinished)
@@ -496,14 +474,20 @@ func (s *Server) unrefFlight(fl *flight) {
 	}
 }
 
+// errCellDeadline is the cancellation cause installed by the per-cell
+// deadline, distinguishing it from a job cancel or daemon shutdown.
+var errCellDeadline = errors.New("serve: per-cell deadline exceeded")
+
 // execCell is the one place a daemon cell meets the sim library: the full
 // cycle-accurate per-cell runner (bit-identical to a RunMatrixOpt cell) or
 // the SimPoint-sampled pipeline, both under the flight's context and with
-// per-cell panic/stall containment.
-func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest, attempt int) (sim.Result, error) {
+// per-cell panic/stall containment. A cell is a pure function of its key,
+// so it runs once: a failure would recur on every rerun. A cell that misses
+// Config.CellDeadline fails with errCellDeadline.
+func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest) (sim.Result, error) {
 	opt := sim.MatrixOptions{Checks: req.Checks, Lockstep: req.Lockstep, CrashDir: s.cfg.CrashDir}
 	if s.faults != nil {
-		opt.Faults = s.faults(spec.Name, cfgName, attempt)
+		opt.Faults = s.faults(spec.Name, cfgName)
 	}
 	if req.Sampled {
 		// Point measurement stays serial per cell — the pool already
@@ -513,16 +497,18 @@ func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, re
 		// profile pass every seed and predictor the daemon samples it at.
 		opt.Sample = &sim.SampleConfig{Seed: req.Seed, Ckpts: s.ckpts}
 	}
-	return sim.RunCellCtx(ctx, spec, cfgName, opt)
-}
-
-// journalCell appends one cell transition when the journal is on; the cell's
-// journal identity is (job ID, cross-product index).
-func (s *Server) journalCell(c *Cell, state string, attempt int, errMsg string) {
-	if s.journal == nil {
-		return
+	if s.cfg.CellDeadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.CellDeadline, errCellDeadline)
+		defer cancel()
 	}
-	s.journal.Cell(c.job.ID, c.idx, state, attempt, errMsg)
+	res, err := sim.RunCellCtx(ctx, spec, cfgName, opt)
+	if errors.Is(err, sim.ErrCanceled) && errors.Is(context.Cause(ctx), errCellDeadline) {
+		// The deadline fired while the flight was still wanted: the cell
+		// failed, nobody canceled it.
+		err = fmt.Errorf("%w after %v", errCellDeadline, s.cfg.CellDeadline)
+	}
+	return res, err
 }
 
 // jobFinished fsyncs the results log, so a finished job's results survive a
@@ -549,19 +535,22 @@ func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
 	s.resolveCell(c, state, res, err, cached)
 }
 
-// resolveCell resolves a cell exactly once: it journals the transition,
-// releases the cell's admission slot, counts it, and finishes its job on the
-// last one. It reports whether this call resolved the cell.
+// resolveCell resolves a cell exactly once: it journals the transition
+// under the cell's journal identity (job ID, cross-product index), releases
+// the cell's admission slot, counts it, and finishes its job on the last
+// one. It reports whether this call resolved the cell.
 func (s *Server) resolveCell(c *Cell, state string, res *sim.Result, err error, cached bool) bool {
 	first, hadSlot := c.resolve(state, res, err, cached)
 	if !first {
 		return false
 	}
-	var emsg string
-	if err != nil {
-		emsg = err.Error()
+	if s.journal != nil {
+		var emsg string
+		if err != nil {
+			emsg = err.Error()
+		}
+		s.journal.Cell(c.job.ID, c.idx, state, emsg)
 	}
-	s.journalCell(c, state, c.attemptCount(), emsg)
 	if hadSlot {
 		s.adm.Release(1)
 	}
@@ -610,7 +599,6 @@ func (s *Server) resumeJob(rj ResumedJob) {
 		if i < len(rj.Cells) {
 			rc = rj.Cells[i]
 		}
-		c.attempts = rc.Attempt
 		switch {
 		case rc.State == CellFailed || rc.State == CellCanceled:
 			// Journaled terminal outcome: sticky across the restart.
@@ -737,13 +725,6 @@ func (s *Server) Healthz() Healthz {
 		Jobs:     s.store.Len(),
 		QueueCap: s.adm.Capacity(),
 		Queued:   s.adm.Depth(),
-		Retry: RetryStats{
-			Retried:   s.retryRetried.Load(),
-			Recovered: s.retryRecovered.Load(),
-			Exhausted: s.retryExhausted.Load(),
-			Transient: s.retryTransient.Load(),
-			Permanent: s.retryPermanent.Load(),
-		},
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()

@@ -30,15 +30,13 @@ type Cell struct {
 	job *Job
 	fl  *flight
 
-	mu        sync.Mutex
-	state     string
-	cached    bool
-	res       *sim.Result
-	err       error
-	resolved  bool
-	slot      bool // holds an admission slot until resolved
-	attempts  int  // executions so far (retry provenance)
-	retryErrs []string
+	mu       sync.Mutex
+	state    string
+	cached   bool
+	res      *sim.Result
+	err      error
+	resolved bool
+	slot     bool // holds an admission slot until resolved
 }
 
 // setRunning marks a pending cell running (a late flight start on an
@@ -49,29 +47,6 @@ func (c *Cell) setRunning() {
 		c.state = CellRunning
 	}
 	c.mu.Unlock()
-}
-
-// noteAttempt records the highest attempt number observed for this cell.
-func (c *Cell) noteAttempt(n int) {
-	c.mu.Lock()
-	if n > c.attempts {
-		c.attempts = n
-	}
-	c.mu.Unlock()
-}
-
-// setRetryErrs records the pre-final attempt errors (retry provenance).
-func (c *Cell) setRetryErrs(errs []string) {
-	c.mu.Lock()
-	c.retryErrs = errs
-	c.mu.Unlock()
-}
-
-// attemptCount reads the cell's attempt counter.
-func (c *Cell) attemptCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.attempts
 }
 
 // resolve finalizes the cell; only the first call takes effect. It reports
@@ -101,7 +76,6 @@ func (c *Cell) status() CellStatus {
 		Config:   c.Config,
 		State:    c.state,
 		Cached:   c.cached,
-		Attempts: c.attempts,
 	}
 	if c.err != nil {
 		st.Error = c.err.Error()
@@ -120,13 +94,11 @@ func (c *Cell) result() CellResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cr := CellResult{
-		Workload:    c.Workload,
-		Config:      c.Config,
-		State:       c.state,
-		Cached:      c.cached,
-		Attempts:    c.attempts,
-		RetryErrors: c.retryErrs,
-		Result:      c.res,
+		Workload: c.Workload,
+		Config:   c.Config,
+		State:    c.state,
+		Cached:   c.cached,
+		Result:   c.res,
 	}
 	if c.err != nil {
 		cr.Error = c.err.Error()
@@ -206,9 +178,6 @@ func (j *Job) Status() JobStatus {
 		}
 		if cs.Cached {
 			st.Cached++
-		}
-		if cs.Attempts > 1 {
-			st.Retried++
 		}
 	}
 	switch {

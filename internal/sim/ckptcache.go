@@ -63,7 +63,7 @@ const ckptPointBytes = 4 + 8 + 8 + 4 + 4
 
 // ckptHeaderBytes is the encoded header: magic, schema, the key words, the
 // full-run flag, total, interval length, interval count and halted flag.
-const ckptHeaderBytes = 4 + 4 + 8*8 + 1 + 8 + 8 + 4 + 1
+const ckptHeaderBytes = codec.HeaderSize + 8*8 + 1 + 8 + 8 + 4 + 1
 
 // ckptArtifactMagic identifies artifact files ("PSC1").
 const ckptArtifactMagic uint32 = 0x50534331
@@ -192,8 +192,7 @@ func appendArtifact(b []byte, key CkptKey, art *ckptArtifact) []byte {
 	}
 	b = slices.Grow(b, n)
 	start := len(b)
-	b = codec.U32(b, ckptArtifactMagic)
-	b = codec.U32(b, ckptSchema)
+	b = codec.Header(b, ckptArtifactMagic, ckptSchema)
 	for _, v := range key.fields() {
 		b = codec.U64(b, v)
 	}
@@ -228,11 +227,8 @@ func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
 		return nil, fmt.Errorf("sim: ckpt artifact: %w", err)
 	}
 	r := codec.NewReader(body)
-	if m := r.U32(); m != ckptArtifactMagic {
-		return nil, fmt.Errorf("sim: ckpt artifact magic %#x", m)
-	}
-	if v := r.U32(); v != ckptSchema {
-		return nil, fmt.Errorf("sim: ckpt artifact schema %d, want %d", v, ckptSchema)
+	if err := r.Header(ckptArtifactMagic, ckptSchema); err != nil {
+		return nil, fmt.Errorf("sim: ckpt artifact: %w", err)
 	}
 	var got CkptKey
 	fields := []*uint64{&got.Workload, &got.IntervalLen, &got.K, &got.Warmup, &got.Seed,

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -74,30 +73,4 @@ func TestCkptCacheDiskFaults(t *testing.T) {
 			t.Errorf("result diverged under bit-rot")
 		}
 	})
-}
-
-// TestIsTransient pins the retry classification: stalls and panics are
-// transient; deterministic failures and cancellation are permanent.
-func TestIsTransient(t *testing.T) {
-	wrap := func(s error) error { return errors.Join(errors.New("ctx"), s) }
-	for _, tc := range []struct {
-		err  error
-		want bool
-	}{
-		{ErrStall, true},
-		{ErrPanic, true},
-		{wrap(ErrStall), true},
-		{wrap(ErrPanic), true},
-		{ErrLivelock, false},
-		{ErrVerify, false},
-		{ErrCheck, false},
-		{ErrConsumed, false},
-		{ErrCanceled, false},
-		{errors.New("misc"), false},
-		{nil, false},
-	} {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
 }

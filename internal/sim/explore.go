@@ -83,8 +83,7 @@ func predictorBudget(kind PredictorKind) float64 {
 
 // explorePointFor assembles one grid point from its knob values.
 func explorePointFor(rob, depth int, pred PredictorKind, phelps bool, thresholdDiv uint64, queueDepth int) ExplorePoint {
-	predName := map[PredictorKind]string{PredBimodal: "bimodal", PredGshare: "gshare", PredTAGE: "tage"}[pred]
-	name := fmt.Sprintf("rob%d-d%d-%s", rob, depth, predName)
+	name := fmt.Sprintf("rob%d-d%d-%s", rob, depth, pred)
 	mech := "base"
 	if phelps {
 		mech = fmt.Sprintf("phelps-t%d-q%d", thresholdDiv, queueDepth)

@@ -63,18 +63,6 @@ var (
 	ErrCanceled = errors.New("run canceled")
 )
 
-// IsTransient classifies a run failure for retry policies: transient
-// failures are environmental — a wedged pipeline (ErrStall) or a recovered
-// panic (ErrPanic) can be caused by resource pressure, a poisoned pooled
-// structure, or an injected fault that will not strike again — and are worth
-// a bounded number of re-executions. Everything else is deterministic with
-// respect to the (workload, config) cell: livelock, verification and oracle
-// failures, a consumed workload, and cancellation all recur on every retry,
-// so callers should fail fast and record them as permanent.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrStall) || errors.Is(err, ErrPanic)
-}
-
 // Forward-progress watchdog controls (Config.StallCycles).
 const (
 	// DefaultStallCycles is the watchdog threshold when Config.StallCycles
@@ -96,6 +84,33 @@ const (
 	PredBimodal
 	PredGshare
 )
+
+// predictorNames is the one name table for predictors: String, the phelps
+// -pred flag (PredictorByName) and explore point names all read it.
+var predictorNames = [...]string{
+	PredTAGE:    "tage",
+	PredPerfect: "perfect",
+	PredBimodal: "bimodal",
+	PredGshare:  "gshare",
+}
+
+// String returns the predictor's name (tage, perfect, bimodal or gshare).
+func (k PredictorKind) String() string {
+	if k >= 0 && int(k) < len(predictorNames) {
+		return predictorNames[k]
+	}
+	return fmt.Sprintf("PredictorKind(%d)", int(k))
+}
+
+// PredictorByName returns the predictor that String names name.
+func PredictorByName(name string) (PredictorKind, error) {
+	for k, n := range predictorNames {
+		if n == name {
+			return PredictorKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown predictor %q", name)
+}
 
 // Mode selects the pre-execution mechanism under test.
 type Mode int

@@ -36,14 +36,14 @@ go test -race -count=1 \
     ./internal/sim
 # The daemon's concurrency (its sim.Pool, flights, admission, cache, live
 # registry snapshots) race-clean — this also covers the journal,
-# retry-policy, and cache-corruption suites; the 116-cell HTTP acceptance
+# cell-failure, and cache-corruption suites; the 116-cell HTTP acceptance
 # sweep is skipped under -short and pinned without -race below.
 go test -race -short ./internal/serve
 go test -count=1 -run TestFullQuickMatrixOverHTTP ./internal/serve
 # Kill-restart chaos harness under -race: a real phelpsd subprocess (itself
 # race-built) SIGKILLed at three randomized points mid-job, restarted on the
-# same journal/cache dirs, and required to finish the job bit-identically
-# within the retry budget. Skipped under -short, so named explicitly.
+# same journal/cache dirs, and required to finish the job bit-identically.
+# Skipped under -short, so named explicitly.
 go test -race -count=1 -run TestChaosKillRestart ./internal/serve
 # phelpsd smoke: boot the daemon on an ephemeral port, submit a quick job
 # with the CLI client, then resubmit and require the second pass to be
@@ -62,6 +62,10 @@ status=0
     -json >"$smoke_dir/failed.json" || status=$?
 [ "$status" = 1 ]
 grep -q '"error": ' "$smoke_dir/failed.json"
+# phelps names the predictor its configuration runs, which scripts read from
+# -json: perfBP runs the perfect predictor.
+"$smoke_dir/phelps" -workload guarded -config perfBP -quick -json \
+    | grep -q '"predictor": "perfect"'
 # Checkpoint cache on or off, through the binary: a sampled run without a
 # cache (which builds and measures an artifact it never stores), a cold run
 # that stores the artifact and a warm run that decodes it from disk print
