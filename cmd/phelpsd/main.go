@@ -5,7 +5,8 @@
 //	phelps -submit -workloads astar,bfs -configs base,phelps -quick
 //
 // Each finished cell is appended to the -cache results log, so the next boot
-// starts warm even after a SIGKILL. SIGTERM (or SIGINT) drains gracefully:
+// starts warm even after a SIGKILL; the daemon keeps an index over the log
+// and reads a result from it when a client asks for one. SIGTERM (or SIGINT) drains gracefully:
 // new submissions get 503, running cells finish (up to -drain-timeout, then
 // their contexts are canceled), and the log is synced and closed.
 package main

@@ -11,7 +11,8 @@
 //   - torn writes: a write reports success but only a prefix reaches disk,
 //     exactly what a power cut mid-write leaves behind;
 //   - ENOSPC: writes and file creation fail outright;
-//   - bit-rot: reads succeed but one byte has silently flipped.
+//   - bit-rot: reads (whole-file and at an offset) succeed but one byte has
+//     silently flipped.
 //
 // Production code always uses OS (the thinnest possible veneer over the os
 // package); FaultFS exists for tests and chaos harnesses.
@@ -27,10 +28,12 @@ import (
 	"syscall"
 )
 
-// File is the writable-file surface the stores need: append/stream writes,
-// durability, and a name for WriteFileAtomic's temp-file + rename.
+// File is the file surface the stores need: append/stream writes, reads at
+// an offset (the results log reads one record back), durability, and a name
+// for WriteFileAtomic's temp-file + rename.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Closer
 	// Sync flushes the file to stable storage (fsync).
 	Sync() error
@@ -42,7 +45,8 @@ type File interface {
 // use. Implementations must be safe for concurrent use.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
-	// OpenAppend opens name for appending, creating it if absent.
+	// OpenAppend opens name for reading and appending, creating it if
+	// absent.
 	OpenAppend(name string) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
@@ -87,7 +91,7 @@ type osFS struct{}
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (osFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return os.OpenFile(name, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
@@ -140,7 +144,7 @@ func (f *FaultFS) TornWrites(on bool) {
 }
 
 // BitRot arms or disarms read corruption: while armed, every non-empty
-// ReadFile result comes back with one byte flipped.
+// ReadFile result and File.ReadAt read comes back with one byte flipped.
 func (f *FaultFS) BitRot(on bool) {
 	f.mu.Lock()
 	f.bitRot = on
@@ -171,14 +175,19 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	if err != nil {
 		return data, err
 	}
+	f.rot(data)
+	return data, nil
+}
+
+// rot flips the middle byte of a non-empty read while bit-rot is armed.
+func (f *FaultFS) rot(p []byte) {
 	f.mu.Lock()
 	rot := f.bitRot
 	f.mu.Unlock()
-	if rot && len(data) > 0 {
+	if rot && len(p) > 0 {
 		f.rottenReads.Add(1)
-		data[len(data)/2] ^= 0x40
+		p[len(p)/2] ^= 0x40
 	}
-	return data, nil
 }
 
 func (f *FaultFS) OpenAppend(name string) (File, error) {
@@ -221,7 +230,8 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) { return f.under().Stat(name) }
 
-// faultFile applies the owning FaultFS's write faults to streamed writes.
+// faultFile applies the owning FaultFS's write faults to streamed writes
+// and its bit-rot to reads at an offset.
 // A torn stream write persists half the payload but reports len(p), so the
 // caller believes the append landed — the torn tail is only discovered on
 // the next read, exactly like a real crash.
@@ -243,4 +253,10 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return f.File.Write(p)
+}
+
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.fs.rot(p[:n])
+	return n, err
 }

@@ -130,11 +130,27 @@ func TestFaultFSBitRot(t *testing.T) {
 	if ffs.RottenReads() != 1 {
 		t.Errorf("RottenReads = %d, want 1", ffs.RottenReads())
 	}
-	// The file itself is untouched; only the read was corrupted.
+	// A read at an offset through an open file rots the same way.
+	f, err := ffs.OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4)
+	if n, err := f.ReadAt(buf, 2); n != 4 || err != nil || string(buf) == "2345" {
+		t.Fatalf("rotten ReadAt = %q, %d, %v", buf, n, err)
+	}
+	if ffs.RottenReads() != 2 {
+		t.Errorf("RottenReads = %d, want 2", ffs.RottenReads())
+	}
+	// The file itself is untouched; only the reads were corrupted.
 	ffs.BitRot(false)
 	got, _ = ffs.ReadFile(path)
 	if string(got) != "0123456789" {
 		t.Fatalf("disk was mutated: %q", got)
+	}
+	if _, err := f.ReadAt(buf, 2); err != nil || string(buf) != "2345" {
+		t.Fatalf("clean ReadAt = %q, %v", buf, err)
 	}
 }
 

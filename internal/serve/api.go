@@ -47,7 +47,8 @@ const Version = "0.12.0"
 //	                            429 overloaded   (admission queue full;
 //	                                Retry-After header + retry_after_sec)
 //	                            503 unavailable  (daemon draining)
-//	GET    /v1/jobs/{id}        200 · 404 not_found
+//	GET    /v1/jobs/{id}        200 · 404 not_found (also a finished job
+//	                                the store has dropped)
 //	GET    /v1/jobs/{id}/result 200 · 404 not_found
 //	DELETE /v1/jobs/{id}        200 (idempotent) · 404 not_found
 //	GET    /v1/report           200
@@ -146,7 +147,9 @@ type JobResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// CellResult carries one cell's full simulation result.
+// CellResult carries one cell's full simulation result: a done cell's, read
+// back from the results cache. A done cell whose result can no longer be
+// read has none, and says why in Error.
 type CellResult struct {
 	Workload string      `json:"workload"`
 	Config   string      `json:"config"`

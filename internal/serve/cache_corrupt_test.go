@@ -134,7 +134,7 @@ func TestResultsLogFormatPinned(t *testing.T) {
 
 // TestResultCachePutIsDurable: a result is in the log when Put returns, with
 // no job end, sync or close, and every Put grows the file by exactly its one
-// frame, also when Puts from several goroutines race Sync.
+// frame, also when Puts and Loads from several goroutines race Sync.
 func TestResultCachePutIsDurable(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "results.cache")
@@ -146,8 +146,8 @@ func TestResultCachePutIsDurable(t *testing.T) {
 	if got, want := fileSize(t, path)-start, frameSize(t, key, res); got != want {
 		t.Fatalf("one Put grew the log by %d bytes, want %d", got, want)
 	}
-	if got, ok := openLog(t, nil, path).Get(key); !ok || got.Cycles != res.Cycles {
-		t.Fatalf("a second cache on the log did not see the Put: %v, %v", got, ok)
+	if got, err := openLog(t, nil, path).Load(key); err != nil || !reflect.DeepEqual(got, res) {
+		t.Fatalf("a second cache on the log did not see the Put: %+v, %v", got, err)
 	}
 
 	const writers, perWriter = 4, 25
@@ -172,7 +172,11 @@ func TestResultCachePutIsDurable(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Put(testEntry(1 + w*perWriter + i))
+				key, res := testEntry(1 + w*perWriter + i)
+				c.Put(key, res)
+				if got, err := c.Load(key); err != nil || !reflect.DeepEqual(got, res) {
+					t.Errorf("entry %d loaded as %+v, %v while others append", 1+w*perWriter+i, got, err)
+				}
 			}
 		}(w)
 	}
@@ -189,17 +193,19 @@ func TestResultCachePutIsDurable(t *testing.T) {
 	if got := fileSize(t, path); got != want {
 		t.Errorf("log is %d bytes after the concurrent Puts, want %d", got, want)
 	}
-	if c.Saves() != total || c.SaveErrors() != 0 {
-		t.Errorf("saves=%d save_errors=%d, want %d/0", c.Saves(), c.SaveErrors(), total)
+	if c.Saves() != total || c.SaveErrors() != 0 || c.Resident() != 0 {
+		t.Errorf("saves=%d save_errors=%d resident=%d, want %d/0/0", c.Saves(), c.SaveErrors(), c.Resident(), total)
 	}
 	c2 := openLog(t, nil, path)
-	if c2.Len() != total || c2.LoadErrors() != 0 {
-		t.Fatalf("reopen: %d entries, %d load errors, want %d/0", c2.Len(), c2.LoadErrors(), total)
+	if c2.Len() != total || c2.LoadErrors() != 0 || c2.Resident() != 0 {
+		t.Fatalf("reopen: %d entries, %d load errors, %d resident, want %d/0/0", c2.Len(), c2.LoadErrors(), c2.Resident(), total)
 	}
 	for i := 0; i < total; i++ {
 		key, res := testEntry(i)
-		if got, ok := c2.Get(key); !ok || !reflect.DeepEqual(got, res) {
-			t.Errorf("entry %d replayed as %+v, %v", i, got, ok)
+		for _, rc := range []*ResultCache{c, c2} {
+			if got, err := rc.Load(key); err != nil || !reflect.DeepEqual(got, res) {
+				t.Errorf("entry %d loaded as %+v, %v", i, got, err)
+			}
 		}
 	}
 }
@@ -285,9 +291,10 @@ func TestResultCacheCorruption(t *testing.T) {
 }
 
 // TestResultCacheSaveFaults drives the log through disk faults: an ENOSPC
-// append is counted and its entry still served from memory, a torn append
-// loses only its own record at the next open, and a healed disk appends
-// again. A log that cannot be created at open leaves a memory-only cache.
+// append and a torn one (which does not read back) are counted and their
+// entries still served from memory, a torn append loses only its own record
+// at the next open, and a healed disk appends again. A log that cannot be
+// created at open leaves a memory-only cache.
 func TestResultCacheSaveFaults(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -297,7 +304,8 @@ func TestResultCacheSaveFaults(t *testing.T) {
 	if err := c.Open(path); err != nil {
 		t.Fatal(err)
 	}
-	c.Put(testEntry(0))
+	key0, res0 := testEntry(0)
+	c.Put(key0, res0)
 
 	ffs.FailWrites(fsio.ErrNoSpace)
 	key1, res1 := testEntry(1)
@@ -305,19 +313,25 @@ func TestResultCacheSaveFaults(t *testing.T) {
 	if c.SaveErrors() != 1 {
 		t.Errorf("save_errors = %d after an ENOSPC append, want 1", c.SaveErrors())
 	}
-	if _, ok := c.Get(key1); !ok {
-		t.Error("an entry whose append failed is not served")
+	if got, err := c.Load(key1); err != nil || !reflect.DeepEqual(got, res1) {
+		t.Errorf("an entry whose append failed is not served: %+v, %v", got, err)
 	}
 	ffs.FailWrites(nil)
 
+	// A torn write reports success, but it does not read back: the entry
+	// is counted and stays resident.
 	ffs.TornWrites(true)
-	c.Put(testEntry(2))
+	key2, res2 := testEntry(2)
+	c.Put(key2, res2)
 	ffs.TornWrites(false)
+	if c.Saves() != 1 || c.SaveErrors() != 2 || c.Resident() != 2 {
+		t.Errorf("saves=%d save_errors=%d resident=%d, want 1/2/2", c.Saves(), c.SaveErrors(), c.Resident())
+	}
+	if got, err := c.Load(key2); err != nil || !reflect.DeepEqual(got, res2) {
+		t.Errorf("an entry that did not read back is not served: %+v, %v", got, err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if c.Saves() != 2 || c.SaveErrors() != 1 {
-		t.Errorf("saves=%d save_errors=%d, want 2/1 (a torn write reports success)", c.Saves(), c.SaveErrors())
 	}
 
 	c2 := NewResultCacheFS(ffs)
@@ -331,9 +345,24 @@ func TestResultCacheSaveFaults(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c3 := openLog(t, ffs, path); c3.Len() != 2 {
-		t.Errorf("healed disk: %d entries replayed, want 2", c3.Len())
+	if c3 := openLog(t, ffs, path); c3.Len() != 2 || c3.Resident() != 0 {
+		t.Errorf("healed disk: %d entries replayed, %d resident, want 2/0", c3.Len(), c3.Resident())
 	}
+
+	// A log that replays but cannot be opened for appending keeps its
+	// records resident.
+	ffs.FailWrites(fsio.ErrNoSpace)
+	c5 := NewResultCacheFS(ffs)
+	if err := c5.Open(path); !errors.Is(err, fsio.ErrNoSpace) {
+		t.Errorf("opening a log on a full disk: %v, want ENOSPC", err)
+	}
+	if got, err := c5.Load(key2); c5.Len() != 2 || c5.Resident() != 2 || err == nil || got != nil {
+		t.Errorf("unopened log: %d entries, %d resident, torn entry loaded as %v, %v; want 2/2 and a miss", c5.Len(), c5.Resident(), got, err)
+	}
+	if got, err := c5.Load(key0); err != nil || !reflect.DeepEqual(got, res0) {
+		t.Errorf("unopened log: replayed entry loaded as %+v, %v", got, err)
+	}
+	ffs.FailWrites(nil)
 
 	ffs.FailWrites(fsio.ErrNoSpace)
 	c4 := NewResultCacheFS(ffs)
@@ -343,9 +372,9 @@ func TestResultCacheSaveFaults(t *testing.T) {
 	ffs.FailWrites(nil)
 	key4, res4 := testEntry(4)
 	c4.Put(key4, res4)
-	if _, ok := c4.Get(key4); !ok || c4.SaveErrors() != 1 || c4.LoadErrors() != 0 {
-		t.Errorf("memory-only cache: served %v, save_errors=%d load_errors=%d, want true/1/0",
-			ok, c4.SaveErrors(), c4.LoadErrors())
+	if got, err := c4.Load(key4); err != nil || got != res4 || c4.SaveErrors() != 1 || c4.LoadErrors() != 0 {
+		t.Errorf("memory-only cache: served %v, save_errors=%d load_errors=%d, want res/1/0",
+			err, c4.SaveErrors(), c4.LoadErrors())
 	}
 }
 
@@ -368,11 +397,16 @@ func writeFrames(t *testing.T, path string, magic, schema uint32, payloads ...[]
 // sealed and framed as Put writes it, so inputs get past the checksum to the
 // record decoder. Any file must open without a panic; the cache holds exactly
 // the leading records that decode with a result, and the load is an error
-// exactly when a frame did not replay. One Put after the open must replay at
-// the next. The committed corpus holds a good record, a record whose result
-// is null, and a payload that is not JSON between two good ones.
+// exactly when a frame did not replay. Load then reads every replayed key
+// back: with rot unset it must return the record's result, and with rot set
+// every read comes back with a flipped byte (fsio.FaultFS bit-rot), so it
+// must be a counted error that drops the key; it is never a result under
+// another key, and a key never replayed is a miss. One Put after the open
+// must replay at the next. The committed corpus holds a good record, a
+// record whose result is null, and a payload that is not JSON between two
+// good ones, each read back clean and rotted.
 func FuzzResultCacheLoad(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Fuzz(func(t *testing.T, in []byte, rot bool) {
 		var payloads [][]byte
 		for _, p := range bytes.Split(in, []byte("\n")) {
 			if len(p) > 0 {
@@ -392,22 +426,41 @@ func FuzzResultCacheLoad(f *testing.F) {
 			replayed++
 		}
 
-		c := NewResultCacheFS(nil)
+		ffs := &fsio.FaultFS{}
+		c := NewResultCacheFS(ffs)
 		err := c.Open(path)
 		if whole := replayed == len(payloads); (err == nil) != whole || (c.LoadErrors() == 0) != whole {
 			t.Fatalf("%d of %d frames replay: open error %v, %d load errors", replayed, len(payloads), err, c.LoadErrors())
 		}
-		if c.Len() != len(want) {
-			t.Fatalf("cache holds %d entries, want %d", c.Len(), len(want))
+		if c.Len() != len(want) || c.Resident() != 0 {
+			t.Fatalf("cache holds %d entries, %d resident, want %d/0", c.Len(), c.Resident(), len(want))
 		}
 		for k, r := range want {
-			if got, ok := c.Get(k); !ok || !reflect.DeepEqual(got, r) {
-				t.Fatalf("%+v replayed as %+v, want %+v", k, got, r)
+			if got, ok := c.Get(k); !ok || got != summarize(r) {
+				t.Fatalf("%+v replayed as %+v, want %+v", k, got, summarize(r))
 			}
+		}
+		loadErrs := c.LoadErrors()
+		ffs.BitRot(rot)
+		for k, r := range want {
+			got, err := c.Load(k)
+			switch {
+			case rot && (err == nil || got != nil):
+				t.Fatalf("%+v loaded from a rotten read as %+v, %v", k, got, err)
+			case !rot && (err != nil || !reflect.DeepEqual(got, r)):
+				t.Fatalf("%+v loaded as %+v, %v, want %+v", k, got, err, r)
+			}
+		}
+		ffs.BitRot(false)
+		if rot && (c.Len() != 0 || c.LoadErrors() != loadErrs+uint64(len(want))) {
+			t.Fatalf("after %d rotten reads: %d entries, %d load errors (was %d)", len(want), c.Len(), c.LoadErrors(), loadErrs)
 		}
 		put := CellKey{Config: "fuzz-put"}
 		for want[put] != nil {
 			put.WorkloadHash++
+		}
+		if _, err := c.Load(put); !errors.Is(err, errNotCached) {
+			t.Fatalf("a key never stored loaded with error %v, want a miss", err)
 		}
 		c.Put(put, &sim.Result{Cycles: 1})
 		if err := c.Close(); err != nil {
@@ -419,4 +472,48 @@ func FuzzResultCacheLoad(f *testing.F) {
 			t.Fatalf("reopen after one Put: %d entries (want %d), error %v", c2.Len(), len(want)+1, err)
 		}
 	})
+}
+
+// TestResultLogRoundTrip: every result the daemon serves is read back from
+// the results log, so each must survive the record's JSON exactly. Every
+// quick-matrix cell, and every sampled GAP base and phelps cell, comes back
+// from Put and Load deep-equal to the run that produced it.
+func TestResultLogRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the quick matrix is skipped in -short mode")
+	}
+	t.Parallel()
+	gap := []string{sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgPhelpsNoStore, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf}
+	runs := []struct {
+		specs   []sim.Spec
+		configs []string
+		sample  *sim.SampleConfig
+	}{
+		{sim.GapSpecs(true), gap, nil},
+		{sim.SpecCPUSpecs(true), []string{sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf}, nil},
+		{sim.GapSpecs(true), []string{sim.CfgBase, sim.CfgPhelps}, &sim.SampleConfig{}},
+	}
+	c := openLog(t, nil, filepath.Join(t.TempDir(), "results.cache"))
+	cells := 0
+	for _, run := range runs {
+		m, err := sim.RunMatrixOpt(run.specs, run.configs, sim.MatrixOptions{CrashDir: t.TempDir(), Sample: run.sample})
+		if err != nil {
+			t.Fatalf("matrix: %v", err)
+		}
+		for w, row := range m {
+			for cfg, res := range row {
+				key := CellKey{WorkloadHash: uint64(cells), Config: cfg, Sampled: run.sample != nil}
+				want := res
+				c.Put(key, &res)
+				got, err := c.Load(key)
+				if err != nil || !reflect.DeepEqual(got, &want) {
+					t.Errorf("%s/%s (sampled %v) did not round-trip: %v", w, cfg, key.Sampled, err)
+				}
+				cells++
+			}
+		}
+	}
+	if cells != 116+16 || c.Resident() != 0 {
+		t.Errorf("round-tripped %d cells with %d resident, want %d and none", cells, c.Resident(), 116+16)
+	}
 }

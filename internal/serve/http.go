@@ -143,7 +143,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Result())
+		writeJSON(w, http.StatusOK, j.Result(s.cache))
 	}
 }
 

@@ -174,7 +174,7 @@ func (j *Journal) replay() {
 		}
 		return
 	}
-	_, err = readFrames(data, journalMagic, journalSchema, func(payload []byte) error {
+	_, err = readFrames(data, journalMagic, journalSchema, func(_ int64, payload []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
@@ -384,13 +384,14 @@ func appendFrame(buf []byte, v any) []byte {
 }
 
 // readFrames is the one reader of both framed files, the journal and the
-// results log: it checks data's header, hands each frame's payload to apply
-// in file order, and returns the length of the valid prefix (the header and
-// every frame apply accepted). The error says why it stopped short of the
-// end: codec.ErrForeignFile for a wrong header, codec.ErrShort for a file
-// shorter than one, else the first frame that is torn, fails its seal or is
-// refused by apply. An empty file is an empty prefix.
-func readFrames(data []byte, magic, schema uint32, apply func(payload []byte) error) (int, error) {
+// results log: it checks data's header, hands each frame's offset in data and
+// its payload to apply in file order, and returns the length of the valid
+// prefix (the header and every frame apply accepted). The error says why it
+// stopped short of the end: codec.ErrForeignFile for a wrong header,
+// codec.ErrShort for a file shorter than one, else the first frame that is
+// torn, fails its seal or is refused by apply. An empty file is an empty
+// prefix.
+func readFrames(data []byte, magic, schema uint32, apply func(off int64, payload []byte) error) (int, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -400,20 +401,27 @@ func readFrames(data []byte, magic, schema uint32, apply func(payload []byte) er
 	}
 	valid := codec.HeaderSize
 	for r.Len() > 0 {
-		n := int(r.U32())
-		if r.Err() != nil || n <= 0 || n > maxFrame || n+8 > r.Len() {
-			return valid, codec.ErrShort
-		}
-		payload, err := codec.Unseal(r.Bytes(n + 8))
+		payload, err := nextFrame(r)
 		if err != nil {
 			return valid, err
 		}
-		if err := apply(payload); err != nil {
+		if err := apply(int64(valid), payload); err != nil {
 			return valid, err
 		}
 		valid = len(data) - r.Len()
 	}
 	return valid, nil
+}
+
+// nextFrame reads one frame from r and returns its payload: codec.ErrShort
+// for a frame that is torn or whose length is out of bounds, else the error
+// of its seal check.
+func nextFrame(r *codec.Reader) ([]byte, error) {
+	n := int(r.U32())
+	if r.Err() != nil || n <= 0 || n > maxFrame || n+8 > r.Len() {
+		return nil, codec.ErrShort
+	}
+	return codec.Unseal(r.Bytes(n + 8))
 }
 
 // Close flushes and closes the journal file.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"phelps/internal/cpu"
+	"phelps/internal/fsio"
 	"phelps/internal/obs"
 	"phelps/internal/sim"
 )
@@ -466,24 +467,35 @@ func TestCancelRacingSubmit(t *testing.T) {
 
 // TestFinishedJobReleasesContexts: once a job finishes, the contexts of the
 // flights its cells ran on are done, so the daemon's base context keeps no
-// child for it. Two identical jobs share each flight; their cells, results
-// and journal records are those of any finished job, and a later DELETE
-// marks a finished job canceled without touching its cells.
+// child for it, and neither its cells nor the results cache keep a flight or
+// a result in memory. Two identical jobs share each flight; their cells,
+// results and journal records are those of any finished job, and a later
+// DELETE marks a finished job canceled without touching its cells.
 func TestFinishedJobReleasesContexts(t *testing.T) {
 	t.Parallel()
-	s, ts := newTestServer(t, Config{Workers: 2, JournalDir: t.TempDir()})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 2, JournalDir: dir, CachePath: filepath.Join(dir, "results.cache")})
 	release := blockWorkers(s)
 	req := JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true}
 	st1, _ := postJob(t, ts, req)
 	st2, _ := postJob(t, ts, req)
-	release()
+	// Each cell has joined its flight; the parked workers have run none.
 	var jobs []*Job
+	var flights [][]*flight
+	for _, id := range []string{st1.ID, st2.ID} {
+		j, _ := s.store.Get(id)
+		jobs = append(jobs, j)
+		fls := make([]*flight, len(j.Cells))
+		for i, c := range j.Cells {
+			fls[i] = c.fl
+		}
+		flights = append(flights, fls)
+	}
+	release()
 	for _, id := range []string{st1.ID, st2.ID} {
 		if fin := waitJob(t, ts, id); fin.State != JobDone || fin.Done != 2 {
 			t.Fatalf("job %s: state %s with %d cells done, want done with 2", id, fin.State, fin.Done)
 		}
-		j, _ := s.store.Get(id)
-		jobs = append(jobs, j)
 	}
 	// A flight's context is released just after all of its cells have
 	// resolved.
@@ -497,15 +509,25 @@ func TestFinishedJobReleasesContexts(t *testing.T) {
 			return false
 		}
 	}
-	for _, j := range jobs {
+	for ji, j := range jobs {
 		for i, c := range j.Cells {
-			if c.fl == nil || !released(c.fl.ctx) {
+			fl := flights[ji][i]
+			if fl == nil || !released(fl.ctx) {
 				t.Errorf("job %s cell %d: flight context not released", j.ID, i)
 			}
-			if c.fl != jobs[0].Cells[i].fl {
+			if fl != flights[0][i] {
 				t.Errorf("job %s cell %d ran on its own flight, want the first job's", j.ID, i)
 			}
+			c.mu.Lock()
+			held := c.fl
+			c.mu.Unlock()
+			if held != nil {
+				t.Errorf("job %s cell %d: resolved cell still holds its flight", j.ID, i)
+			}
 		}
+	}
+	if n, r := s.cache.Len(), s.cache.Resident(); n != 2 || r != 0 {
+		t.Errorf("results cache holds %d entries, %d of them resident; want 2, none resident", n, r)
 	}
 	r1, r2 := jobResult(t, ts, st1.ID), jobResult(t, ts, st2.ID)
 	for i := range r1.Cells {
@@ -528,6 +550,102 @@ func TestFinishedJobReleasesContexts(t *testing.T) {
 	}
 	if n := s.journal.Appends(); n != records {
 		t.Errorf("journal appends after DELETE = %d, want %d", n, records)
+	}
+}
+
+// TestRottenResultRunsCold: a result whose record reads back from the log
+// with a flipped byte is never served. The cell reports the error, the load
+// is counted and the key leaves the results cache, so the next submission
+// runs the cell cold and serves a clean result.
+func TestRottenResultRunsCold(t *testing.T) {
+	t.Parallel()
+	ffs := &fsio.FaultFS{}
+	s, ts := newTestServer(t, Config{Workers: 2, FS: ffs, CachePath: filepath.Join(t.TempDir(), "results.cache")})
+	req := JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true}
+	st, _ := postJob(t, ts, req)
+	if fin := waitJob(t, ts, st.ID); fin.State != JobDone {
+		t.Fatalf("job state = %s, want done", fin.State)
+	}
+	ffs.BitRot(true)
+	rotten := jobResult(t, ts, st.ID)
+	ffs.BitRot(false)
+	for _, c := range rotten.Cells {
+		if c.State != CellDone || c.Result != nil || !strings.Contains(c.Error, "result unavailable") {
+			t.Errorf("%s/%s from a rotten read: state %s, result %v, error %q", c.Workload, c.Config, c.State, c.Result != nil, c.Error)
+		}
+	}
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+API+"/obs", &snap)
+	if n := snap.Counters["serve.cache.load_errors"]; n != 2 || s.cache.Len() != 0 {
+		t.Errorf("after two rotten reads: %d load errors, %d entries; want 2 and 0", n, s.cache.Len())
+	}
+
+	executed := s.sched.Executed()
+	st2, _ := postJob(t, ts, req)
+	if fin := waitJob(t, ts, st2.ID); fin.State != JobDone || fin.Cached != 0 {
+		t.Fatalf("resubmission: state %s with %d cells cached, want done with none", fin.State, fin.Cached)
+	}
+	if got := s.sched.Executed(); got != executed+2 {
+		t.Errorf("resubmission ran %d cells, want 2", got-executed)
+	}
+	for _, c := range jobResult(t, ts, st2.ID).Cells {
+		if c.Result == nil || c.Error != "" {
+			t.Errorf("%s/%s after the cold rerun: result %v, error %q", c.Workload, c.Config, c.Result != nil, c.Error)
+		}
+	}
+}
+
+// TestStoreDropsOldestFinishedJobs: past its bound the job store drops its
+// oldest finished jobs, whose IDs then answer 404, but never a running one;
+// the report keeps their cells, and the stored-job counts follow the store.
+func TestStoreDropsOldestFinishedJobs(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.store.keep = 2
+	release := blockWorkers(s)
+	req := JobRequest{Workloads: []string{"guarded"}, Configs: []string{sim.CfgBase}, Quick: true}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, _ := postJob(t, ts, req)
+		ids = append(ids, st.ID)
+	}
+	if n := s.store.Len(); n != 3 {
+		t.Errorf("store keeps %d of 3 running jobs over a bound of 2, want all", n)
+	}
+	release()
+	for _, id := range ids {
+		waitJob(t, ts, id)
+	}
+	// The fourth job is a results-cache hit, finished before it is
+	// published; publishing it drops the two oldest finished jobs.
+	st4, _ := postJob(t, ts, req)
+	ids = append(ids, st4.ID)
+	for i, id := range ids {
+		resp, err := http.Get(ts.URL + API + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorReply
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		switch {
+		case i < 2 && (resp.StatusCode != http.StatusNotFound || er.Kind != KindNotFound):
+			t.Errorf("dropped job %s: %s %q, want 404 %s", id, resp.Status, er.Kind, KindNotFound)
+		case i >= 2 && resp.StatusCode != http.StatusOK:
+			t.Errorf("kept job %s: %s, want 200", id, resp.Status)
+		}
+	}
+	var hz Healthz
+	getJSON(t, ts.URL+API+"/healthz", &hz)
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+API+"/obs", &snap)
+	if hz.Jobs != 2 || snap.Gauges["serve.jobs.stored"] != 2 {
+		t.Errorf("healthz jobs %d, serve.jobs.stored %v; want 2 and 2", hz.Jobs, snap.Gauges["serve.jobs.stored"])
+	}
+	var rep ReportReply
+	getJSON(t, ts.URL+API+"/report", &rep)
+	if len(rep.Figures) != 1 || len(rep.Figures[0].Rows) != 1 {
+		t.Errorf("report figures = %+v, want the one guarded/base row", rep.Figures)
 	}
 }
 

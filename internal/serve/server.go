@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"runtime"
@@ -109,6 +110,10 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[CellKey]*flight
 
+	// reported is the newest done summary per report row (see Report).
+	reportMu sync.Mutex
+	reported map[reportKey]Summary
+
 	jobsSubmitted, jobsRejected, jobsCanceled   atomic.Uint64
 	cellsSubmitted, cellsDone, cellsFailed      atomic.Uint64
 	cellsCanceled, cellsFromCache, cellsDeduped atomic.Uint64
@@ -121,14 +126,15 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		sched:   sim.NewPool(cfg.Workers),
-		adm:     NewAdmission(cfg.QueueCap, cfg.Workers),
-		cache:   NewResultCacheFS(cfg.FS),
-		store:   NewStore(),
-		res:     newResolver(),
-		reg:     obs.NewRegistry(),
-		flights: make(map[CellKey]*flight),
+		cfg:      cfg,
+		sched:    sim.NewPool(cfg.Workers),
+		adm:      NewAdmission(cfg.QueueCap, cfg.Workers),
+		cache:    NewResultCacheFS(cfg.FS),
+		store:    NewStore(),
+		res:      newResolver(),
+		reg:      obs.NewRegistry(),
+		flights:  make(map[CellKey]*flight),
+		reported: make(map[reportKey]Summary),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	if cfg.CachePath != "" {
@@ -185,6 +191,7 @@ func (s *Server) registerObs() {
 	cache.Counter("saves", s.cache.Saves)
 	cache.Counter("save_errors", s.cache.SaveErrors)
 	cache.Gauge("entries", func() float64 { return float64(s.cache.Len()) })
+	cache.Gauge("resident", func() float64 { return float64(s.cache.Resident()) })
 
 	if s.journal != nil {
 		jn := s.reg.Scope("serve.journal")
@@ -375,9 +382,9 @@ func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 		if resolved {
 			continue
 		}
-		if r, ok := s.cache.Get(c.Key); ok {
+		if sum, ok := s.cache.Get(c.Key); ok {
 			s.cellsFromCache.Add(1)
-			s.finishCell(c, r, nil, true)
+			s.finishCell(c, sum, nil, true)
 			continue
 		}
 		if task := s.joinFlight(c, specs[c.Workload], job.Req); task != nil {
@@ -390,7 +397,7 @@ func (s *Server) schedule(job *Job, specs map[string]sim.Spec) {
 		// Shutdown raced the submission: resolve what was scheduled-to-be as
 		// canceled so the job still terminates.
 		for _, c := range job.Cells {
-			s.finishCell(c, nil, fmt.Errorf("%w: %v", sim.ErrCanceled, err), false)
+			s.finishCell(c, Summary{}, fmt.Errorf("%w: %v", sim.ErrCanceled, err), false)
 		}
 	}
 }
@@ -429,10 +436,11 @@ func (s *Server) joinFlight(c *Cell, spec sim.Spec, req JobRequest) func() {
 		start := time.Now()
 		res, err := s.execCell(fl.ctx, spec, fl.key.Config, req)
 		s.adm.Observe(time.Since(start))
+		sum := summarize(&res)
 		if err == nil {
-			s.cache.Put(fl.key, &res)
+			sum = s.cache.Put(fl.key, &res)
 		}
-		s.completeFlight(fl, &res, err)
+		s.completeFlight(fl, sum, err)
 	}
 }
 
@@ -444,7 +452,7 @@ var errFinished = errors.New("serve: finished")
 
 // completeFlight resolves every subscribed cell with the flight's outcome
 // and retires the flight, releasing its context.
-func (s *Server) completeFlight(fl *flight, res *sim.Result, err error) {
+func (s *Server) completeFlight(fl *flight, sum Summary, err error) {
 	s.flightMu.Lock()
 	fl.done = true
 	if s.flights[fl.key] == fl {
@@ -454,7 +462,7 @@ func (s *Server) completeFlight(fl *flight, res *sim.Result, err error) {
 	fl.cells = nil
 	s.flightMu.Unlock()
 	for _, c := range cells {
-		s.finishCell(c, res, err, false)
+		s.finishCell(c, sum, err, false)
 	}
 	fl.cancel(errFinished)
 }
@@ -523,7 +531,7 @@ func (s *Server) jobFinished(j *Job) {
 
 // finishCell resolves a cell with the outcome of its run, or its cache hit:
 // done, or failed or canceled by err.
-func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
+func (s *Server) finishCell(c *Cell, sum Summary, err error, cached bool) {
 	state := CellDone
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
@@ -532,17 +540,18 @@ func (s *Server) finishCell(c *Cell, res *sim.Result, err error, cached bool) {
 			state = CellFailed
 		}
 	}
-	s.resolveCell(c, state, res, err, cached)
+	s.resolveCell(c, state, sum, err, cached)
 }
 
 // resolveCell resolves a cell exactly once: it journals the transition
 // under the cell's journal identity (job ID, cross-product index), releases
-// the cell's admission slot, counts it, and finishes its job on the last
-// one. It reports whether this call resolved the cell.
-func (s *Server) resolveCell(c *Cell, state string, res *sim.Result, err error, cached bool) bool {
-	first, hadSlot := c.resolve(state, res, err, cached)
+// the cell's admission slot, counts it, records a done cell's summary for
+// the report, and finishes its job on the last one. It returns the flight
+// the cell had subscribed to and whether this call resolved the cell.
+func (s *Server) resolveCell(c *Cell, state string, sum Summary, err error, cached bool) (*flight, bool) {
+	first, hadSlot, fl := c.resolve(state, sum, err, cached)
 	if !first {
-		return false
+		return nil, false
 	}
 	if s.journal != nil {
 		var emsg string
@@ -557,6 +566,10 @@ func (s *Server) resolveCell(c *Cell, state string, res *sim.Result, err error, 
 	switch state {
 	case CellDone:
 		s.cellsDone.Add(1)
+		req := c.job.Req
+		s.reportMu.Lock()
+		s.reported[reportKey{req.Quick, req.Sampled, c.Workload, c.Config}] = sum
+		s.reportMu.Unlock()
 	case CellFailed:
 		s.cellsFailed.Add(1)
 	case CellCanceled:
@@ -565,7 +578,7 @@ func (s *Server) resolveCell(c *Cell, state string, res *sim.Result, err error, 
 	if c.job.cellResolved() {
 		s.jobFinished(c.job)
 	}
-	return true
+	return fl, true
 }
 
 // Cancel cancels a job: unresolved cells resolve as canceled immediately,
@@ -578,8 +591,8 @@ func (s *Server) Cancel(j *Job) bool {
 	}
 	s.jobsCanceled.Add(1)
 	for _, c := range j.Cells {
-		if s.resolveCell(c, CellCanceled, nil, nil, false) && c.fl != nil {
-			s.unrefFlight(c.fl)
+		if fl, _ := s.resolveCell(c, CellCanceled, Summary{}, nil, false); fl != nil {
+			s.unrefFlight(fl)
 		}
 	}
 	return true
@@ -626,25 +639,22 @@ func (s *Server) resumeJob(rj ResumedJob) {
 	s.store.Publish(job)
 }
 
+// reportKey is one row of the report: a (profile, workload, config).
+type reportKey struct {
+	quick, sampled bool
+	w, c           string
+}
+
 // Report builds the BENCH_report-schema view of every completed cell the
 // daemon has served: one "serve.cells" figure with a row per distinct
 // (profile, sampled, workload, config), newest result winning, plus geomean
 // speedups per configuration against the base cells of the same profile.
+// It reads the summaries resolveCell keeps, not the job store.
 func (s *Server) Report() *obs.BenchReport {
-	type rk struct {
-		quick, sampled bool
-		w, c           string
-	}
-	results := make(map[rk]*sim.Result)
-	for _, j := range s.store.Jobs() {
-		for _, c := range j.Cells {
-			cr := c.result()
-			if cr.State == CellDone && cr.Result != nil {
-				results[rk{j.Req.Quick, j.Req.Sampled, c.Workload, c.Config}] = cr.Result
-			}
-		}
-	}
-	keys := make([]rk, 0, len(results))
+	s.reportMu.Lock()
+	results := maps.Clone(s.reported)
+	s.reportMu.Unlock()
+	keys := make([]reportKey, 0, len(results))
 	for k := range results {
 		keys = append(keys, k)
 	}
@@ -664,7 +674,7 @@ func (s *Server) Report() *obs.BenchReport {
 
 	rep := obs.NewBenchReport(false)
 	rows := make([]map[string]any, 0, len(keys))
-	profile := func(k rk) string {
+	profile := func(k reportKey) string {
 		p := "full"
 		if k.quick {
 			p = "quick"
@@ -698,7 +708,7 @@ func (s *Server) Report() *obs.BenchReport {
 		if k.c == sim.CfgBase {
 			continue
 		}
-		base, ok := results[rk{k.quick, k.sampled, k.w, sim.CfgBase}]
+		base, ok := results[reportKey{k.quick, k.sampled, k.w, sim.CfgBase}]
 		if !ok || base.Cycles == 0 || results[k].Cycles == 0 {
 			continue
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"phelps/internal/sim"
 )
 
 // Cell is one (workload, config) execution inside a Job. Its state advances
@@ -26,14 +24,17 @@ type Cell struct {
 	// (set by Store.Register) and the flight this cell subscribed to (nil
 	// for a cell the results cache answered). Both are written before the
 	// job is published, so before DELETE can reach the cell, and fl under
-	// the flight lock before the flight can; read-only afterwards.
+	// the flight lock before the flight can. resolve clears fl, so a
+	// resolved cell keeps no flight alive.
 	job *Job
 	fl  *flight
 
+	// A resolved cell keeps its outcome's summary, never its full result:
+	// that stays in the results cache, which Job.Result reads.
 	mu       sync.Mutex
 	state    string
 	cached   bool
-	res      *sim.Result
+	sum      Summary
 	err      error
 	resolved bool
 	slot     bool // holds an admission slot until resolved
@@ -50,21 +51,23 @@ func (c *Cell) setRunning() {
 }
 
 // resolve finalizes the cell; only the first call takes effect. It reports
-// whether this call was the resolving one and whether the cell held an
-// admission slot (the caller releases it exactly once).
-func (c *Cell) resolve(state string, res *sim.Result, err error, cached bool) (first, hadSlot bool) {
+// whether this call was the resolving one, whether the cell held an
+// admission slot (the caller releases it exactly once), and the flight it
+// subscribed to, which it clears.
+func (c *Cell) resolve(state string, sum Summary, err error, cached bool) (first, hadSlot bool, fl *flight) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.resolved {
-		return false, false
+		return false, false, nil
 	}
 	c.resolved = true
 	c.state = state
-	c.res = res
+	c.sum = sum
 	c.err = err
 	c.cached = cached
 	hadSlot, c.slot = c.slot, false
-	return true, hadSlot
+	fl, c.fl = c.fl, nil
+	return true, hadSlot, fl
 }
 
 // status snapshots the cell for the API.
@@ -80,28 +83,34 @@ func (c *Cell) status() CellStatus {
 	if c.err != nil {
 		st.Error = c.err.Error()
 	}
-	if c.res != nil {
-		st.Cycles = c.res.Cycles
-		st.Retired = c.res.Retired
-		st.IPC = c.res.IPC()
-		st.MPKI = c.res.MPKI()
-	}
+	st.Cycles = c.sum.Cycles
+	st.Retired = c.sum.Retired
+	st.IPC = c.sum.IPC()
+	st.MPKI = c.sum.MPKI()
 	return st
 }
 
-// result snapshots the cell with its full sim.Result.
-func (c *Cell) result() CellResult {
+// result snapshots the cell with its full sim.Result, which a done cell
+// loads from the results cache. A result the cache can no longer give is
+// reported as the cell's error.
+func (c *Cell) result(cache *ResultCache) CellResult {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	cr := CellResult{
 		Workload: c.Workload,
 		Config:   c.Config,
 		State:    c.state,
 		Cached:   c.cached,
-		Result:   c.res,
 	}
 	if c.err != nil {
 		cr.Error = c.err.Error()
+	}
+	c.mu.Unlock()
+	if cr.State == CellDone {
+		res, err := cache.Load(c.Key)
+		if err != nil {
+			cr.Error = fmt.Sprintf("result unavailable: %v", err)
+		}
+		cr.Result = res
 	}
 	return cr
 }
@@ -193,27 +202,43 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Result snapshots the job with full per-cell results.
-func (j *Job) Result() JobResult {
+// Result snapshots the job with full per-cell results, read from cache.
+func (j *Job) Result(cache *ResultCache) JobResult {
 	st := j.Status()
 	jr := JobResult{ID: j.ID, State: st.State, Cells: make([]CellResult, 0, len(j.Cells))}
 	for _, c := range j.Cells {
-		jr.Cells = append(jr.Cells, c.result())
+		jr.Cells = append(jr.Cells, c.result(cache))
 	}
 	return jr
 }
 
-// Store holds every job the daemon has accepted, in submission order.
+// finished reports whether every cell of the job has resolved.
+func (j *Job) finished() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// keepJobs is how many jobs the store keeps before it drops the oldest
+// finished ones.
+const keepJobs = 1024
+
+// Store holds the jobs the daemon has accepted, in submission order: every
+// running job, and the newest finished ones up to keep jobs in all.
 type Store struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
-	order []string
+	order []*Job
 	seq   uint64
+	keep  int
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{jobs: make(map[string]*Job)}
+	return &Store{jobs: make(map[string]*Job), keep: keepJobs}
 }
 
 // Register builds a job over cells that no other goroutine can reach yet
@@ -255,12 +280,27 @@ func (s *Store) Register(id string, req JobRequest, cells []*Cell) *Job {
 	return j
 }
 
-// Publish makes a registered job visible to Get and Jobs.
+// Publish makes a registered job visible to Get. Past s.keep jobs, it drops
+// the oldest finished ones, whose IDs then answer 404; running jobs are
+// never dropped.
 func (s *Store) Publish(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.order = append(s.order, j)
+	if len(s.order) <= s.keep {
+		return
+	}
+	kept := s.order[:0]
+	for _, o := range s.order {
+		if len(s.jobs) > s.keep && o.finished() {
+			delete(s.jobs, o.ID)
+			continue
+		}
+		kept = append(kept, o)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // Get looks a job up by ID.
@@ -269,17 +309,6 @@ func (s *Store) Get(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// Jobs returns every job in submission order.
-func (s *Store) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
 }
 
 // Len returns the number of stored jobs.

@@ -47,10 +47,10 @@ go test -count=1 -run TestFullQuickMatrixOverHTTP ./internal/serve
 go test -race -count=1 -run TestChaosKillRestart ./internal/serve
 # phelpsd smoke: boot the daemon on an ephemeral port, submit a quick job
 # with the CLI client, then resubmit and require the second pass to be
-# answered from the results cache; a sampled job populates the persistent
-# checkpoint cache, and the same job at another seed stores a second
-# artifact from the profile the first one left in memory; SIGTERM must
-# drain cleanly.
+# answered from the results cache with the same results; a sampled job
+# populates the persistent checkpoint cache, and the same job at another
+# seed stores a second artifact from the profile the first one left in
+# memory; SIGTERM must drain cleanly.
 smoke_dir=$(mktemp -d)
 go build -o "$smoke_dir/phelpsd" ./cmd/phelpsd
 go build -o "$smoke_dir/phelps" ./cmd/phelps
@@ -97,10 +97,22 @@ daemon_pid=$!
 for _ in $(seq 1 50); do [ -s "$smoke_dir/addr" ] && break; sleep 0.1; done
 daemon_url="http://$(cat "$smoke_dir/addr")"
 "$smoke_dir/phelps" -submit -server "$daemon_url" \
-    -workloads guarded,delinquent -configs base,phelps -quick
+    -workloads guarded,delinquent -configs base,phelps -quick -json \
+    >"$smoke_dir/cold.json"
 "$smoke_dir/phelps" -submit -server "$daemon_url" \
     -workloads guarded,delinquent -configs base,phelps -quick -json \
-    | grep -q '"cached": true'
+    >"$smoke_dir/warm.json"
+grep -q '"cached": true' "$smoke_dir/warm.json"
+# Both passes read each result back from the results log: the cold and the
+# cached pass print byte-identical results (their job IDs and the cached
+# flags aside), and a healthy log holds no result in memory.
+for run in cold warm; do
+    grep -v '^  "id": \|"cached": ' "$smoke_dir/$run.json" >"$smoke_dir/$run.results"
+done
+cmp "$smoke_dir/cold.results" "$smoke_dir/warm.results"
+obs=$(curl -fsS "$daemon_url/v1/obs")
+echo "$obs" | grep -q '"serve.cache.resident": 0'
+echo "$obs" | grep -q '"serve.cache.save_errors": 0'
 "$smoke_dir/phelps" -submit -server "$daemon_url" \
     -workloads delinquent -configs base -quick -sampled
 curl -fsS "$daemon_url/v1/obs" | grep -q '"serve.ckpt.stores": 1'
